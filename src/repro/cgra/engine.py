@@ -28,14 +28,26 @@ Numeric faults are detected by running the compiled step under
 ``numpy.errstate(over="raise", invalid="raise", divide="raise")``:
 the interpreter's per-op ``isfinite`` check can only fail when an
 operation signals overflow or invalid, so both engines fault on the
-same iteration.  Division by zero and sqrt of a negative keep their
-explicit guards (identical messages to the interpreter).
+same iteration.  The scalar step keeps explicit ``== 0.0``/``< 0.0``
+guards on division and square root (identical messages to the
+interpreter).
 
-**Batched lockstep execution** reuses the same codegen with ``[B]``-shaped
-NumPy array registers: one compiled program advances B independent
-scenarios per call (:class:`BatchedCgraExecutor` +
-:class:`~repro.cgra.sensor.BatchSensorBus`).  Elementwise float32 array
-arithmetic is bit-identical per lane to the scalar engine.
+**Batched lockstep execution** reuses the same codegen with NumPy
+registers that are ``[B]`` arrays where lanes differ and scalars where
+they agree: one compiled program advances B independent scenarios per
+call (:class:`BatchedCgraExecutor` +
+:class:`~repro.cgra.sensor.BatchSensorBus`, whose handlers may answer
+with a scalar or a ``[B]`` array).  Float32 arithmetic is bit-identical
+per lane to the scalar engine whether an operand is a scalar or an
+array.  The batched step carries **no** division or square-root guards
+— a per-op array reduction costs more than the op itself.  The
+``errstate`` envelope raises on the same faults: sqrt raises
+``invalid`` exactly when some lane is negative, and a zero divisor
+raises ``divide``/``invalid`` for every finite numerator, which is all
+the loop can reach (every op that makes a non-finite value raises first,
+and :class:`BatchedCgraExecutor` rejects non-finite host values).
+:meth:`CompiledProgram.fault_error` maps such a fault back to the
+interpreter's exact guard text.
 """
 
 from __future__ import annotations
@@ -132,6 +144,11 @@ class _CodeEmitter:
         self.batched = batched
         self._loads: dict[int, str] = {}
         self._computed: set[int] = set()
+        # Body index → (op, node id, guarded operand) of unguarded ops.
+        self._sites: dict[int, tuple[Op, int, str]] = {}
+        #: Source line → (op, node id, guarded operand local) of every
+        #: unguarded FDIV/FSQRT in the last emitted step.
+        self.fault_sites: dict[int, tuple[Op, int, str]] = {}
 
     def _operand(self, node_id: int) -> str:
         if node_id in self._computed:
@@ -155,22 +172,20 @@ class _CodeEmitter:
             body.append(f"write({io_id}, {self._operand(operands[0])})")
         elif op is Op.FDIV:
             a, b = (self._operand(o) for o in operands)
-            # Batched: ``not b.all()`` ≡ ``any(b == 0.0)`` without the
-            # temporary bool array (0.0 and -0.0 are falsy, NaN is
-            # truthy, matching ``NaN == 0.0 → False`` elementwise) —
-            # one C reduction instead of compare + any.
-            zero = f"not {b}.all()" if self.batched else f"{b} == 0.0"
-            body.append(f"if {zero}:")
-            body.append(f"    raise _EE('division by zero in node {nid}')")
+            if self.batched:
+                # Unguarded: errstate raises, fault_error names the node.
+                self._sites[len(body)] = (op, nid, b)
+            else:
+                body.append(f"if {b} == 0.0:")
+                body.append(f"    raise _EE('division by zero in node {nid}')")
             body.append(f"v{nid} = {a} / {b}")
         elif op is Op.FSQRT:
             a = self._operand(operands[0])
-            # Batched: keep the elementwise compare (a min-reduction
-            # would miss a negative lane when another lane holds NaN);
-            # the ``.any()`` method skips ``np.any``'s dispatch overhead.
-            neg = f"({a} < 0.0).any()" if self.batched else f"{a} < 0.0"
-            body.append(f"if {neg}:")
-            body.append(f"    raise _EE('sqrt of negative value in node {nid}')")
+            if self.batched:
+                self._sites[len(body)] = (op, nid, a)
+            else:
+                body.append(f"if {a} < 0.0:")
+                body.append(f"    raise _EE('sqrt of negative value in node {nid}')")
             body.append(f"v{nid} = _sqrt({a})")
         elif op in (Op.FADD, Op.FSUB, Op.FMUL):
             sym = {Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*"}[op]
@@ -211,6 +226,7 @@ class _CodeEmitter:
     def emit(self, traced: bool) -> str:
         self._loads.clear()
         self._computed.clear()
+        self._sites.clear()
         body: list[str] = []
         for tick, op, nid, operands, io_id in self.entries:
             self._emit_entry(body, tick, op, nid, operands, io_id)
@@ -233,6 +249,10 @@ class _CodeEmitter:
         lines = ["def step(R, read, read_addr, write):"]
         for load in self._loads.values():
             lines.append(f"    {load}")
+        # Body line i is source line len(lines) + 1 + i.
+        self.fault_sites = {
+            len(lines) + 1 + i: site for i, site in self._sites.items()
+        }
         for section in (body, stores, latches):
             for line in section:
                 lines.append(f"    {line}")
@@ -245,9 +265,9 @@ class CompiledProgram:
     """One schedule lowered to flat compiled step functions.
 
     The program is stateless: the register file is a plain list (scalar
-    engine) or a list of ``[B]`` arrays (batched engine), owned by the
-    executor and passed into every step call.  Slot index == node id
-    (node ids are dense).
+    engine) or a list of ``[B]`` arrays and lane-uniform scalars (batched
+    engine), owned by the executor and passed into every step call.
+    Slot index == node id (node ids are dense).
     """
 
     def __init__(self, schedule: Schedule, precision: str = "single") -> None:
@@ -273,24 +293,28 @@ class CompiledProgram:
         emitter = _CodeEmitter(self.graph, self.entries, batched=False)
         self.source_fast = emitter.emit(traced=False)
         self.source_traced = emitter.emit(traced=True)
-        self.step_fast = self._compile(self.source_fast, "fast", batched=False)
-        self.step_traced = self._compile(self.source_traced, "traced", batched=False)
+        self.step_fast = self._compile(self.source_fast, "fast")
+        self.step_traced = self._compile(self.source_traced, "traced")
         self._step_batched = None
         self._step_batched_fast = None
         self.source_batched: str | None = None
         self.source_batched_fast: str | None = None
+        #: Source line → (op, node id, guarded operand local) of the
+        #: batched steps' unguarded FDIV/FSQRT ops (both variants share
+        #: their body lines; the fast one only drops trailing stores).
+        self.batched_fault_sites: dict[int, tuple[Op, int, str]] = {}
+        self._batched_codes: set = set()
         self._certificate = None
         if _OBS.enabled:
             _PROGRAMS_COMPILED.inc(precision=precision)
 
-    def _compile(self, source: str, variant: str, batched: bool):
+    def _compile(self, source: str, variant: str):
         ns = {
             "_ft": self.ftype,
             "_sqrt": np.sqrt,
             "_ZERO": self.ftype(0.0),
             "_ONE": self.ftype(1.0),
             "_EE": ExecutionError,
-            "_any": np.any,
             "_where": np.where,
             "_minimum": np.minimum,
             "_maximum": np.maximum,
@@ -299,29 +323,63 @@ class CompiledProgram:
         exec(code, ns)
         return ns["step"]
 
+    def _compile_batched(self, traced: bool):
+        emitter = _CodeEmitter(self.graph, self.entries, batched=True)
+        source = emitter.emit(traced=traced)
+        step = self._compile(source, "batched" if traced else "batched-fast")
+        self.batched_fault_sites = emitter.fault_sites
+        self._batched_codes.add(step.__code__)
+        return source, step
+
     @property
     def step_batched(self):
-        """The ``[B]``-array step function (compiled on first use)."""
+        """The batched step function (compiled on first use)."""
         if self._step_batched is None:
-            emitter = _CodeEmitter(self.graph, self.entries, batched=True)
-            self.source_batched = emitter.emit(traced=True)
-            self._step_batched = self._compile(self.source_batched, "batched", batched=True)
+            self.source_batched, self._step_batched = self._compile_batched(traced=True)
         return self._step_batched
 
     @property
     def step_batched_fast(self):
-        """The ``[B]``-array step storing only PHI latches (compiled on
+        """The batched step storing only PHI latches (compiled on
         first use).  Same fast/traced split as the scalar engine: loads
         only ever come from CONST/PARAM/PHI slots, so running
         ``(n−1)·fast + 1·traced`` leaves the register file identical to
         tracing every step."""
         if self._step_batched_fast is None:
-            emitter = _CodeEmitter(self.graph, self.entries, batched=True)
-            self.source_batched_fast = emitter.emit(traced=False)
-            self._step_batched_fast = self._compile(
-                self.source_batched_fast, "batched-fast", batched=True
+            self.source_batched_fast, self._step_batched_fast = (
+                self._compile_batched(traced=False)
             )
         return self._step_batched_fast
+
+    def fault_error(
+        self, exc: FloatingPointError, iteration: int, kernel: str
+    ) -> ExecutionError:
+        """The :class:`ExecutionError` for a ``FloatingPointError`` that a
+        step raised under ``errstate(raise)`` in ``iteration``.
+
+        When the innermost frame is a batched step stopped on one of its
+        unguarded FDIV/FSQRT lines, and that op's divisor has a zero lane
+        (or its radicand a negative lane) in the frame's locals, this is
+        the interpreter's exact guard text.  Every other fault — overflow,
+        a fault inside a bus handler, a scalar step — gets the generic
+        non-finite message naming the iteration and ``kernel``.
+        """
+        tb = exc.__traceback__
+        while tb is not None and tb.tb_next is not None:
+            tb = tb.tb_next
+        if tb is not None and tb.tb_frame.f_code in self._batched_codes:
+            site = self.batched_fault_sites.get(tb.tb_lineno)
+            if site is not None:
+                op, nid, operand = site
+                value = tb.tb_frame.f_locals[operand]
+                if op is Op.FDIV and np.any(value == 0.0):
+                    return ExecutionError(f"division by zero in node {nid}")
+                if op is Op.FSQRT and np.any(value < 0.0):
+                    return ExecutionError(f"sqrt of negative value in node {nid}")
+        return ExecutionError(
+            f"non-finite value produced in iteration {iteration} "
+            f"of the {kernel} kernel: {exc}"
+        )
 
     @property
     def certificate(self):
@@ -397,16 +455,20 @@ def clear_program_cache() -> None:
 class BatchedCgraExecutor:
     """Advances B independent scenarios in lockstep with one program.
 
-    The register file holds one ``[B]`` float array (or a scalar, for
-    values that are still lane-uniform) per node; every arithmetic op is
-    an elementwise NumPy operation, bit-identical per lane to the scalar
-    compiled engine.  IO goes through a
-    :class:`~repro.cgra.sensor.BatchSensorBus`, whose handlers produce
-    and consume ``[B]`` arrays.
+    The register file holds one ``[B]`` float array per node, or a NumPy
+    scalar for a value that is lane-uniform; every arithmetic op is a
+    NumPy operation, bit-identical per lane to the scalar compiled
+    engine, and runs at scalar cost until a per-lane operand joins it.
+    IO goes through a :class:`~repro.cgra.sensor.BatchSensorBus`, whose
+    handlers are NumPy-polymorphic: a lane-uniform read may answer with a
+    scalar, which keeps everything computed from it scalar.
 
     Parameters are scalars (lane-uniform) or length-B arrays; the same
-    holds for :meth:`set_register`/:meth:`set_param`.  A numeric fault in
-    *any* lane faults the whole batch (lockstep semantics).
+    holds for :meth:`set_register`/:meth:`set_param`.  They must be finite
+    at the kernel precision.  A numeric fault in *any* lane faults the
+    whole batch (lockstep semantics), with the interpreter's error text
+    for division by zero and sqrt of a negative
+    (:meth:`CompiledProgram.fault_error`).
     """
 
     def __init__(
@@ -452,7 +514,7 @@ class BatchedCgraExecutor:
         extra = [p for p in params if p not in self.graph.params]
         if extra:
             raise ExecutionError(f"unknown parameters: {extra}")
-        self._params = {k: self._lanes(v) for k, v in params.items()}
+        self._params = {k: self._lanes(v, f"parameter {k!r}") for k, v in params.items()}
         self._slots: list = [None] * self._program.n_slots
         for node in self.graph.nodes.values():
             if node.op is Op.CONST:
@@ -477,17 +539,29 @@ class BatchedCgraExecutor:
         self.iterations = 0
         self.actuator_write_ticks: dict[int, int] = {}
 
-    def _lanes(self, value):
-        """Scalar → lane-uniform np scalar; array → [B] array, rounded."""
+    def _lanes(self, value, what: str):
+        """Scalar → lane-uniform np scalar; array → [B] array, rounded.
+
+        Non-finite values are rejected: the unguarded batched division
+        relies on every register holding a finite value (a NaN or ±inf
+        numerator over a zero divisor raises no FP error).
+        """
         arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            return self._ftype(float(arr))
-        if arr.shape != (self.batch,):
+        if arr.ndim and arr.shape != (self.batch,):
             raise ExecutionError(
                 f"per-lane value must be a scalar or shape ({self.batch},), "
                 f"got shape {arr.shape}"
             )
-        return arr.astype(self._ftype)
+        with np.errstate(over="ignore"):
+            lanes = self._ftype(float(arr)) if arr.ndim == 0 else arr.astype(self._ftype)
+        finite = np.isfinite(lanes)
+        if not finite.all():
+            bad = arr if arr.ndim == 0 else arr[~finite][0]
+            raise ExecutionError(
+                f"{what} must be finite at {self.precision} precision, "
+                f"got {float(bad)!r}"
+            )
+        return lanes
 
     @property
     def schedule_length(self) -> int:
@@ -498,7 +572,7 @@ class BatchedCgraExecutor:
         """Update a live-in parameter between iterations (per-lane ok)."""
         if name not in self.graph.params:
             raise ExecutionError(f"unknown parameter {name!r}")
-        lanes = self._lanes(value)
+        lanes = self._lanes(value, f"parameter {name!r}")
         self._params[name] = lanes
         for nid in self._param_nodes.get(name, ()):
             self._slots[nid] = lanes
@@ -508,7 +582,7 @@ class BatchedCgraExecutor:
         nid = self._phi_named.get(name)
         if nid is None:
             raise ExecutionError(f"no loop-carried register named {name!r}")
-        self._slots[nid] = self._lanes(value)
+        self._slots[nid] = self._lanes(value, f"register {name!r}")
 
     def register_of(self, name: str) -> np.ndarray:
         """Current per-lane values of a named node, shape ``[B]`` float64."""
@@ -558,7 +632,7 @@ class BatchedCgraExecutor:
                 self._plan = plan
                 self._run_vector(n_iterations)
                 return
-        self._run_batched(n_iterations)
+        self.run_driven(n_iterations)
 
     def _run_vector(self, n_iterations: int) -> None:
         """Chunked ``[B, T]`` run; falls back to per-cycle batched steps
@@ -572,7 +646,7 @@ class BatchedCgraExecutor:
                 {k: float(np.asarray(v).reshape(-1)[0]) for k, v in self._params.items()}
             )
         if not vp.ok or n_iterations < MIN_CHUNK:
-            self._run_batched(n_iterations)
+            self.run_driven(n_iterations)
             return
         if self._plan is not None:
             hint = self._plan.chunk_elems
@@ -615,62 +689,22 @@ class BatchedCgraExecutor:
                     )
         remainder = n_iterations - done
         if remainder:
-            self._run_batched(remainder)
-
-    def _run_batched(self, n_iterations: int) -> None:
-        # Same fast/traced split as the scalar engine: all but the last
-        # step store only PHI latches, the final traced step leaves the
-        # full register file observable.
-        step_fast = self._program.step_batched_fast
-        step_traced = self._program.step_batched
-        R = self._slots
-        read, read_addr, write = self.bus.read, self.bus.read_addr, self.bus.write
-        done = 0
-        obs = _OBS.enabled
-        if obs:
-            import time as _time
-
-            t0 = _time.perf_counter()
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for _ in range(n_iterations - 1):
-                    step_fast(R, read, read_addr, write)
-                    done += 1
-                step_traced(R, read, read_addr, write)
-                done += 1
-        except FloatingPointError as exc:
-            raise ExecutionError(
-                f"non-finite value produced in iteration {self.iterations + done} "
-                f"of the batched kernel: {exc}"
-            ) from exc
-        finally:
-            self.iterations += done
-            if done:
-                self.actuator_write_ticks = dict(self._program.actuator_write_ticks)
-            if obs and done:
-                elapsed = _time.perf_counter() - t0
-                _ENGINE_ITERATIONS.inc(done * self.batch, engine="batched")
-                if elapsed > 0.0:
-                    _ITERS_PER_SECOND.set(done * self.batch / elapsed, engine="batched")
-                if _OBS.profile:
-                    record_program(
-                        self.graph.name, "batched", done, elapsed,
-                        self._program.op_class_counts, lanes=self.batch,
-                    )
+            self.run_driven(remainder)
 
     def run_driven(self, n_iterations: int, pre=None, post=None) -> None:
         """Advance ``n_iterations`` with host callbacks around each step,
         under one errstate/telemetry envelope.
 
-        The closed-loop HIL driver: per iteration ``i`` (0-based) this
-        runs ``pre(i)``, one batched step, then ``post(i)`` — exactly the
-        call sequence of a Python loop over :meth:`run_iteration`, minus
-        its per-iteration ``np.errstate`` enter/exit and telemetry.  All
-        but the last step use the fast (PHI-only) variant, so callbacks
-        may observe loop-carried registers and actuator-write effects —
+        The closed-loop HIL driver, and the per-cycle path of :meth:`run`
+        (no callbacks): per iteration ``i`` (0-based) this runs
+        ``pre(i)``, one batched step, then ``post(i)`` — exactly the call
+        sequence of a Python loop over :meth:`run_iteration`, minus its
+        per-iteration ``np.errstate`` enter/exit and telemetry.  All but
+        the last step use the fast (PHI-only) variant, so callbacks may
+        observe loop-carried registers and actuator-write effects —
         everything the closed loop reads back; after the call returns the
-        register file is fully traced, as after :meth:`run`.  Callbacks
-        execute under ``np.errstate(raise)``.
+        register file is fully traced.  Callbacks execute under
+        ``np.errstate(raise)``.
         """
         if n_iterations < 0:
             raise ExecutionError("n_iterations must be non-negative")
@@ -700,10 +734,7 @@ class BatchedCgraExecutor:
                     if post is not None:
                         post(i)
         except FloatingPointError as exc:
-            raise ExecutionError(
-                f"non-finite value produced in iteration {self.iterations + done} "
-                f"of the batched kernel: {exc}"
-            ) from exc
+            raise self._program.fault_error(exc, self.iterations + done, "batched") from exc
         finally:
             self.iterations += done
             if done:

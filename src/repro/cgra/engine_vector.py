@@ -38,9 +38,10 @@ numeric fault (division by zero, sqrt of a negative, overflow) aborts
 the chunk, the register file is restored from the entry snapshot, and
 the per-cycle compiled step replays the chunk against the recorded read
 logs (falling through to the live bus when a log is exhausted).  The
-replay reproduces the compiled tier's exact fault message, iteration
-count and partial side effects — which the PR-3 suites already pin
-bit-identical to the interpreter.
+replay reproduces the compiled tier's exact fault message (through
+:meth:`~repro.cgra.engine.CompiledProgram.fault_error` for the unguarded
+batched step), iteration count and partial side effects — which the
+engine parity suites pin to the interpreter.
 
 Programs the lowering cannot prove safe — unresolved or distance>1
 carried registers, ports that are both read and written (closed-loop
@@ -765,14 +766,12 @@ class VectorProgram:
                     step(R, replay_read, replay_read_addr, bus.write)
                     done += 1
         except FloatingPointError as exc:
-            raise ExecutionError(
-                f"non-finite value produced in iteration {base_iterations + done} "
-                f"of the {word} kernel: {exc}"
-            ) from exc
+            # The batched step is unguarded: fault_error restores the
+            # interpreter's division/sqrt text.  The scalar step's guards
+            # raise that text directly and pass through raw.
+            raise program.fault_error(exc, base_iterations + done, word) from exc
         finally:
-            # Guard-raised ExecutionErrors (division by zero, sqrt of a
-            # negative — interpreter-identical text) pass through raw;
-            # completed iterations still count either way.
+            # Completed iterations count either way.
             progress[0] = done
 
 

@@ -11,6 +11,11 @@ buffers and the Gauss-pulse actuator here, and the cycle-accurate
 executor performs all its IO through this single port (which is also the
 serialisation point the scheduler models).
 
+:class:`BatchSensorBus` is the same port for the batched lockstep
+engine: one logical IO operation per op for all lanes, with
+NumPy-polymorphic handlers — a lane-uniform value travels as a float64
+scalar, a per-lane one as a float64 ``[batch]`` array.
+
 Well-known ids used by the shipped beam model are module constants so
 the C source, the framework wiring and the tests agree by construction.
 """
@@ -110,12 +115,24 @@ class BatchSensorBus:
     """Array-valued SensorAccess bus for the batched lockstep engine.
 
     Same registration API as :class:`SensorBus`, but each *logical* IO
-    operation carries one value **per lane**: readers return a scalar
-    (lane-uniform) or a length-``batch`` array, addressed readers receive
-    a float64 ``[batch]`` address array, and writers receive a float64
-    ``[batch]`` value array.  ``read_counts``/``write_counts`` count
-    logical operations (one per op, not per lane), mirroring the scalar
-    bus statistics.
+    operation carries one value **per lane**, and handlers are
+    NumPy-polymorphic — every value they see or return is a float64
+    scalar (all lanes agree) or a float64 ``[batch]`` array:
+
+    * a reader may return a scalar, a 0-d array or a ``[batch]`` array;
+      a scalar or 0-d result comes back as a float64 scalar, so a
+      lane-uniform value stays scalar through the engine (NumPy-scalar
+      arithmetic is bit-identical per lane and an order of magnitude
+      cheaper than the same op on a small array);
+    * an addressed reader receives a float64 scalar when the address is
+      lane-uniform and a float64 ``[batch]`` array otherwise;
+    * a writer always receives a float64 ``[batch]`` array (a read-only
+      broadcast view when the value is lane-uniform).
+
+    Any other shape raises :class:`~repro.errors.CgraError` naming the
+    port and both shapes.  ``read_counts``/``write_counts`` count logical
+    operations (one per op, not per lane), mirroring the scalar bus
+    statistics.
     """
 
     def __init__(self, batch: int) -> None:
@@ -134,44 +151,49 @@ class BatchSensorBus:
         self._readers[int(sensor_id)] = fn
 
     def register_addr_reader(self, sensor_id: int, fn: Callable) -> None:
-        """Register an addressed sensor (``[batch]`` addresses in)."""
+        """Register an addressed sensor (scalar or ``[batch]`` addresses in)."""
         self._addr_readers[int(sensor_id)] = fn
 
     def register_writer(self, actuator_id: int, fn: Callable) -> None:
         """Register an actuator (receives ``[batch]`` values)."""
         self._writers[int(actuator_id)] = fn
 
-    def _broadcast(self, value) -> np.ndarray:
-        # Fast path for the common hot-loop case: the value is already a
-        # float64 [batch] array — ``asarray`` would return it unchanged,
-        # so skip the conversion/shape ceremony entirely.
-        if (
-            type(value) is np.ndarray
-            and value.shape == self._shape
-            and value.dtype == _F64
-        ):
+    def _lane_values(self, value, what: str, port: int):
+        """``value`` as a float64 scalar or float64 ``[batch]`` array;
+        ``what.format(port)`` names it in the shape error."""
+        # Fast paths for what the hot loop passes: float64 values come
+        # back unchanged, float32 registers and Python floats are widened
+        # without the asarray round trip.
+        kind = type(value)
+        if kind is np.float64:
             return value
+        if kind is np.float32 or kind is float:
+            return np.float64(value)
+        if kind is np.ndarray and value.shape == self._shape:
+            return value if value.dtype == _F64 else value.astype(_F64)
         arr = np.asarray(value, dtype=float)
         if arr.ndim == 0:
-            return np.broadcast_to(arr, (self.batch,))
-        if arr.shape != (self.batch,):
+            return arr[()]
+        if arr.shape != self._shape:
             raise CgraError(
-                f"batched handler must return a scalar or shape ({self.batch},), "
+                f"{what.format(port)} must be a scalar or shape {self._shape}, "
                 f"got shape {arr.shape}"
             )
         return arr
 
-    def read(self, sensor_id: int) -> np.ndarray:
-        """Perform an address-less read; returns float64 ``[batch]``."""
+    def read(self, sensor_id: int):
+        """Perform an address-less read; returns a float64 scalar or
+        ``[batch]`` array."""
         try:
             fn = self._readers[sensor_id]
         except KeyError:
             raise CgraError(f"no sensor registered for id {sensor_id}") from None
         self.read_counts[sensor_id] = self.read_counts.get(sensor_id, 0) + 1
-        return self._broadcast(fn())
+        return self._lane_values(fn(), "sensor {} result", sensor_id)
 
-    def read_addr(self, sensor_id: int, addr) -> np.ndarray:
-        """Perform an addressed read; returns float64 ``[batch]``.
+    def read_addr(self, sensor_id: int, addr):
+        """Perform an addressed read; returns a float64 scalar or
+        ``[batch]`` array.
 
         The address is widened to float64 before the handler sees it,
         matching the scalar bus's ``float(addr)`` conversion per lane.
@@ -181,17 +203,8 @@ class BatchSensorBus:
         except KeyError:
             raise CgraError(f"no addressed sensor registered for id {sensor_id}") from None
         self.read_counts[sensor_id] = self.read_counts.get(sensor_id, 0) + 1
-        if (
-            type(addr) is np.ndarray
-            and addr.shape == self._shape
-            and addr.dtype == _F64
-        ):
-            addresses = addr
-        else:
-            addresses = np.asarray(addr, dtype=float)
-            if addresses.shape != self._shape:
-                addresses = np.broadcast_to(addresses, self._shape)
-        return self._broadcast(fn(addresses))
+        addresses = self._lane_values(addr, "address for sensor {}", sensor_id)
+        return self._lane_values(fn(addresses), "sensor {} result", sensor_id)
 
     def write(self, actuator_id: int, value) -> None:
         """Perform an actuator write (float64 ``[batch]`` values)."""
@@ -200,4 +213,5 @@ class BatchSensorBus:
         except KeyError:
             raise CgraError(f"no actuator registered for id {actuator_id}") from None
         self.write_counts[actuator_id] = self.write_counts.get(actuator_id, 0) + 1
-        fn(self._broadcast(value))
+        values = self._lane_values(value, "value for actuator {}", actuator_id)
+        fn(np.broadcast_to(values, self._shape) if values.ndim == 0 else values)

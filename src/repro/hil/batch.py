@@ -19,7 +19,10 @@ agree with scalar runs to floating-point noise, not necessarily
 bit-for-bit (see docs/PERFORMANCE.md).
 
 The per-lane sweep variable is the phase-jump amplitude; ring, ion and
-RF calibration are lane-uniform.
+RF calibration are lane-uniform.  So are the period and reference-buffer
+reads, which the sensor handlers answer with scalars: the reference
+particle's share of the beam model then runs as NumPy-scalar arithmetic,
+and only the per-lane bunch math pays for ``[B]`` arrays.
 """
 
 from __future__ import annotations
@@ -304,23 +307,27 @@ class BatchedCavityInTheLoop:
 
     # -- engine plumbing -------------------------------------------------
 
-    def _maybe_quantize(self, adc_volts: np.ndarray) -> np.ndarray:
+    def _maybe_quantize(self, adc_volts):
         if not self.config.quantize_adc:
             return adc_volts
+        if adc_volts.ndim == 0:
+            return self._adc.quantize_scalar(adc_volts)
         return self._adc.quantize(adc_volts)
 
-    def _ref_adc_voltage(self, addr_samples: np.ndarray) -> np.ndarray:
+    def _ref_adc_voltage(self, addr_samples):
         """Reference-buffer read: undisturbed sine at f_R, ADC volts.
 
         Deliberately fault-free: the reference leg doubles as the
         synchronous-energy bookkeeping, so all signal-chain faults act
-        on the gap leg (see :mod:`repro.faults.inject`).
+        on the gap leg (see :mod:`repro.faults.inject`).  The reference
+        particle is shared by every lane, so the address — and the
+        reading — is a lane-uniform scalar.
         """
         t = addr_samples / 250e6
         v = self.config.adc_amplitude * np.sin(TWO_PI * self.f_rev * t)
         return self._maybe_quantize(v)
 
-    def _gap_adc_voltage(self, addr_samples: np.ndarray) -> np.ndarray:
+    def _gap_adc_voltage(self, addr_samples) -> np.ndarray:
         """Gap-buffer read: harmonic signal with the commanded phase."""
         t = addr_samples / 250e6
         base = TWO_PI * self.config.harmonic * self.f_rev * t + self._gap_phase_rad
@@ -341,12 +348,10 @@ class BatchedCavityInTheLoop:
 
     def _build_executor(self) -> BatchedCgraExecutor:
         bus = BatchSensorBus(self.batch)
-        t_rev = 1.0 / self.f_rev
-        # Pre-broadcast the lane-uniform period once; the bus passes a
-        # float64 [B] array straight through instead of re-broadcasting
-        # the scalar on every revolution.
-        t_rev_lanes = np.full(self.batch, t_rev)
-        bus.register_reader(SENSOR_PERIOD, lambda: t_rev_lanes)
+        # Lane-uniform: ring, ion and f_R are config-level, so the period
+        # (and the reference particle computed from it) stays scalar.
+        t_rev = np.float64(1.0 / self.f_rev)
+        bus.register_reader(SENSOR_PERIOD, lambda: t_rev)
         bus.register_addr_reader(SENSOR_REF_BUFFER, self._ref_adc_voltage)
         bus.register_addr_reader(SENSOR_GAP_BUFFER, self._gap_adc_voltage)
         for i in range(self.config.n_bunches):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -254,12 +255,10 @@ class TestAutoTier:
             bus = BatchSensorBus(4)
             bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
             bus.register_addr_reader(
-                SENSOR_REF_BUFFER,
-                lambda a: [math.sin(2 * math.pi * 800e3 * x / 250e6) for x in a],
+                SENSOR_REF_BUFFER, lambda a: np.sin(2 * np.pi * 800e3 * a / 250e6)
             )
             bus.register_addr_reader(
-                SENSOR_GAP_BUFFER,
-                lambda a: [math.sin(2 * math.pi * 3.2e6 * x / 250e6 + 0.14) for x in a],
+                SENSOR_GAP_BUFFER, lambda a: np.sin(2 * np.pi * 3.2e6 * a / 250e6 + 0.14)
             )
             outs: list = []
             bus.register_writer(ACTUATOR_DELTA_T, lambda v: outs.append(tuple(v)))

@@ -12,6 +12,7 @@ lockstep executor, and on the pipelined (modulo-scheduled) executor.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,18 +141,26 @@ class TestSequentialParity:
 
 
 class TestFaultParity:
-    """Numeric faults must raise the same error text in both engines."""
+    """Numeric faults must raise the same error text in every engine."""
+
+    DIV = "void k(float p) { float x = 1.0; while (1) { x = x / p; } }"
+    SQRT = "void k(float p) { float x = 1.0; while (1) { x = sqrt(p); } }"
+    COUNTDOWN = ("void k(float p) { float c = 3.0; float x = 0.0; "
+                 "while (1) { c = c - p; x = 1.0 / c; } }")
+
+    @staticmethod
+    def _schedule(source):
+        graph = compile_c_to_dfg(source)
+        return ListScheduler(CgraFabric(CgraConfig(rows=2, cols=2))).schedule(graph)
 
     def _executors(self, source, params):
-        graph = compile_c_to_dfg(source)
-        schedule = ListScheduler(CgraFabric(CgraConfig(rows=2, cols=2))).schedule(graph)
+        schedule = self._schedule(source)
         ex_i = CgraExecutor(schedule, SensorBus(), dict(params), engine="interpreted")
         ex_c = CgraExecutor(schedule, SensorBus(), dict(params), engine="compiled")
         return ex_i, ex_c
 
     def test_division_by_zero(self):
-        source = "void k(float p) { float x = 1.0; while (1) { x = x / p; } }"
-        ex_i, ex_c = self._executors(source, {"p": 0.0})
+        ex_i, ex_c = self._executors(self.DIV, {"p": 0.0})
         with pytest.raises(ExecutionError) as err_i:
             ex_i.run(1)
         with pytest.raises(ExecutionError) as err_c:
@@ -160,8 +169,7 @@ class TestFaultParity:
         assert "division by zero in node" in str(err_c.value)
 
     def test_sqrt_of_negative(self):
-        source = "void k(float p) { float x = 1.0; while (1) { x = sqrt(p); } }"
-        ex_i, ex_c = self._executors(source, {"p": -1.0})
+        ex_i, ex_c = self._executors(self.SQRT, {"p": -1.0})
         with pytest.raises(ExecutionError) as err_i:
             ex_i.run(1)
         with pytest.raises(ExecutionError) as err_c:
@@ -170,13 +178,63 @@ class TestFaultParity:
 
     def test_iteration_count_after_fault(self):
         """A fault in iteration k leaves both engines at k-1 iterations."""
-        source = ("void k(float p) { float c = 3.0; float x = 0.0; "
-                  "while (1) { c = c - p; x = 1.0 / c; } }")
-        ex_i, ex_c = self._executors(source, {"p": 1.0})
+        ex_i, ex_c = self._executors(self.COUNTDOWN, {"p": 1.0})
         for ex in (ex_i, ex_c):
             with pytest.raises(ExecutionError):
                 ex.run(10)
         assert ex_c.iterations == ex_i.iterations == 2
+
+    # The batched step has no guards: errstate raises and the fault is
+    # translated back to the interpreter's text.  Each case runs once
+    # with a lane-uniform parameter (scalar registers) and once with one
+    # faulting lane out of four; lane 0 stays healthy so the vector
+    # tier's chunk oracle passes, and kernels with a chunkable segment
+    # replay the fault per cycle.
+    @pytest.mark.parametrize("engine", ["compiled", "vector"])
+    @pytest.mark.parametrize("driven", [False, True], ids=["run", "run_driven"])
+    @pytest.mark.parametrize(
+        "source, fault_p, lanes_p, text",
+        [
+            (DIV, 0.0, [1.0, 2.0, 0.0, 4.0], "division by zero in node"),
+            (SQRT, -1.0, [1.0, 4.0, -1.0, 9.0], "sqrt of negative value in node"),
+            (COUNTDOWN, 1.0, [-1.0, -0.5, 1.0, -2.0], "division by zero in node"),
+        ],
+        ids=["division_by_zero", "sqrt_of_negative", "iteration_count"],
+    )
+    def test_batched_matches_interpreter(self, engine, driven, source, fault_p, lanes_p, text):
+        ex_i = CgraExecutor(self._schedule(source), SensorBus(), {"p": fault_p},
+                            engine="interpreted")
+        with pytest.raises(ExecutionError) as err_i:
+            ex_i.run(10)
+        assert text in str(err_i.value)
+        for p in (fault_p, lanes_p):
+            ex_b = BatchedCgraExecutor(self._schedule(source), BatchSensorBus(4), {"p": p},
+                                       engine=engine)
+            with pytest.raises(ExecutionError) as err_b:
+                ex_b.run_driven(10) if driven else ex_b.run(10)
+            assert str(err_b.value) == str(err_i.value)
+            assert ex_b.iterations == ex_i.iterations
+
+    def test_batched_other_faults_keep_generic_text(self):
+        """Overflow, and faults raised inside a bus handler, are not
+        mistaken for a guarded division or square root."""
+        source = "void k(float p) { float x = 1.0; while (1) { x = x * p; } }"
+        ex_b = BatchedCgraExecutor(self._schedule(source), BatchSensorBus(2),
+                                   {"p": [1.0, 1e30]})
+        with pytest.raises(ExecutionError) as err:
+            ex_b.run(5)
+        assert str(err.value).startswith(
+            "non-finite value produced in iteration 1 of the batched kernel:")
+        assert ex_b.iterations == 1
+
+        source = "void k() { float x = 1.0; while (1) { x = x / read_sensor(0); } }"
+        bus = BatchSensorBus(2)
+        bus.register_reader(0, lambda: np.float64(1.0) / np.float64(0.0))
+        ex_b = BatchedCgraExecutor(self._schedule(source), bus, {})
+        with pytest.raises(ExecutionError) as err:
+            ex_b.run(1)
+        assert str(err.value).startswith(
+            "non-finite value produced in iteration 0 of the batched kernel:")
 
 
 class TestBatchedParity:
@@ -190,11 +248,11 @@ class TestBatchedParity:
         # floats and elementwise NumPy float64 (IEEE mult/div/abs only).
         return lambda a: amp * (a * 1e-3) / (1.0 + abs(a) * 1e-3)
 
-    def _scalar_run(self, model, params, amp, n_iter):
+    def _scalar_run(self, model, params, ref_amp, gap_amp, n_iter):
         bus = SensorBus()
         bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
-        bus.register_addr_reader(SENSOR_REF_BUFFER, self._handler(amp))
-        bus.register_addr_reader(SENSOR_GAP_BUFFER, self._handler(0.5 * amp))
+        bus.register_addr_reader(SENSOR_REF_BUFFER, self._handler(ref_amp))
+        bus.register_addr_reader(SENSOR_GAP_BUFFER, self._handler(gap_amp))
         outs: list[float] = []
         bus.register_writer(ACTUATOR_DELTA_T, outs.append)
         ex = CgraExecutor(model.schedule, bus, params, engine="compiled")
@@ -204,19 +262,28 @@ class TestBatchedParity:
             traces.append(dict(ex.registers))
         return traces, outs
 
-    def test_lanes_match_scalar_runs(self):
+    def _check_lanes(self, ref_amp):
+        """Run the beam model on 5 lanes with per-lane gap reads and the
+        reference handler scaled by ``ref_amp`` (per lane, or a scalar
+        for lane-uniform reads); assert every lane equals its scalar run.
+        Returns the reference addresses seen and the per-iteration
+        ``gamma_r`` register views."""
         model = compile_beam_model(n_bunches=1)
         params = _beam_params(model)
         amps = [0.2, 0.5, 0.9, 1.3, 2.0]
+        ref_amps = np.broadcast_to(ref_amp, (self.BATCH,))
         n_iter = 25
 
         bus = BatchSensorBus(batch=self.BATCH)
         bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
         amps_arr = np.asarray(amps)
-        bus.register_addr_reader(
-            SENSOR_REF_BUFFER,
-            lambda a: amps_arr * (a * 1e-3) / (1.0 + np.abs(a) * 1e-3),
-        )
+        ref_addresses: list = []
+
+        def ref_read(a):
+            ref_addresses.append(a)
+            return ref_amp * (a * 1e-3) / (1.0 + np.abs(a) * 1e-3)
+
+        bus.register_addr_reader(SENSOR_REF_BUFFER, ref_read)
         bus.register_addr_reader(
             SENSOR_GAP_BUFFER,
             lambda a: 0.5 * amps_arr * (a * 1e-3) / (1.0 + np.abs(a) * 1e-3),
@@ -225,17 +292,33 @@ class TestBatchedParity:
         bus.register_writer(ACTUATOR_DELTA_T, lambda v: writes.append(np.array(v)))
         ex = BatchedCgraExecutor(model.schedule, bus, params)
         batched_traces = []
+        gamma_views = []
         for _ in range(n_iter):
             ex.run_iteration()
             batched_traces.append([ex.lane_registers(lane) for lane in range(self.BATCH)])
+            gamma_views.append(ex.register_view("gamma_r"))
 
         for lane, amp in enumerate(amps):
-            scalar_traces, scalar_outs = self._scalar_run(model, params, amp, n_iter)
+            scalar_traces, scalar_outs = self._scalar_run(
+                model, params, float(ref_amps[lane]), 0.5 * amp, n_iter
+            )
             for it in range(n_iter):
                 assert batched_traces[it][lane] == scalar_traces[it], (
                     f"lane {lane} diverged at iteration {it}"
                 )
             assert [float(w[lane]) for w in writes] == scalar_outs
+        return ref_addresses, gamma_views
+
+    def test_lanes_match_scalar_runs(self):
+        self._check_lanes(np.asarray([0.2, 0.5, 0.9, 1.3, 2.0]))
+
+    def test_lane_uniform_reads_stay_scalar(self):
+        """A scalar period and NumPy-polymorphic handlers: the reference
+        reads are lane-uniform, every lane still matches its scalar run
+        bit for bit, and the reference particle stays a NumPy scalar."""
+        addresses, gamma_views = self._check_lanes(0.7)
+        assert all(type(a) is np.float64 for a in addresses)
+        assert all(isinstance(g, np.generic) for g in gamma_views)
 
     def test_host_interface_per_lane(self):
         model = compile_beam_model(n_bunches=1)
@@ -257,6 +340,29 @@ class TestBatchedParity:
             ex.set_register("dt[0]", [1.0, 2.0])  # wrong lane count
         with pytest.raises(ExecutionError):
             ex.lane_registers(3)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("nan"), "nan"), (float("-inf"), "-inf"), ([1e-9, float("nan"), 2e-9], "nan"),
+         (1e39, "1e+39")],
+        ids=["nan", "inf", "nan_lane", "single_overflow"],
+    )
+    def test_non_finite_host_values_rejected(self, value, shown):
+        """Parameters and registers must be finite at the kernel
+        precision, at construction and on every host write."""
+        model = compile_beam_model(n_bunches=1)
+        params = _beam_params(model)
+        bus = BatchSensorBus(batch=3)
+        tail = f"must be finite at single precision, got {shown}"
+        with pytest.raises(ExecutionError, match=re.escape(f"parameter 'V_SCALE' {tail}")):
+            BatchedCgraExecutor(model.schedule, bus, {**params, "V_SCALE": value})
+        ex = BatchedCgraExecutor(model.schedule, bus, params)
+        with pytest.raises(ExecutionError, match=re.escape(f"parameter 'V_SCALE' {tail}")):
+            ex.set_param("V_SCALE", value)
+        with pytest.raises(ExecutionError, match=re.escape(f"register 'dt[0]' {tail}")):
+            ex.set_register("dt[0]", value)
+        # A rejected write leaves the register file as it was.
+        assert ex.register_of("dt[0]").tolist() == [0.0, 0.0, 0.0]
 
 
 class TestPipelinedParity:
