@@ -10,13 +10,15 @@ dispatches it.  Writes ``BENCH_e2e.json`` (results dir + repo root).
 Two gates:
 
 * **Parity, unconditional** — the merged phase traces and the emitted
-  CSV must be byte-identical across engines {compiled, vector, auto}
-  and across ``jobs`` {1, 2}.  A wall-clock win that changes a byte is
-  a correctness bug, not a speedup.
+  CSV must be byte-identical across ``jobs`` {1, 2}.  A wall-clock win
+  that changes a byte is a correctness bug, not a speedup.
 * **Speed, fingerprint-gated** — on the machine the committed baseline
-  was measured on, the auto-engine sweep must beat the baseline mean by
-  >= 2x.  Other machines report the real ratio without asserting (their
+  was measured on, the sweep must beat the baseline mean by >= 2x.
+  Other machines report the real ratio without asserting (their
   baseline numbers are not comparable).
+
+The sweep always runs the batched compiled engine, so the runner's
+``--engine`` choice does not enter this workload.
 
 Run directly (manual timing, no pytest-benchmark plugin needed):
 
@@ -36,7 +38,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cgra import get_default_engine, set_default_engine
 from repro.experiments.runner import _write_csv
 from repro.experiments.sweep import plan_sweep, run_sweep_shard
 from repro.obs.export import write_bench_json
@@ -54,7 +55,7 @@ N_AMPS = 16
 AMP_LO = 2.0
 AMP_HI = 12.0
 DURATION_S = 0.02
-#: Timed repetitions of the headline (auto, jobs=1) configuration.
+#: Timed repetitions of the headline (jobs=1) configuration.
 TIMED_ROUNDS = 3
 #: CSV parity compares a strided view of the full trace — every record
 #: of every lane would be a multi-megabyte text artefact per variant
@@ -68,18 +69,13 @@ def _tasks():
     return plan_sweep(amps, DURATION_S, keep_trace=True)
 
 
-def _run_once(engine: str, jobs: int) -> tuple[float, np.ndarray]:
-    """One full sweep under ``engine``; returns (seconds, merged trace)."""
-    saved = get_default_engine()
-    set_default_engine(engine)
-    try:
-        t0 = time.perf_counter()
-        shards = raise_on_failures(
-            run_sharded(run_sweep_shard, _tasks(), jobs=jobs), "e2e sweep"
-        )
-        elapsed = time.perf_counter() - t0
-    finally:
-        set_default_engine(saved)
+def _run_once(jobs: int) -> tuple[float, np.ndarray]:
+    """One full sweep on ``jobs`` workers; returns (seconds, merged trace)."""
+    t0 = time.perf_counter()
+    shards = raise_on_failures(
+        run_sharded(run_sweep_shard, _tasks(), jobs=jobs), "e2e sweep"
+    )
+    elapsed = time.perf_counter() - t0
     return elapsed, np.hstack([s.phase_deg for s in shards])
 
 
@@ -101,28 +97,20 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
         "duration_s": DURATION_S,
     }, "benchmark workload drifted from the committed baseline's"
 
-    # -- parity sweep: every engine, serial and pooled -----------------
-    # The first (compiled, jobs=1) run doubles as the compile warmup.
-    t_compiled, ref_trace = _run_once("compiled", jobs=1)
+    # -- parity: serial and pooled ------------------------------------
+    # The first (jobs=1) run doubles as the compile warmup.
+    t_warmup, ref_trace = _run_once(jobs=1)
     ref_bytes = ref_trace.tobytes()
-    ref_csv = _csv_bytes(tmp_path, "compiled", ref_trace)
-    variants = {"compiled/jobs1": t_compiled}
-    for label, engine, jobs in (
-        ("vector/jobs1", "vector", 1),
-        ("auto/jobs1", "auto", 1),
-        ("auto/jobs2", "auto", 2),
-    ):
-        elapsed, trace = _run_once(engine, jobs)
-        variants[label] = elapsed
-        assert trace.tobytes() == ref_bytes, f"trace bytes diverged: {label}"
-        assert _csv_bytes(tmp_path, label.replace("/", "_"), trace) == ref_csv, (
-            f"CSV bytes diverged: {label}"
-        )
+    t_jobs2, trace = _run_once(jobs=2)
+    assert trace.tobytes() == ref_bytes, "trace bytes diverged: jobs2"
+    assert _csv_bytes(tmp_path, "jobs2", trace) == _csv_bytes(
+        tmp_path, "jobs1", ref_trace
+    ), "CSV bytes diverged: jobs2"
 
-    # -- headline timing: auto engine, serial (the baseline's shape) ---
-    rounds = [variants["auto/jobs1"]]
-    for _ in range(TIMED_ROUNDS - 1):
-        elapsed, trace = _run_once("auto", jobs=1)
+    # -- headline timing: serial (the baseline's shape) ----------------
+    rounds = []
+    for _ in range(TIMED_ROUNDS):
+        elapsed, trace = _run_once(jobs=1)
         assert trace.tobytes() == ref_bytes
         rounds.append(elapsed)
     mean_s = float(np.mean(rounds))
@@ -139,8 +127,9 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
 
     rows = [
         f"workload: {N_AMPS} amps x {DURATION_S * 1e3:.0f} ms machine time",
-        *(f"{label}: {t:.3f} s" for label, t in variants.items()),
-        f"auto/jobs1 over {TIMED_ROUNDS} rounds: mean {mean_s:.3f} s, min {min_s:.3f} s",
+        f"jobs1 (compile warmup): {t_warmup:.3f} s",
+        f"jobs2: {t_jobs2:.3f} s",
+        f"jobs1 over {TIMED_ROUNDS} rounds: mean {mean_s:.3f} s, min {min_s:.3f} s",
         f"baseline mean {baseline['mean_s']:.3f} s -> {speedup:.1f}x "
         f"({'same box, gated' if same_box else 'different box, report only'})",
     ]
@@ -150,10 +139,12 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
 
     records = [
         {
-            "name": "e2e/sweep_auto",
-            "stats": {"mean": mean_s, "min": min_s, "rounds": TIMED_ROUNDS},
+            "name": "e2e/sweep_compiled",
+            "stats": {"mean": mean_s, "min": min_s, "max": float(np.max(rounds)),
+                      "stddev": float(np.std(rounds, ddof=1)),
+                      "rounds": TIMED_ROUNDS},
             "extra_info": {
-                "engine": "auto",
+                "engine": "compiled",
                 "jobs": 1,
                 "baseline_mean_s": baseline["mean_s"],
                 "speedup_vs_baseline": speedup,
@@ -162,26 +153,15 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
             },
         },
         {
-            "name": "e2e/sweep_compiled",
-            "stats": {"mean": variants["compiled/jobs1"], "rounds": 1},
-            "extra_info": {"engine": "compiled", "jobs": 1,
-                           "includes_compile_warmup": True},
-        },
-        {
-            "name": "e2e/sweep_vector",
-            "stats": {"mean": variants["vector/jobs1"], "rounds": 1},
-            "extra_info": {"engine": "vector", "jobs": 1},
-        },
-        {
-            "name": "e2e/sweep_auto_jobs2",
-            "stats": {"mean": variants["auto/jobs2"], "rounds": 1},
-            "extra_info": {"engine": "auto", "jobs": 2},
+            "name": "e2e/sweep_compiled_jobs2",
+            "stats": {"mean": t_jobs2, "rounds": 1},
+            "extra_info": {"engine": "compiled", "jobs": 2},
         },
         {
             "name": "e2e/parity",
             "stats": {"mean": 0.0, "rounds": 1},
             "extra_info": {
-                "byte_identical": sorted(variants),
+                "byte_identical": ["jobs1", "jobs2"],
                 "csv_stride": CSV_STRIDE,
             },
         },

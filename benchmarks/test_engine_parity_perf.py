@@ -1,12 +1,11 @@
 """Engine throughput benchmark with a built-in parity gate.
 
-Measures the four execution tiers on the shipped kernels — interpreted,
-compiled, batched-compiled with 64 lockstep lanes, and the
-certificate-driven vector tier — and writes ``BENCH_engine.json`` (both
-under ``benchmarks/results/`` and at the repo root, where the committed
-copy lives).  The same run first proves the compiled and vector engines
-bit-exact against the interpreter, so a reported speedup can never come
-from a semantics change.
+Measures the two execution engines on the shipped beam kernel —
+interpreted, compiled, and batched-compiled with 64 lockstep lanes —
+and writes ``BENCH_engine.json`` (both under ``benchmarks/results/``
+and at the repo root, where the committed copy lives).  The same run
+first proves the compiled engine bit-exact against the interpreter, so
+a reported speedup can never come from a semantics change.
 
 Run directly (no pytest-benchmark plugin needed — timing is manual so
 parity + perf land in one process):
@@ -17,18 +16,10 @@ parity + perf land in one process):
 
 Two kinds of gate:
 
-* **Unconditional** — the parity gate (bit-exactness hard-fails
-  anywhere) and the expected-winner gate: the autotune cost model under
-  a pinned :data:`REFERENCE_PROFILE` must pick the engine each kernel
-  is actually fastest on (compiled for the sequential beam recurrence,
-  vector for the chunkable monitor kernel) at B = 1 and B = 64.  This
-  replaces the old blanket "vector beats compiled" floor, which the
-  beam kernel legitimately fails — the planner's job is to route around
-  that, not to pretend it away.
+* **Unconditional** — the parity gate: bit-exactness hard-fails
+  anywhere.
 * **Core-gated** (>= 2 usable cores) — wall-clock floors: compiled
-  >= 10x interpreted, batched >= 50x aggregate at B = 64, vector >= 3x
-  compiled on the monitor kernel, and ``engine="auto"`` within 5% of
-  the best static tier on every benchmarked kernel.  A loaded
+  >= 10x interpreted and batched >= 50x aggregate at B = 64.  A loaded
   single-core container cannot express these honestly, but it still
   runs the full gates and reports real numbers.
 """
@@ -47,16 +38,11 @@ from repro.cgra import (
     BatchSensorBus,
     BatchedCgraExecutor,
     CgraExecutor,
-    MachineProfile,
     SensorBus,
     compile_beam_model,
-    compile_monitor_model,
-    plan_for,
 )
-from repro.cgra.engine import compile_program
 from repro.cgra.sensor import (
     ACTUATOR_DELTA_T,
-    ACTUATOR_MONITOR,
     SENSOR_GAP_BUFFER,
     SENSOR_PERIOD,
     SENSOR_REF_BUFFER,
@@ -71,21 +57,6 @@ _RESULTS = Path(__file__).parent / "results"
 #: from every run; regressions diff against the committed copy).
 _ROOT = Path(__file__).parent.parent
 BATCH = 64
-#: Vector-tier timings run well past this so every measurement exercises
-#: full-size chunks (the acceptance floor is T >= 256).
-VECTOR_T = 256
-
-#: A pinned mid-range machine profile: the expected-winner gate asserts
-#: against the cost model's decision under *this* profile, which is a
-#: pure function — true on every machine regardless of load (the same
-#: profile anchors tests/cgra/test_autotune.py).
-REFERENCE_PROFILE = MachineProfile(
-    scalar_op_ns=400.0,
-    array_op_ns=450.0,
-    array_elem_ns=1.0,
-    call_ns=80.0,
-    chunk_elems=32768,
-)
 
 
 def _params(model):
@@ -102,19 +73,6 @@ def _params(model):
     )
 
 
-def _monitor_params():
-    gamma0 = SIS18.gamma_from_revolution_frequency(800e3)
-    return {
-        "GAMMA_R0": gamma0,
-        "L_R": SIS18.circumference,
-        "ALPHA_C": SIS18.alpha_c,
-        "F_SYNC": 3.1e3,
-        "T_NOM": 1.25e-6,
-        "K_SMOOTH": 0.7,
-        "LIMIT": 0.5,
-    }
-
-
 def _scalar_bus():
     bus = SensorBus()
     bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
@@ -125,13 +83,6 @@ def _scalar_bus():
         SENSOR_GAP_BUFFER, lambda a: math.sin(2 * math.pi * 3.2e6 * a / 250e6 + 0.14)
     )
     bus.register_writer(ACTUATOR_DELTA_T, lambda v: None)
-    return bus
-
-
-def _monitor_bus():
-    bus = SensorBus()
-    bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
-    bus.register_writer(ACTUATOR_MONITOR, lambda v: None)
     return bus
 
 
@@ -148,13 +99,6 @@ def _batch_bus():
     return bus
 
 
-def _batch_monitor_bus():
-    bus = BatchSensorBus(batch=BATCH)
-    bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
-    bus.register_writer(ACTUATOR_MONITOR, lambda v: None)
-    return bus
-
-
 def _time_run(executor, n_iterations: int) -> float:
     """Seconds per iteration for one bulk run."""
     t0 = time.perf_counter()
@@ -165,8 +109,6 @@ def _time_run(executor, n_iterations: int) -> float:
 def test_engine_parity_and_throughput():
     model = compile_beam_model(n_bunches=1, pipelined=True)
     params = _params(model)
-    monitor = compile_monitor_model()
-    mparams = _monitor_params()
 
     # -- parity gate: speedups below are only meaningful if bit-exact --
     # Hard-fails everywhere; never gated on core count.
@@ -176,19 +118,6 @@ def test_engine_parity_and_throughput():
         ex_i.run_iteration()
         ex_c.run_iteration()
         assert ex_c.registers == ex_i.registers, "parity regression"
-    # Vector tier: bulk runs so the chunked path (not the per-iteration
-    # compiled fallback) is what gets compared.
-    ex_v = CgraExecutor(model.schedule, _scalar_bus(), params, engine="vector")
-    ex_i.run(VECTOR_T - 30)
-    ex_v.run(VECTOR_T)
-    assert ex_v.registers == ex_i.registers, "vector parity regression (beam)"
-    mon_i = CgraExecutor(monitor.schedule, _monitor_bus(), mparams,
-                         engine="interpreted")
-    mon_v = CgraExecutor(monitor.schedule, _monitor_bus(), mparams,
-                         engine="vector")
-    mon_i.run(VECTOR_T)
-    mon_v.run(VECTOR_T)
-    assert mon_v.registers == mon_i.registers, "vector parity regression (monitor)"
 
     # -- throughput, warmed executors, one bulk run each ---------------
     interp = CgraExecutor(model.schedule, _scalar_bus(), params, engine="interpreted")
@@ -199,100 +128,17 @@ def test_engine_parity_and_throughput():
     comp.run(200)
     t_comp = _time_run(comp, 10_000)
 
-    vec = CgraExecutor(model.schedule, _scalar_bus(), params, engine="vector")
-    vec.run(512)
-    t_vec = _time_run(vec, 16_384)
-
-    mon_comp = CgraExecutor(monitor.schedule, _monitor_bus(), mparams,
-                            engine="compiled")
-    mon_comp.run(200)
-    t_mon_comp = _time_run(mon_comp, 20_000)
-
-    mon_vec = CgraExecutor(monitor.schedule, _monitor_bus(), mparams,
-                           engine="vector")
-    mon_vec.run(512)
-    t_mon_vec = _time_run(mon_vec, 65_536)
-
     batched = BatchedCgraExecutor(model.schedule, _batch_bus(), params)
     batched.run(100)
     t_batch_iter = _time_run(batched, 2000)
     t_lane = t_batch_iter / BATCH
 
-    mon_batch_c = BatchedCgraExecutor(monitor.schedule, _batch_monitor_bus(),
-                                      mparams, engine="compiled")
-    mon_batch_c.run(100)
-    t_mon_batch_c = _time_run(mon_batch_c, 4000)
-
-    mon_batch_v = BatchedCgraExecutor(monitor.schedule, _batch_monitor_bus(),
-                                      mparams, engine="vector")
-    mon_batch_v.run(512)
-    t_mon_batch_v = _time_run(mon_batch_v, 16_384)
-
-    # -- the adaptive tier, on every kernel at B in {1, 64} ------------
-    auto = CgraExecutor(model.schedule, _scalar_bus(), params, engine="auto")
-    auto.run(512)
-    t_auto = _time_run(auto, 16_384)
-
-    mon_auto = CgraExecutor(monitor.schedule, _monitor_bus(), mparams,
-                            engine="auto")
-    mon_auto.run(512)
-    t_mon_auto = _time_run(mon_auto, 65_536)
-
-    batched_auto = BatchedCgraExecutor(model.schedule, _batch_bus(), params,
-                                       engine="auto")
-    batched_auto.run(100)
-    t_batch_auto = _time_run(batched_auto, 2000)
-
-    mon_batch_auto = BatchedCgraExecutor(monitor.schedule, _batch_monitor_bus(),
-                                         mparams, engine="auto")
-    mon_batch_auto.run(512)
-    t_mon_batch_auto = _time_run(mon_batch_auto, 16_384)
-
-    #: auto wall-clock over the best *measured* static tier, per kernel.
-    auto_vs_best = {
-        "beam_b1": t_auto / min(t_comp, t_vec),
-        "monitor_b1": t_mon_auto / min(t_mon_comp, t_mon_vec),
-        f"beam_b{BATCH}": t_batch_auto / t_batch_iter,
-        f"monitor_b{BATCH}": t_mon_batch_auto / min(t_mon_batch_c, t_mon_batch_v),
-    }
-
-    # -- expected-winner gate: unconditional, machine-independent ------
-    # The cost model under the pinned profile must route each kernel to
-    # the engine it is actually fastest on.  This is the per-kernel
-    # replacement for the old blanket vector floor: the sequential beam
-    # recurrence is *supposed* to stay compiled.
-    beam_prog = compile_program(model.schedule)
-    mon_prog = compile_program(monitor.schedule)
-    winners = {}
-    for label, prog, want in (("beam", beam_prog, "compiled"),
-                              ("monitor", mon_prog, "vector")):
-        for b in (1, BATCH):
-            plan = plan_for(prog, batch=b, horizon=16_384,
-                            profile=REFERENCE_PROFILE)
-            winners[f"{label}_b{b}"] = plan.engine
-            assert plan.engine == want, (
-                f"expected winner for {label} at B={b} is {want}, "
-                f"cost model chose {plan.engine}: {plan.reason}"
-            )
-
     single = t_interp / t_comp
     aggregate = t_interp / t_lane
-    vec_speedup = t_comp / t_vec
-    mon_speedup = t_mon_comp / t_mon_vec
     rows = [
         f"interpreted: {t_interp * 1e6:9.1f} us/iter",
         f"compiled:    {t_comp * 1e6:9.1f} us/iter  ({single:.1f}x)",
-        f"vector:      {t_vec * 1e6:9.1f} us/iter  ({vec_speedup:.1f}x vs compiled)",
-        f"monitor compiled: {t_mon_comp * 1e6:7.2f} us/iter",
-        f"monitor vector:   {t_mon_vec * 1e6:7.2f} us/iter  "
-        f"({mon_speedup:.1f}x vs compiled)",
         f"batched B={BATCH}: {t_lane * 1e6:7.2f} us/lane-iter  ({aggregate:.1f}x aggregate)",
-        "auto vs best static tier: " + ", ".join(
-            f"{k} {v:.2f}x" for k, v in auto_vs_best.items()
-        ),
-        "cost-model winners: " + ", ".join(
-            f"{k}={v}" for k, v in winners.items()
-        ),
     ]
     print("\n=== engine throughput (beam model, 1 bunch) ===")
     for row in rows:
@@ -309,23 +155,6 @@ def test_engine_parity_and_throughput():
             "extra_info": {"speedup_vs_interpreted": single},
         },
         {
-            "name": "engine/vector",
-            "stats": {"mean": t_vec, "rounds": 16_384},
-            "extra_info": {
-                "speedup_vs_compiled": vec_speedup,
-                "speedup_vs_interpreted": t_interp / t_vec,
-            },
-        },
-        {
-            "name": "engine/monitor_compiled",
-            "stats": {"mean": t_mon_comp, "rounds": 20_000},
-        },
-        {
-            "name": "engine/monitor_vector",
-            "stats": {"mean": t_mon_vec, "rounds": 65_536},
-            "extra_info": {"speedup_vs_compiled": mon_speedup},
-        },
-        {
             "name": f"engine/batched_b{BATCH}",
             "stats": {"mean": t_lane, "rounds": 2000 * BATCH},
             "extra_info": {
@@ -334,41 +163,6 @@ def test_engine_parity_and_throughput():
                 "aggregate_speedup_vs_interpreted": aggregate,
             },
         },
-        {
-            "name": f"engine/monitor_batched_b{BATCH}",
-            "stats": {"mean": t_mon_batch_c, "rounds": 4000},
-            "extra_info": {
-                "batch": BATCH,
-                "vector_mean": t_mon_batch_v,
-                "speedup_vector_vs_compiled": t_mon_batch_c / t_mon_batch_v,
-            },
-        },
-        {
-            "name": "engine/auto",
-            "stats": {"mean": t_auto, "rounds": 16_384},
-            "extra_info": {"vs_best_static": auto_vs_best["beam_b1"]},
-        },
-        {
-            "name": "engine/monitor_auto",
-            "stats": {"mean": t_mon_auto, "rounds": 65_536},
-            "extra_info": {"vs_best_static": auto_vs_best["monitor_b1"]},
-        },
-        {
-            "name": f"engine/batched_auto_b{BATCH}",
-            "stats": {"mean": t_batch_auto / BATCH, "rounds": 2000 * BATCH},
-            "extra_info": {"vs_best_static": auto_vs_best[f"beam_b{BATCH}"]},
-        },
-        {
-            "name": f"engine/monitor_batched_auto_b{BATCH}",
-            "stats": {"mean": t_mon_batch_auto, "rounds": 16_384},
-            "extra_info": {"vs_best_static": auto_vs_best[f"monitor_b{BATCH}"]},
-        },
-        {
-            "name": "autotune/expected_winners",
-            "stats": {"mean": 0.0, "rounds": 1},
-            "extra_info": {"winners": winners, "auto_vs_best": auto_vs_best},
-        },
-        *_certificate_entries(),
     ]
     _RESULTS.mkdir(exist_ok=True)
     write_bench_json(_RESULTS / "BENCH_engine.json", records)
@@ -379,50 +173,3 @@ def test_engine_parity_and_throughput():
     if cores >= 2:
         assert single >= 10.0, f"compiled speedup {single:.1f}x below 10x target"
         assert aggregate >= 50.0, f"aggregate speedup {aggregate:.1f}x below 50x target"
-        assert mon_speedup >= 3.0, (
-            f"vector speedup {mon_speedup:.1f}x below 3x target "
-            f"(monitor kernel, T >= {VECTOR_T})"
-        )
-        for kernel, ratio in auto_vs_best.items():
-            assert ratio <= 1.05, (
-                f"auto is {ratio:.2f}x the best static tier on {kernel} "
-                f"(must be within 5%)"
-            )
-
-
-def _certificate_entries() -> list[dict]:
-    """Per-schedule vectorization-certificate stats: how much of each
-    built-in kernel the dependence analysis certifies chunkable.  The
-    timing is the analysis cost itself; the chunkability numbers ride in
-    ``extra_info`` so the history gate can watch them regress."""
-    from repro.cgra.verify import certify_vectorization
-
-    stock = [
-        (f"beam_n{n}_{'pipelined' if p else 'plain'}",
-         lambda n=n, p=p: compile_beam_model(n_bunches=n, pipelined=p))
-        for n in (1, 4, 8)
-        for p in (False, True)
-    ]
-    stock.append(("monitor", compile_monitor_model))
-    entries = []
-    for label, build in stock:
-        model = build()
-        t0 = time.perf_counter()
-        cert = certify_vectorization(model.schedule).certificate
-        t_cert = time.perf_counter() - t0
-        stats = cert.stats()
-        entries.append(
-            {
-                "name": f"certificate/{label}",
-                "stats": {"mean": t_cert, "rounds": 1},
-                "extra_info": {
-                    "n_ops": stats["n_ops"],
-                    "n_segments": stats["n_segments"],
-                    "n_chunkable_segments": stats["n_chunkable_segments"],
-                    "chunkable_ops": stats["chunkable_ops"],
-                    "chunkable_fraction": stats["chunkable_fraction"],
-                    "max_chunk_width": stats["max_chunk_width"],
-                },
-            }
-        )
-    return entries

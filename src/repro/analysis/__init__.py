@@ -1,17 +1,12 @@
-"""``repro.analysis`` — whole-program static analysis front ends.
+"""``repro.analysis`` — whole-program static analysis front end.
 
-Two analyses share the :mod:`repro.cgra.verify` diagnostics machinery:
+:mod:`repro.analysis.shardlint` is an AST-based shard-safety/determinism
+lint of the experiment/fault task modules (pass id ``"shardlint"``,
+rules ``SHARD001``–``SHARD004``), the static counterpart of the runtime
+``_guard_value`` check in :mod:`repro.parallel.pool`.  It reports
+through the :mod:`repro.cgra.verify` diagnostics machinery.
 
-* :mod:`repro.analysis.shardlint` — AST-based shard-safety/determinism
-  lint of the experiment/fault task modules (pass id ``"shardlint"``,
-  rules ``SHARD001``–``SHARD004``), the static counterpart of the
-  runtime ``_guard_value`` check in :mod:`repro.parallel.pool`;
-* the dependence pass (:mod:`repro.cgra.verify.dependence`) — per-op
-  effect summaries, loop-carried dependence chains and
-  :class:`~repro.cgra.verify.dependence.VectorizationCertificate`
-  emission for every built-in kernel.
-
-``python -m repro.analysis`` runs both (``--all``) or shardlint over
+``python -m repro.analysis`` lints every task module (``--all``) or
 explicit paths, with ``--json`` per-target output and
 ``--fail-on-error``/``--fail-on-warning`` gates.  Exit status: 0 clean,
 1 diagnostics tripped a gate, 2 internal analyzer error.

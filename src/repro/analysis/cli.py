@@ -1,9 +1,8 @@
 """Command line for ``python -m repro.analysis``.
 
-Runs the shard-safety lint over explicit paths, or (``--all``) the full
-static-analysis sweep the CI gate uses: shardlint across the experiment
-and fault task modules plus dependence certification of every built-in
-beam-model kernel variant.  One line / JSON object per target.
+Runs the shard-safety lint over explicit paths, or (``--all``) over
+every experiment and fault task module — the CI gate.  One line / JSON
+object per target.
 
 Exit status follows the three-way convention shared with
 ``python -m repro.cgra.lint``: **0** no gate tripped, **1** diagnostics
@@ -26,7 +25,7 @@ __all__ = ["main"]
 
 
 def _print_target(name: str, analyzer: str, report: DiagnosticReport,
-                  as_json: bool, quiet: bool, extra: dict | None = None) -> None:
+                  as_json: bool, quiet: bool) -> None:
     errors, warnings = len(report.errors()), len(report.warnings())
     if as_json:
         payload: dict = {
@@ -36,8 +35,6 @@ def _print_target(name: str, analyzer: str, report: DiagnosticReport,
             "warnings": warnings,
             "diagnostics": report.to_dicts(),
         }
-        if extra:
-            payload.update(extra)
         print(json.dumps(payload))
         return
     status = "FAIL" if errors else "ok"
@@ -47,29 +44,12 @@ def _print_target(name: str, analyzer: str, report: DiagnosticReport,
     for diagnostic in sorted(report, key=lambda d: -int(d.severity)):
         if diagnostic.severity >= min_severity:
             print(f"  {diagnostic.render()}")
-    if extra and not quiet:
-        for key, value in extra.items():
-            print(f"  {key}: {json.dumps(value)}")
-
-
-def _certificate_targets() -> list:
-    """(name, schedule) for every built-in kernel variant."""
-    from repro.cgra.models import compile_beam_model
-
-    out = []
-    for n_bunches in (1, 4, 8):
-        for pipelined in (True, False):
-            name = f"beam_model[n={n_bunches},{'pipelined' if pipelined else 'plain'}]"
-            model = compile_beam_model(n_bunches=n_bunches, pipelined=pipelined)
-            out.append((name, model.schedule))
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Shard-safety/determinism lint of task modules plus "
-        "vectorization certificates for the built-in kernels.",
+        description="Shard-safety/determinism lint of task modules.",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -77,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--all", action="store_true",
-        help="lint the experiment/fault packages and certify every "
-        "built-in kernel variant (the CI configuration)",
+        help="lint the experiment/fault packages (the CI configuration)",
     )
     parser.add_argument(
         "--fail-on-error", action="store_true",
@@ -135,31 +114,6 @@ def main(argv: list[str] | None = None) -> int:
             continue
         observe(report)
         _print_target(str(path), "shardlint", report, args.as_json, args.quiet)
-
-    if args.all:
-        try:
-            targets = _certificate_targets()
-        except Exception:
-            print("internal error: kernel compilation crashed:", file=sys.stderr)
-            traceback.print_exc()
-            targets = []
-            internal_error = True
-        for name, schedule in targets:
-            try:
-                from repro.cgra.verify.dependence import certify_vectorization
-
-                result = certify_vectorization(schedule)
-            except Exception:
-                print(f"internal error: dependence pass crashed on {name}:",
-                      file=sys.stderr)
-                traceback.print_exc()
-                internal_error = True
-                continue
-            observe(result.report)
-            _print_target(
-                name, "dependence", result.report, args.as_json, args.quiet,
-                extra={"certificate": result.certificate.stats()},
-            )
 
     if internal_error:
         return 2

@@ -29,12 +29,6 @@ from repro.cgra.sensor import BatchSensorBus, SensorBus
 from repro.cgra.frontend import compile_c_to_dfg
 from repro.cgra.scheduler import ListScheduler, Schedule, ScheduledOp
 from repro.cgra.modulo import ModuloScheduler, ModuloSchedule
-from repro.cgra.autotune import (
-    ExecutionPlan,
-    MachineProfile,
-    calibrate,
-    plan_for,
-)
 from repro.cgra.engine import (
     BatchedCgraExecutor,
     CompiledProgram,
@@ -51,8 +45,6 @@ from repro.cgra.models import (
     beam_model_source,
     clear_cache,
     compile_beam_model,
-    compile_monitor_model,
-    monitor_model_source,
     CompiledModel,
 )
 from repro.cgra.verify import (
@@ -83,10 +75,6 @@ __all__ = [
     "ModuloSchedule",
     "BatchedCgraExecutor",
     "CompiledProgram",
-    "ExecutionPlan",
-    "MachineProfile",
-    "calibrate",
-    "plan_for",
     "compile_program",
     "get_default_engine",
     "set_default_engine",
@@ -100,8 +88,6 @@ __all__ = [
     "beam_model_source",
     "clear_cache",
     "compile_beam_model",
-    "compile_monitor_model",
-    "monitor_model_source",
     "CompiledModel",
     "Diagnostic",
     "DiagnosticReport",

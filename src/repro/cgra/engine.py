@@ -1,10 +1,15 @@
 """Compiled fast-path execution engine for verified schedules.
 
-The cycle-accurate interpreter (:class:`~repro.cgra.executor.CgraExecutor`)
-pays enum dispatch, dict register lookups and per-op ``float(f32(...))``
-boxing for every operation.  This module lowers a verified
-:class:`~repro.cgra.scheduler.Schedule` into a flat, pre-resolved
-program once per kernel:
+The CGRA runs on one of two engines, chosen by ``engine=`` (see
+:data:`ENGINES`): ``"interpreted"``, the cycle-accurate interpreter
+(:class:`~repro.cgra.executor.CgraExecutor`) that is the bit-exactness
+oracle, and ``"compiled"``, this module, which must match the
+interpreter's registers, actuator writes and fault text exactly.
+
+The interpreter pays enum dispatch, dict register lookups and per-op
+``float(f32(...))`` boxing for every operation.  This module lowers a
+verified :class:`~repro.cgra.scheduler.Schedule` into a flat,
+pre-resolved program once per kernel:
 
 * operands are resolved to **dense register-array indices** at load time
   (node ids are dense, so the register file is a plain Python list);
@@ -52,6 +57,7 @@ interpreter's exact guard text.
 
 from __future__ import annotations
 
+import warnings
 import weakref
 
 import numpy as np
@@ -73,6 +79,8 @@ __all__ = [
     "set_default_engine",
     "get_default_engine",
     "resolve_engine",
+    "engine_name_error",
+    "ENGINES",
     "clear_program_cache",
 ]
 
@@ -86,18 +94,33 @@ _ITERS_PER_SECOND = get_registry().gauge(
     "cgra_iterations_per_second", "most recent bulk-run iteration throughput"
 )
 
-_ENGINES = ("interpreted", "compiled", "vector", "auto")
+#: The engine names every ``engine=`` argument accepts: the
+#: cycle-accurate interpreter (the bit-exactness oracle) and this
+#: module's compiled fast path.
+ENGINES = ("interpreted", "compiled")
 
 #: Session-wide default used when an executor is constructed with
 #: ``engine=None`` (the CLI's ``--engine`` flag sets this).
 _DEFAULT_ENGINE = "interpreted"
 
 
+def engine_name_error(engine: str | None, field: str = "engine") -> str | None:
+    """Why ``engine`` is not a valid value for ``field``, or None if it is.
+
+    The one membership rule every engine seam applies: ``None`` (the
+    session default), a name in :data:`ENGINES`, or the deprecated
+    alias ``"auto"``.  Callers raise their own error type with it.
+    """
+    if engine is None or engine in ENGINES or engine == "auto":
+        return None
+    return f"{field} must be one of {ENGINES} or None, got {engine!r}"
+
+
 def set_default_engine(name: str) -> None:
     """Set the engine used when executors are built with ``engine=None``."""
     global _DEFAULT_ENGINE
-    if name not in _ENGINES:
-        raise ExecutionError(f"engine must be one of {_ENGINES}, got {name!r}")
+    if name not in ENGINES:
+        raise ExecutionError(f"engine must be one of {ENGINES}, got {name!r}")
     _DEFAULT_ENGINE = name
 
 
@@ -107,11 +130,23 @@ def get_default_engine() -> str:
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument; ``None`` means the session default."""
+    """Validate an ``engine=`` argument; ``None`` means the session default.
+
+    ``"auto"`` is a deprecated alias of ``"compiled"``: it warns and
+    resolves to the compiled engine.
+    """
+    error = engine_name_error(engine)
+    if error is not None:
+        raise ExecutionError(error)
     if engine is None:
         return _DEFAULT_ENGINE
-    if engine not in _ENGINES:
-        raise ExecutionError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    if engine == "auto":
+        warnings.warn(
+            "engine='auto' is deprecated; use 'compiled'",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return "compiled"
     return engine
 
 
@@ -120,8 +155,7 @@ def merged_entries(schedule: Schedule) -> list:
 
     Same ordering as the interpreter: global tick order, ties broken by
     node id (tied ops are independent on legal schedules).  Each entry
-    is ``(tick, Op, node_id, operands, io_id)`` — the flat program the
-    static analyses in :mod:`repro.cgra.verify` consume.
+    is ``(tick, Op, node_id, operands, io_id)``.
     """
     entries = []
     for image in build_context_images(schedule).values():
@@ -129,10 +163,6 @@ def merged_entries(schedule: Schedule) -> list:
             entries.append((e.tick, Op(e.op), e.node_id, tuple(e.operands), e.io_id))
     entries.sort(key=lambda e: (e[0], e[2]))
     return entries
-
-
-#: Backwards-compatible private alias (public since the dependence pass).
-_merged_entries = merged_entries
 
 
 class _CodeEmitter:
@@ -304,7 +334,6 @@ class CompiledProgram:
         #: their body lines; the fast one only drops trailing stores).
         self.batched_fault_sites: dict[int, tuple[Op, int, str]] = {}
         self._batched_codes: set = set()
-        self._certificate = None
         if _OBS.enabled:
             _PROGRAMS_COMPILED.inc(precision=precision)
 
@@ -380,21 +409,6 @@ class CompiledProgram:
             f"non-finite value produced in iteration {iteration} "
             f"of the {kernel} kernel: {exc}"
         )
-
-    @property
-    def certificate(self):
-        """Vectorization certificate of this program (derived on first use).
-
-        The :class:`~repro.cgra.verify.dependence.VectorizationCertificate`
-        partitioning the flat program into chunkable/sequential segments —
-        the seam the future array-lowered engine consumes.  Purely static;
-        cached per program.
-        """
-        if self._certificate is None:
-            from repro.cgra.verify.dependence import certify_vectorization
-
-            self._certificate = certify_vectorization(self.schedule).certificate
-        return self._certificate
 
     def initial_slots(self, params: dict[str, float]) -> list:
         """Fresh register file with constants/params/PHI inits loaded."""
@@ -495,16 +509,12 @@ class BatchedCgraExecutor:
         self.bus = bus
         self.batch = int(bus.batch)
         self.precision = precision
-        # The batched executor is inherently compiled; the engine seam
-        # only selects whether time is chunked on top ("vector"), planned
-        # per run ("auto") or stepped per cycle (anything else, including
+        # The batched executor is inherently compiled: ``engine`` is
+        # validated like every engine seam, and any valid name (including
         # the session default "interpreted", which has no batched
-        # counterpart).
-        resolved = resolve_engine(engine)
-        self.engine = resolved if resolved in ("vector", "auto") else "compiled"
-        #: Most recent autotune decision ("auto" engine only).
-        self.last_plan = None
-        self._plan = None
+        # counterpart) runs the compiled batched step.
+        resolve_engine(engine)
+        self.engine = "compiled"
         self._program = compile_program(schedule, precision)
         self._ftype = self._program.ftype
         params = dict(params or {})
@@ -616,94 +626,21 @@ class BatchedCgraExecutor:
 
     def run(self, n_iterations: int) -> None:
         """Advance every lane by ``n_iterations`` in lockstep."""
-        if n_iterations < 0:
-            raise ExecutionError("n_iterations must be non-negative")
-        if n_iterations == 0:
-            return
-        if self.engine == "vector":
-            self._run_vector(n_iterations)
-            return
-        if self.engine == "auto" and n_iterations >= 8:
-            from repro.cgra.autotune import plan_for
-
-            plan = plan_for(self._program, self.batch, n_iterations)
-            self.last_plan = plan
-            if plan.engine == "vector":
-                self._plan = plan
-                self._run_vector(n_iterations)
-                return
         self.run_driven(n_iterations)
-
-    def _run_vector(self, n_iterations: int) -> None:
-        """Chunked ``[B, T]`` run; falls back to per-cycle batched steps
-        for uncertified programs, small runs and chunk tails."""
-        from repro.cgra.engine_vector import MIN_CHUNK, get_vector_program
-
-        vp = get_vector_program(self._program)
-        if vp.ok and not vp._oracle_done:
-            # The oracle's reference run is scalar: lane-0 parameters.
-            vp.ensure_oracle(
-                {k: float(np.asarray(v).reshape(-1)[0]) for k, v in self._params.items()}
-            )
-        if not vp.ok or n_iterations < MIN_CHUNK:
-            self.run_driven(n_iterations)
-            return
-        if self._plan is not None:
-            hint = self._plan.chunk_elems
-        else:
-            from repro.cgra.autotune import chunk_elems_hint
-
-            hint = chunk_elems_hint()
-        max_t = vp.max_chunk(self.batch, hint)
-        done = 0
-        chunks = 0
-        import time as _time
-
-        t0 = _time.perf_counter()
-        try:
-            while n_iterations - done >= MIN_CHUNK:
-                T = min(max_t, n_iterations - done)
-                progress = [0]
-                try:
-                    vp.run_chunk(
-                        self._slots, self.bus, T, self.iterations + done,
-                        progress, batched=True, batch=self.batch,
-                    )
-                finally:
-                    done += progress[0]
-                chunks += 1
-        finally:
-            self.iterations += done
-            if done:
-                self.actuator_write_ticks = dict(self._program.actuator_write_ticks)
-            if _OBS.enabled and done:
-                elapsed = _time.perf_counter() - t0
-                _ENGINE_ITERATIONS.inc(done * self.batch, engine="vector")
-                if elapsed > 0.0:
-                    _ITERS_PER_SECOND.set(done * self.batch / elapsed, engine="vector")
-                if _OBS.profile:
-                    record_program(
-                        self.graph.name, "vector", done, elapsed,
-                        self._program.op_class_counts, lanes=self.batch,
-                        segments=vp.segment_units(done, chunks),
-                    )
-        remainder = n_iterations - done
-        if remainder:
-            self.run_driven(remainder)
 
     def run_driven(self, n_iterations: int, pre=None, post=None) -> None:
         """Advance ``n_iterations`` with host callbacks around each step,
         under one errstate/telemetry envelope.
 
-        The closed-loop HIL driver, and the per-cycle path of :meth:`run`
-        (no callbacks): per iteration ``i`` (0-based) this runs
-        ``pre(i)``, one batched step, then ``post(i)`` — exactly the call
-        sequence of a Python loop over :meth:`run_iteration`, minus its
-        per-iteration ``np.errstate`` enter/exit and telemetry.  All but
-        the last step use the fast (PHI-only) variant, so callbacks may
-        observe loop-carried registers and actuator-write effects —
-        everything the closed loop reads back; after the call returns the
-        register file is fully traced.  Callbacks execute under
+        The closed-loop HIL driver, and :meth:`run` (no callbacks): per
+        iteration ``i`` (0-based) this runs ``pre(i)``, one batched
+        step, then ``post(i)`` — exactly the call sequence of a Python
+        loop over :meth:`run_iteration`, minus its per-iteration
+        ``np.errstate`` enter/exit and telemetry.  All but the last step
+        use the fast (PHI-only) variant, so callbacks may observe
+        loop-carried registers and actuator-write effects — everything
+        the closed loop reads back; after the call returns the register
+        file is fully traced.  Callbacks execute under
         ``np.errstate(raise)``.
         """
         if n_iterations < 0:

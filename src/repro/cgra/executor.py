@@ -86,13 +86,12 @@ class CgraExecutor:
         load and raise :class:`~repro.errors.VerificationError` listing
         every diagnostic if it finds errors.
     engine:
-        ``"interpreted"`` (the per-op cycle-accurate interpreter),
-        ``"compiled"`` (the :mod:`repro.cgra.engine` fast path, bit-exact
-        with the interpreter), ``"vector"`` (certificate-driven time
-        chunks) or ``"auto"`` (per-run planning via
-        :mod:`repro.cgra.autotune`, compiled when uncertain).  ``None``
-        uses the session default
-        (:func:`repro.cgra.engine.get_default_engine`).
+        ``"interpreted"`` (the per-op cycle-accurate interpreter, the
+        bit-exactness oracle) or ``"compiled"`` (the
+        :mod:`repro.cgra.engine` fast path, bit-exact with the
+        interpreter).  ``None`` uses the session default
+        (:func:`repro.cgra.engine.get_default_engine`); ``"auto"`` is a
+        deprecated alias of ``"compiled"``.
     """
 
     def __init__(
@@ -145,15 +144,12 @@ class CgraExecutor:
 
         self._params = {k: self._round(v) for k, v in params.items()}
         self._compiled = None
-        self._vector = None
         self._slots: list | None = None
         self._registers: dict[int, float] | None = None
-        if self.engine in ("compiled", "vector", "auto"):
+        if self.engine == "compiled":
             self._compiled = compile_program(schedule, precision)
             self._slots = self._compiled.initial_slots(params)
             self._program: list[_Entry] = []
-            #: Most recent autotune decision ("auto" engine only).
-            self.last_plan = None
         else:
             #: Register file: node id → current value.
             self._registers = {}
@@ -317,80 +313,10 @@ class CgraExecutor:
             raise ExecutionError("n_iterations must be non-negative")
         if self._compiled is not None:
             if n_iterations:
-                engine = self.engine
-                if engine == "auto" and n_iterations >= 8:
-                    from repro.cgra.autotune import plan_for
-
-                    plan = plan_for(self._compiled, 1, n_iterations)
-                    self.last_plan = plan
-                    engine = plan.engine
-                if engine == "vector":
-                    self._run_vector(n_iterations)
-                else:
-                    self._run_compiled(n_iterations)
+                self._run_compiled(n_iterations)
             return
         for _ in range(n_iterations):
             self.run_iteration()
-
-    def _run_vector(self, n_iterations: int) -> None:
-        """Bulk-run in certificate-driven time chunks (see
-        :mod:`repro.cgra.engine_vector`); per-cycle compiled steps cover
-        uncertified programs, small runs and chunk tails — so results,
-        fault text and iteration counts stay bit-identical to the
-        interpreter for every program."""
-        from repro.cgra.engine_vector import MIN_CHUNK, get_vector_program
-
-        vp = self._vector
-        if vp is None:
-            vp = self._vector = get_vector_program(self._compiled)
-        if vp.ok and not vp._oracle_done:
-            vp.ensure_oracle(self._params)
-        if not vp.ok or n_iterations < MIN_CHUNK:
-            self._run_compiled(n_iterations)
-            return
-        program = self._compiled
-        from repro.cgra.autotune import chunk_elems_hint
-
-        max_t = vp.max_chunk(hint=chunk_elems_hint())
-        done = 0
-        chunks = 0
-        t0 = time.perf_counter()
-        try:
-            while n_iterations - done >= MIN_CHUNK:
-                T = min(max_t, n_iterations - done)
-                progress = [0]
-                try:
-                    vp.run_chunk(
-                        self._slots, self.bus, T, self.iterations + done, progress
-                    )
-                finally:
-                    done += progress[0]
-                chunks += 1
-        finally:
-            self.iterations += done
-            if done:
-                self.actuator_write_ticks = dict(program.actuator_write_ticks)
-            if _OBS.enabled and done:
-                elapsed = time.perf_counter() - t0
-                n_ops = len(program.entries)
-                _OPS_EXECUTED.inc(done * n_ops, executor="sequential")
-                _CONTEXT_SWITCHES.inc(done * self.schedule.length, executor="sequential")
-                _TICKS_PER_ITER.set(self.schedule.length, executor="sequential")
-                _ITERATIONS.inc(done, executor="sequential")
-                _ENGINE_ITERATIONS.inc(done, engine="vector")
-                if elapsed > 0.0:
-                    _ITERS_PER_SECOND.set(done / elapsed, engine="vector")
-                if _OBS.profile:
-                    from repro.obs.profile import record_program
-
-                    record_program(
-                        self.graph.name, "vector", done, elapsed,
-                        program.op_class_counts,
-                        segments=vp.segment_units(done, chunks),
-                    )
-        remainder = n_iterations - done
-        if remainder:
-            self._run_compiled(remainder)
 
     def _run_compiled(self, n_iterations: int) -> None:
         """Bulk-run the compiled program: (n−1)·fast + 1·traced steps.

@@ -56,7 +56,6 @@ from repro.cgra.frontend import compile_c_to_dfg
 from repro.cgra.scheduler import ListScheduler, Schedule
 from repro.cgra.sensor import (
     ACTUATOR_DELTA_T,
-    ACTUATOR_MONITOR,
     SENSOR_GAP_BUFFER,
     SENSOR_PERIOD,
     SENSOR_REF_BUFFER,
@@ -68,10 +67,8 @@ from repro.obs._state import STATE as _OBS
 
 __all__ = [
     "beam_model_source",
-    "monitor_model_source",
     "CompiledModel",
     "compile_beam_model",
-    "compile_monitor_model",
     "clear_cache",
 ]
 
@@ -132,61 +129,6 @@ void beam_model(float GAMMA_R0, float QMC2, float L_R, float ALPHA_C,
             float beta_a = sqrt(1.0 - 1.0 / (gamma_a * gamma_a));
             dt[i] = dt[i] + k_dt * dgamma[i] / beta_a;     /* Eq. 6 */
         }}
-    }}
-}}
-"""
-
-
-def monitor_model_source() -> str:
-    """Emit the mini-C beam *phase-monitor* kernel.
-
-    A diagnostics companion to the beam model: every revolution it reads
-    the measured period and derives the reference particle's kinematic
-    state — Lorentz factors, slip factor η (Eq. 5), synchrotron-scaled
-    phase error and a smoothed, clamped monitor value — and publishes the
-    result on the monitor actuator.  Unlike the beam model it carries
-    **no** state across revolutions: every quantity is recomputed from
-    the current period sample, so the dependence analysis certifies the
-    whole loop body as one chunkable segment (the vector tier's best
-    case, and the stock schedule used to benchmark it).
-    """
-    return f"""\
-// Beam phase monitor: per-revolution kinematics diagnostics.
-// Feed-forward (no loop-carried state) — fully vector-chunkable.
-#define S_PERIOD {SENSOR_PERIOD}
-#define A_MONITOR {ACTUATOR_MONITOR}
-#define C0 {_C0!r}
-
-void monitor_model(float GAMMA_R0, float L_R, float ALPHA_C, float F_SYNC,
-                   float T_NOM, float K_SMOOTH, float LIMIT) {{
-    while (1) {{
-        /* measured revolution period and deviation from nominal */
-        float t_meas = read_sensor(S_PERIOD);
-        float dt_rel = (t_meas - T_NOM) / T_NOM;
-        /* reference kinematics at the programmed energy */
-        float inv_g2 = 1.0 / (GAMMA_R0 * GAMMA_R0);
-        float beta_r = sqrt(1.0 - inv_g2);
-        float t_ref = L_R / (beta_r * C0);
-        float eta = ALPHA_C - inv_g2;                       /* Eq. 5 */
-        /* momentum offset implied by the period deviation */
-        float dp_rel = dt_rel / eta;
-        float gamma_m = GAMMA_R0 * (1.0 + dp_rel * beta_r * beta_r);
-        float inv_gm2 = 1.0 / (gamma_m * gamma_m);
-        float beta_m = sqrt(1.0 - inv_gm2);
-        float eta_m = ALPHA_C - inv_gm2;
-        /* synchrotron-scaled phase error of this revolution */
-        float phase = (t_meas - t_ref) * F_SYNC;
-        float phase2 = phase * phase;
-        /* odd smoothing polynomial: x - x^3/6 + x^5/120 (sin series) */
-        float p3 = phase * phase2;
-        float p5 = p3 * phase2;
-        float smooth = phase - p3 / 6.0 + p5 / 120.0;
-        /* blend kinematic and phase channels, clamp to the DAC window */
-        float drift = dp_rel * eta_m / (beta_m + beta_r);
-        float blended = smooth * K_SMOOTH + drift * (1.0 - K_SMOOTH);
-        float limited = fmax(-LIMIT, fmin(LIMIT, blended));
-        float monitor = limited * beta_m / beta_r;
-        write_actuator(A_MONITOR, monitor);
     }}
 }}
 """
@@ -312,57 +254,9 @@ def compile_beam_model(
     return model
 
 
-def compile_monitor_model(
-    config: CgraConfig | None = None,
-    use_cache: bool = True,
-) -> CompiledModel:
-    """Run the full tool flow for the phase-monitor kernel.
-
-    Same pipeline and per-process cache as :func:`compile_beam_model`;
-    the returned :class:`CompiledModel` has ``n_bunches=1`` (the monitor
-    observes the reference particle only) and is never pipelined (the
-    loop body is a single feed-forward stage).
-    """
-    config = config if config is not None else CgraConfig()
-    source = monitor_model_source()
-    key = (source, config)
-    if use_cache:
-        cached = _MODEL_CACHE.get(key)
-        if cached is not None:
-            if _OBS.enabled:
-                _CACHE_HITS.inc()
-            return cached
-    t0 = time.perf_counter()
-    graph = compile_c_to_dfg(source)
-    fabric = CgraFabric(config)
-    schedule = ListScheduler(fabric).schedule(graph)
-    images = build_context_images(schedule)
-    elapsed = time.perf_counter() - t0
-    model = CompiledModel(
-        source=source,
-        n_bunches=1,
-        pipelined=False,
-        graph=graph,
-        schedule=schedule,
-        images=images,
-        config=config,
-        compile_seconds=elapsed,
-    )
-    if use_cache:
-        if _OBS.enabled:
-            _CACHE_MISSES.inc()
-        _MODEL_CACHE[key] = model
-    return model
-
-
 def clear_cache() -> None:
-    """Drop all cached compiled models, compiled engine programs, fused
-    vector chunk kernels and autotune execution plans."""
-    from repro.cgra.autotune import clear_plan_cache
+    """Drop all cached compiled models and compiled engine programs."""
     from repro.cgra.engine import clear_program_cache
-    from repro.cgra.engine_vector import clear_kernel_cache
 
     _MODEL_CACHE.clear()
     clear_program_cache()
-    clear_kernel_cache()
-    clear_plan_cache()

@@ -115,14 +115,6 @@ class PipelinedExecutor:
             if node.name and not node.is_zero_time():
                 self._named_scheduled.setdefault(node.name, node.node_id)
         self.engine = resolve_engine(engine)
-        if self.engine in ("vector", "auto"):
-            # The pipelined executor interleaves in-flight iterations, so
-            # no iteration-chunking is possible; "vector" (and therefore
-            # "auto", whose only alternative tier is the chunk path)
-            # degrades to the compiled per-cycle path (same results — the
-            # vector tier's chunk path is an optimisation, not a semantic
-            # change).
-            self.engine = "compiled"
         if self.engine == "compiled":
             self._build_compiled()
 

@@ -11,37 +11,18 @@ raising on the first problem:
 * :func:`lint_source` / :func:`lint_program` — semantic linting of
   mini-C model sources with line/column positions (pass id ``"lint"``);
 * :func:`analyze_ranges` — interval range analysis flagging overflow,
-  division by zero and ±1 V DAC-window saturation (pass id ``"range"``);
-* :func:`summarize_effects` / :func:`certify_vectorization` — per-op
-  read/write effect summaries and loop-carried dependence analysis
-  partitioning the compiled program into chunkable/sequential segments
-  (pass id ``"dependence"``), with :func:`run_chunk_oracle` as the
-  runtime differential validator of every certificate.
+  division by zero and ±1 V DAC-window saturation (pass id ``"range"``).
 
 ``python -m repro.cgra.lint`` runs the source-level passes over source
-files or the built-in kernels; ``python -m repro.analysis`` adds the
-dependence certificates and the shard-safety lint.
+files or the built-in kernels; ``python -m repro.analysis`` runs the
+shard-safety lint on the same diagnostics machinery.
 """
 
-from repro.cgra.verify.chunk_oracle import OracleResult, run_chunk_oracle
-from repro.cgra.verify.dependence import (
-    CertificationResult,
-    Segment,
-    VectorizationCertificate,
-    certify_vectorization,
-)
 from repro.cgra.verify.diagnostics import (
     Diagnostic,
     DiagnosticReport,
     Severity,
     SourceLocation,
-)
-from repro.cgra.verify.effects import (
-    CarriedRegister,
-    EffectSummary,
-    OpEffects,
-    resolve_carried,
-    summarize_effects,
 )
 from repro.cgra.verify.linter import lint_program, lint_source
 from repro.cgra.verify.range_analysis import Interval, analyze_ranges
@@ -63,15 +44,4 @@ __all__ = [
     "lint_program",
     "analyze_ranges",
     "Interval",
-    "OpEffects",
-    "CarriedRegister",
-    "EffectSummary",
-    "resolve_carried",
-    "summarize_effects",
-    "Segment",
-    "VectorizationCertificate",
-    "CertificationResult",
-    "certify_vectorization",
-    "OracleResult",
-    "run_chunk_oracle",
 ]

@@ -27,6 +27,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.cgra.engine import engine_name_error
 from repro.constants import deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError
@@ -71,11 +72,9 @@ class SampleAccurateBenchConfig:
             raise ConfigurationError("detector window must be >= 1 revolution")
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
-        if self.engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.engine!r}"
-            )
+        error = engine_name_error(self.engine)
+        if error is not None:
+            raise ConfigurationError(error)
 
 
 @dataclass

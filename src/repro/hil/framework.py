@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cgra.engine import engine_name_error
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -113,11 +114,9 @@ class FrameworkConfig:
             )
         if self.gap_volts_per_adc_volt <= 0 or self.ref_volts_per_adc_volt <= 0:
             raise ConfigurationError("voltage scales must be positive")
-        if self.engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.engine!r}"
-            )
+        error = engine_name_error(self.engine)
+        if error is not None:
+            raise ConfigurationError(error)
 
 
 class FpgaFramework:

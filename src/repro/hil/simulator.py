@@ -31,6 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.cgra.engine import engine_name_error
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -127,11 +128,9 @@ class HilConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("python", "cgra"):
             raise ConfigurationError(f"engine must be 'python' or 'cgra', got {self.engine!r}")
-        if self.cgra_engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "cgra_engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.cgra_engine!r}"
-            )
+        error = engine_name_error(self.cgra_engine, "cgra_engine")
+        if error is not None:
+            raise ConfigurationError(error)
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:

@@ -180,7 +180,6 @@ def record_program(
     elapsed_s: float,
     op_class_counts: dict,
     lanes: int = 1,
-    segments: list | None = None,
 ) -> None:
     """File one compiled-program run into the global profiler.
 
@@ -189,14 +188,6 @@ def record_program(
     with the elapsed time attributed proportionally to the program's
     static op-class counts — a deterministic decomposition (the schedule
     fixes the counts), not a sampled one.
-
-    ``segments`` — ``(label, units)`` pairs from the vector tier's
-    certificate partition — additionally files one
-    ``segment.<engine>.<kernel>.<label>`` entry per segment with the
-    elapsed time attributed proportionally to ``units`` (a sequential
-    segment costs ~width ops per iteration, a chunkable one ~width
-    vector ops per chunk), so hot lists show where chunked runs spend
-    their time.
     """
     if not STATE.profile or iterations <= 0:
         return
@@ -208,12 +199,6 @@ def record_program(
             n = op_class_counts[op_name]
             share = elapsed_s * (n / total_ops)
             profiler._add(f"op.{engine}.{op_name}", share, n * iterations * lanes)
-    if segments:
-        total_units = sum(units for _label, units in segments)
-        if total_units > 0:
-            for label, units in segments:
-                share = elapsed_s * (units / total_units)
-                profiler._add(f"segment.{engine}.{kernel}.{label}", share, units)
 
 
 #: The process-wide profiler used by all built-in instrumentation.

@@ -91,17 +91,15 @@ def prime_compile_caches() -> None:
 
     Populates this process's keyed model cache for the configuration
     every built-in HIL bench uses (1 bunch, pipelined, default fabric),
-    then builds the flat compiled program and its vector lowering so the
-    generated-source and vector-kernel code caches start warm too —
-    worker runs begin with cache hits instead of tool-flow/codegen runs.
+    then builds the flat compiled program so the generated-source cache
+    starts warm too — worker runs begin with cache hits instead of
+    tool-flow/codegen runs.
     """
     from repro.cgra.engine import compile_program
-    from repro.cgra.engine_vector import get_vector_program
     from repro.cgra.models import compile_beam_model
 
     model = compile_beam_model(n_bunches=1, pipelined=True)
-    program = compile_program(model.schedule)
-    get_vector_program(program)
+    compile_program(model.schedule)
 
 
 #: Primers every pool runs unless told otherwise.
@@ -212,7 +210,6 @@ def _worker_init(
     trace_enabled: bool,
     profile_enabled: bool,
     primers: tuple[Callable[[], None], ...],
-    plans: dict | None = None,
 ) -> None:
     """Per-worker initializer: clean telemetry, primed caches.
 
@@ -220,19 +217,13 @@ def _worker_init(
     are dropped (they belong to the parent and would double-count on
     merge); priming runs with telemetry already on, so the one
     compile-cache miss each worker pays is visible in the aggregated
-    metrics.  ``plans`` is the parent's exported autotune bundle —
-    adopting it makes every worker take the parent's engine decisions
-    (and skip the calibration probe) even on spawn platforms.
+    metrics.
     """
     obs.disable()
     obs.reset()
     if obs_enabled:
         obs.enable(trace=trace_enabled, profile=profile_enabled)
     _WORKER_STATE["obs"] = obs_enabled
-    if plans:
-        from repro.cgra.autotune import import_plans
-
-        import_plans(plans)
     for primer in primers:
         primer()
 
@@ -374,8 +365,6 @@ class WorkerPool:
             context = multiprocessing.get_context(
                 _pick_start_method(self._start_method)
             )
-            from repro.cgra.autotune import export_plans
-
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=context,
@@ -385,7 +374,6 @@ class WorkerPool:
                     obs.trace_enabled(),
                     obs.profile_enabled(),
                     self._primers,
-                    export_plans(),
                 ),
             )
             _POOL_WORKERS.set(self.jobs)

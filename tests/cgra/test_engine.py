@@ -187,10 +187,8 @@ class TestFaultParity:
     # The batched step has no guards: errstate raises and the fault is
     # translated back to the interpreter's text.  Each case runs once
     # with a lane-uniform parameter (scalar registers) and once with one
-    # faulting lane out of four; lane 0 stays healthy so the vector
-    # tier's chunk oracle passes, and kernels with a chunkable segment
-    # replay the fault per cycle.
-    @pytest.mark.parametrize("engine", ["compiled", "vector"])
+    # faulting lane out of four.
+    @pytest.mark.parametrize("engine", ["compiled"])
     @pytest.mark.parametrize("driven", [False, True], ids=["run", "run_driven"])
     @pytest.mark.parametrize(
         "source, fault_p, lanes_p, text",
@@ -422,6 +420,22 @@ class TestEngineSelection:
         bus, _ = _scalar_bus(1)
         with pytest.raises(ExecutionError):
             CgraExecutor(model.schedule, bus, _beam_params(model), engine="llvm")
+        # An unknown engine fails at construction, naming the engines
+        # that exist.
+        for executor, engine_bus in ((CgraExecutor, bus),
+                                     (BatchedCgraExecutor, BatchSensorBus(2))):
+            with pytest.raises(ExecutionError, match="'interpreted', 'compiled'"):
+                executor(model.schedule, engine_bus, _beam_params(model),
+                         engine="vector")
+
+    def test_auto_is_a_deprecated_alias_of_compiled(self):
+        with pytest.warns(DeprecationWarning, match="'auto' is deprecated"):
+            assert resolve_engine("auto") == "compiled"
+        model = compile_beam_model(n_bunches=1)
+        bus, _ = _scalar_bus(1)
+        with pytest.warns(DeprecationWarning):
+            ex = CgraExecutor(model.schedule, bus, _beam_params(model), engine="auto")
+        assert ex.engine == "compiled"
 
     def test_program_is_cached_per_schedule(self):
         model = compile_beam_model(n_bunches=1)

@@ -87,7 +87,7 @@ class TestCli:
         ]
         assert diags, "expected diagnostics across the targets"
         for d in diags:
-            assert d["analyzer"] in ("lint", "schedule", "range", "dependence")
+            assert d["analyzer"] in ("lint", "schedule", "range")
             assert d["analyzer"] == d["pass"]
             assert d["severity"] in ("info", "warning", "error")
         # Both front ends and error counts are surfaced per target.

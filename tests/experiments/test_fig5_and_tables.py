@@ -54,6 +54,10 @@ class TestScheduleTable:
         assert not rows[(8, False)].meets_1mhz
         assert rows[(8, True)].meets_1mhz
         assert rows[(1, True)].schedule_ticks < rows[(4, True)].schedule_ticks
+        # The E6 tick table of EXPERIMENTS.md, exactly.
+        assert {k: r.schedule_ticks for k, r in rows.items()} == {
+            (8, False): 157, (8, True): 107, (4, True): 88, (1, True): 76,
+        }
 
     def test_schedule_at_least_critical_path(self):
         for r in schedule_length_table():

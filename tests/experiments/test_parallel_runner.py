@@ -6,6 +6,7 @@ writes are the *same bytes* a serial run writes (sole exception:
 ``reconfig``, whose columns are measured wall-clock durations).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,9 @@ import pytest
 from repro.experiments.runner import _RUNNER_OPTIONS, main
 from repro.experiments.sweep import SWEEP_CHUNK, plan_sweep, run_sweep_shard
 from repro.parallel import raise_on_failures, run_sharded
+
+#: sha256 of ``runner sweep --quick``'s sweep_jump_amplitude.csv.
+SWEEP_QUICK_SHA256 = "9d16be8fa73043a031905f712c45c3dc199dc6f4c94e1621c622d9697491de66"
 
 
 class TestJobsFlag:
@@ -41,52 +45,42 @@ class TestCsvBytePinning:
         ).read_bytes()
 
     def test_jitter_csv_identical_across_engines(self, tmp_path):
-        """The engine seam never changes results: bit-exact tiers means
-        byte-identical CSVs for every --engine choice (and the vector
-        tier composes with --jobs without changing a byte either)."""
+        """The engine seam never changes results: the compiled engine is
+        bit-exact with the interpreter, so the CSV is byte-identical for
+        every --engine choice, inline or on two workers."""
         from repro.cgra import get_default_engine, set_default_engine
 
         saved = get_default_engine()
         try:
             outputs = {}
-            for engine in ("interpreted", "compiled", "vector", "auto"):
-                out = tmp_path / engine
-                assert main(["jitter", "--out", str(out), "--quick",
-                             "--engine", engine]) == 0
-                outputs[engine] = (out / "jitter.csv").read_bytes()
+            for label, extra in (
+                ("interpreted", ["--engine", "interpreted"]),
+                ("compiled", ["--engine", "compiled"]),
+                ("compiled_pooled", ["--engine", "compiled", "--jobs", "2"]),
+            ):
+                out = tmp_path / label
+                assert main(["jitter", "--out", str(out), "--quick", *extra]) == 0
+                outputs[label] = (out / "jitter.csv").read_bytes()
             assert outputs["compiled"] == outputs["interpreted"]
-            assert outputs["vector"] == outputs["interpreted"]
-            assert outputs["auto"] == outputs["interpreted"]
-            pooled = tmp_path / "vector_pooled"
-            assert main(["jitter", "--out", str(pooled), "--quick",
-                         "--engine", "vector", "--jobs", "2"]) == 0
-            assert (pooled / "jitter.csv").read_bytes() == outputs["interpreted"]
+            assert outputs["compiled_pooled"] == outputs["interpreted"]
         finally:
             set_default_engine(saved)
 
     def test_sweep_csv_identical_across_engines_and_jobs(self, tmp_path):
-        """The sweep defaults to engine=auto; the adaptive planner (and
-        the plan bundle shipped to pool workers) never changes bytes —
-        explicit compiled, explicit auto and the pooled default all
-        merge to the same CSV."""
-        from repro.cgra import get_default_engine, set_default_engine
-
-        saved = get_default_engine()
-        try:
-            ref = tmp_path / "ref"
-            assert main(["sweep", "--out", str(ref), "--quick",
-                         "--engine", "compiled"]) == 0
-            want = (ref / "sweep_jump_amplitude.csv").read_bytes()
-            for label, extra in (
-                ("auto_serial", ["--engine", "auto"]),
-                ("default_pooled", ["--jobs", "2"]),  # sweep default = auto
-            ):
-                out = tmp_path / label
-                assert main(["sweep", "--out", str(out), "--quick", *extra]) == 0
-                got = (out / "sweep_jump_amplitude.csv").read_bytes()
-                assert got == want, label
-        finally:
-            set_default_engine(saved)
+        """The ``sweep --quick`` CSV is pinned by digest, inline and on
+        two workers.  Recorded on x86-64 with NumPy 2.4, where it was
+        the same bytes under every engine choice and job count; a
+        platform whose ``np.sin`` rounds differently will disagree here.
+        A deliberate model change needs a new digest and a line in
+        CHANGES.md saying why."""
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--out", str(out), "--quick",
+                         "--jobs", jobs]) == 0
+            got = hashlib.sha256(
+                (out / "sweep_jump_amplitude.csv").read_bytes()
+            ).hexdigest()
+            assert got == SWEEP_QUICK_SHA256, f"--jobs {jobs}"
 
     def test_reconfig_is_the_documented_exception(self):
         from repro.experiments import reconfig

@@ -38,6 +38,11 @@ class TestRunExperiment:
         run_experiment("reconfig", target, quick=True)
         assert (target / "reconfig.csv").exists()
 
+    def test_rampup_quick_exits_zero(self, tmp_path):
+        """A quick run is a feasible ramp (a shortened one is not)."""
+        assert main(["rampup", "--quick", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rampup.csv").exists()
+
 
 class TestCli:
     def test_list(self, capsys):

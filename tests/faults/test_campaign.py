@@ -277,26 +277,6 @@ class TestByteIdentity:
         assert b1 == (out2 / "faults_campaign.csv").read_bytes()
         assert b1.startswith(b"scenario,kind_code")
 
-    def test_campaign_identical_across_engines(self):
-        from repro.cgra import get_default_engine, set_default_engine
-
-        config = CampaignConfig(
-            duration=0.03,
-            onset_times=(0.01,),
-            magnitudes_per_kind=1,
-            fault_duration=0.01,
-        )
-        saved = get_default_engine()
-        outputs = {}
-        try:
-            for engine in ("compiled", "vector", "auto"):
-                set_default_engine(engine)
-                result = run_campaign(config)
-                outputs[engine] = np.column_stack(result.csv_columns()).tobytes()
-        finally:
-            set_default_engine(saved)
-        assert outputs["compiled"] == outputs["vector"] == outputs["auto"]
-
 
 class TestRunnerFaultsFlag:
     """Satellite: ``--faults path.json`` arms ad-hoc faults on any

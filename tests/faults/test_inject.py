@@ -248,13 +248,12 @@ class TestEngineParityUnderFault:
             _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=6.0, onset=0.001),
         )
         results = {}
-        for tier in ("interpreted", "compiled", "vector"):
+        for tier in ("interpreted", "compiled"):
             res = CavityInTheLoop(
                 mde.bench_config(engine="cgra", cgra_engine=tier, faults=specs)
             ).run(0.003)
             results[tier] = np.asarray(res.phase_deg)
         np.testing.assert_array_equal(results["interpreted"], results["compiled"])
-        np.testing.assert_array_equal(results["interpreted"], results["vector"])
 
     def test_python_and_cgra_close_with_faults(self):
         """python vs cgra keep their usual 1e-9 parity under a smooth

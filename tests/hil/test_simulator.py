@@ -20,6 +20,9 @@ class TestConfigValidation:
     def test_engine_names(self):
         with pytest.raises(ConfigurationError):
             config(engine="verilog")
+        with pytest.raises(ConfigurationError, match="cgra_engine must be one of"):
+            config(engine="cgra", cgra_engine="vector")
+        assert config(engine="cgra").cgra_engine is None  # resolved per run
 
     def test_bunch_bounds(self):
         with pytest.raises(ConfigurationError):

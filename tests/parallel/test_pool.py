@@ -64,18 +64,6 @@ def _cache_probe(_):
     return {"pid": os.getpid(), "primed": primed, "ticks": model.schedule_length}
 
 
-def _vector_probe(_):
-    """Report kernel-code-cache and plan-cache state of this worker."""
-    from repro.cgra import engine_vector
-    from repro.cgra.autotune import plan_cache_stats
-
-    return {
-        "pid": os.getpid(),
-        "kernels": len(engine_vector._KERNEL_CODE_CACHE),
-        "plans": plan_cache_stats()["plans"],
-    }
-
-
 def _observe_some_telemetry(x):
     reg = obs.metrics()
     reg.counter("test_pool_work_total", "t").inc(x, kind="unit")
@@ -189,26 +177,6 @@ class TestPooledDispatch:
 
     def test_default_primers_include_beam_model(self):
         assert prime_compile_caches in DEFAULT_PRIMERS
-
-    def test_vector_kernels_and_plans_primed_in_workers(self):
-        """Satellite regression: the default primer also builds the
-        vector lowering (kernel code cache), and the parent's autotune
-        plans ship with the pool initargs — every worker starts with
-        warm codegen caches and the parent's engine decisions."""
-        from repro.cgra import clear_cache, compile_beam_model
-        from repro.cgra.autotune import plan_for
-        from repro.cgra.engine import compile_program
-
-        clear_cache()
-        program = compile_program(
-            compile_beam_model(n_bunches=1, pipelined=True).schedule
-        )
-        plan_for(program, batch=8, horizon=4096)  # parent decision to ship
-        results = run_sharded(_vector_probe, [None] * 2, jobs=2)
-        probes = raise_on_failures(results, "vector probe")
-        assert all(p["kernels"] >= 1 for p in probes)
-        assert all(p["plans"] >= 1 for p in probes)
-        assert all(p["pid"] != os.getpid() for p in probes)
 
 
 class TestPooledTelemetry:

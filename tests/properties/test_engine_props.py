@@ -43,32 +43,6 @@ class TestCompiledEngineProperties:
             assert ex_c.register_of(name) == ex_i.register_of(name)
         clear_program_cache()  # random schedules: don't accumulate programs
 
-    @settings(max_examples=50, deadline=None)
-    @given(kernel=kernels(), precision=st.sampled_from(["single", "double"]))
-    def test_vector_matches_interpreted(self, kernel, precision):
-        """The vector tier — chunked where certified, compiled per-cycle
-        where not — is bit-identical to the interpreter on any kernel.
-        Runs long enough (40 > MIN_CHUNK) that certified kernels really
-        take the chunked path."""
-        source, names = kernel
-        graph = compile_c_to_dfg(source)
-        schedule = ListScheduler(CgraFabric(CgraConfig(rows=3, cols=3))).schedule(graph)
-
-        bus_i, outs_i = _make_bus()
-        ex_i = CgraExecutor(schedule, bus_i, {}, precision=precision,
-                            engine="interpreted")
-        bus_v, outs_v = _make_bus()
-        ex_v = CgraExecutor(schedule, bus_v, {}, precision=precision,
-                            engine="vector")
-        ex_i.run(40)
-        ex_v.run(40)
-
-        assert outs_v == outs_i  # exact float equality, not approx
-        carried = {phi.name for phi in graph.phis()}
-        for name in set(names) & carried:
-            assert ex_v.register_of(name) == ex_i.register_of(name)
-        clear_program_cache()
-
     @settings(max_examples=25, deadline=None)
     @given(kernel=kernels())
     def test_batched_lanes_match_scalar(self, kernel):
