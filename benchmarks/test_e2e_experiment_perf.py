@@ -17,8 +17,8 @@ Two gates:
   Other machines report the real ratio without asserting (their
   baseline numbers are not comparable).
 
-The sweep always runs the batched compiled engine, so the runner's
-``--engine`` choice does not enter this workload.
+The sweep runs the compiled engine (``BatchedCgraExecutor``), the
+only engine the batched bench has.
 
 Run directly (manual timing, no pytest-benchmark plugin needed):
 

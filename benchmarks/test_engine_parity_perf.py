@@ -1,10 +1,11 @@
 """Engine throughput benchmark with a built-in parity gate.
 
-Measures the two execution engines on the shipped beam kernel —
-interpreted, compiled, and batched-compiled with 64 lockstep lanes —
-and writes ``BENCH_engine.json`` (both under ``benchmarks/results/``
-and at the repo root, where the committed copy lives).  The same run
-first proves the compiled engine bit-exact against the interpreter, so
+Measures the CGRA's two engines on the shipped beam kernel — the
+cycle-accurate interpreter (the oracle) and the compiled engine, the
+batched executor with 64 lockstep lanes — and writes
+``BENCH_engine.json`` (both under ``benchmarks/results/`` and at the
+repo root, where the committed copy lives).  The same run first proves
+every lane of the compiled engine bit-exact against the interpreter, so
 a reported speedup can never come from a semantics change.
 
 Run directly (no pytest-benchmark plugin needed — timing is manual so
@@ -18,10 +19,10 @@ Two kinds of gate:
 
 * **Unconditional** — the parity gate: bit-exactness hard-fails
   anywhere.
-* **Core-gated** (>= 2 usable cores) — wall-clock floors: compiled
-  >= 10x interpreted and batched >= 50x aggregate at B = 64.  A loaded
-  single-core container cannot express these honestly, but it still
-  runs the full gates and reports real numbers.
+* **Core-gated** (>= 2 usable cores) — a wall-clock floor: batched
+  >= 50x aggregate at B = 64.  A loaded single-core container cannot
+  express it honestly, but it still runs the full gates and reports
+  real numbers.
 """
 
 from __future__ import annotations
@@ -99,6 +100,13 @@ def _batch_bus():
     return bus
 
 
+def _rational(amp):
+    # Bounded rational — evaluates identically in scalar Python floats
+    # and elementwise NumPy float64 (IEEE mult/div/abs only), so the
+    # parity gate compares exactly on every platform.
+    return lambda a: amp * (a * 1e-3) / (1.0 + abs(a) * 1e-3)
+
+
 def _time_run(executor, n_iterations: int) -> float:
     """Seconds per iteration for one bulk run."""
     t0 = time.perf_counter()
@@ -111,33 +119,40 @@ def test_engine_parity_and_throughput():
     params = _params(model)
 
     # -- parity gate: speedups below are only meaningful if bit-exact --
-    # Hard-fails everywhere; never gated on core count.
-    ex_i = CgraExecutor(model.schedule, _scalar_bus(), params, engine="interpreted")
-    ex_c = CgraExecutor(model.schedule, _scalar_bus(), params, engine="compiled")
-    for _ in range(30):
-        ex_i.run_iteration()
-        ex_c.run_iteration()
-        assert ex_c.registers == ex_i.registers, "parity regression"
+    # Hard-fails everywhere; never gated on core count.  Each of the 64
+    # lanes reads the gap buffer at its own amplitude, so the lanes
+    # diverge; every lane must equal an interpreter run at that amplitude.
+    amps = np.linspace(0.2, 2.0, BATCH)
+    bus = BatchSensorBus(batch=BATCH)
+    bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
+    bus.register_addr_reader(SENSOR_REF_BUFFER, _rational(0.7))
+    bus.register_addr_reader(SENSOR_GAP_BUFFER, _rational(amps))
+    bus.register_writer(ACTUATOR_DELTA_T, lambda v: None)
+    ex_b = BatchedCgraExecutor(model.schedule, bus, params)
+    ex_b.run(30)
+    for lane, amp in enumerate(amps):
+        scalar = SensorBus()
+        scalar.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
+        scalar.register_addr_reader(SENSOR_REF_BUFFER, _rational(0.7))
+        scalar.register_addr_reader(SENSOR_GAP_BUFFER, _rational(float(amp)))
+        scalar.register_writer(ACTUATOR_DELTA_T, lambda v: None)
+        ex_i = CgraExecutor(model.schedule, scalar, params)
+        ex_i.run(30)
+        assert ex_b.lane_registers(lane) == ex_i.registers, f"parity regression, lane {lane}"
 
     # -- throughput, warmed executors, one bulk run each ---------------
-    interp = CgraExecutor(model.schedule, _scalar_bus(), params, engine="interpreted")
+    interp = CgraExecutor(model.schedule, _scalar_bus(), params)
     interp.run(50)  # warmup
     t_interp = _time_run(interp, 1500)
-
-    comp = CgraExecutor(model.schedule, _scalar_bus(), params, engine="compiled")
-    comp.run(200)
-    t_comp = _time_run(comp, 10_000)
 
     batched = BatchedCgraExecutor(model.schedule, _batch_bus(), params)
     batched.run(100)
     t_batch_iter = _time_run(batched, 2000)
     t_lane = t_batch_iter / BATCH
 
-    single = t_interp / t_comp
     aggregate = t_interp / t_lane
     rows = [
         f"interpreted: {t_interp * 1e6:9.1f} us/iter",
-        f"compiled:    {t_comp * 1e6:9.1f} us/iter  ({single:.1f}x)",
         f"batched B={BATCH}: {t_lane * 1e6:7.2f} us/lane-iter  ({aggregate:.1f}x aggregate)",
     ]
     print("\n=== engine throughput (beam model, 1 bunch) ===")
@@ -148,11 +163,6 @@ def test_engine_parity_and_throughput():
         {
             "name": "engine/interpreted",
             "stats": {"mean": t_interp, "rounds": 1500},
-        },
-        {
-            "name": "engine/compiled",
-            "stats": {"mean": t_comp, "rounds": 10_000},
-            "extra_info": {"speedup_vs_interpreted": single},
         },
         {
             "name": f"engine/batched_b{BATCH}",
@@ -168,8 +178,7 @@ def test_engine_parity_and_throughput():
     write_bench_json(_RESULTS / "BENCH_engine.json", records)
     write_bench_json(_ROOT / "BENCH_engine.json", records)
 
-    # -- speedup targets, where the hardware can express them ----------
+    # -- speedup target, where the hardware can express it -------------
     cores = len(os.sched_getaffinity(0))
     if cores >= 2:
-        assert single >= 10.0, f"compiled speedup {single:.1f}x below 10x target"
         assert aggregate >= 50.0, f"aggregate speedup {aggregate:.1f}x below 50x target"

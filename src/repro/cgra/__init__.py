@@ -12,7 +12,10 @@ Reproduces the paper's Section III-C tool flow end to end:
 4. the scheduler's output is a set of context-memory images that can be
    loaded without re-synthesis (:mod:`repro.cgra.context`);
 5. the contexts execute cycle-accurately against the SensorAccess bus
-   (:mod:`repro.cgra.executor`, :mod:`repro.cgra.sensor`);
+   (:mod:`repro.cgra.executor`, :mod:`repro.cgra.sensor`) — the
+   interpreter that is the bit-exactness oracle — and, lowered to
+   generated NumPy code, in B ≥ 1 lockstep lanes
+   (:mod:`repro.cgra.engine`, the compiled engine);
 6. every stage can be checked statically — schedule/context legality,
    mini-C semantics, value ranges — without executing anything
    (:mod:`repro.cgra.verify`, ``python -m repro.cgra.lint``).
@@ -33,8 +36,6 @@ from repro.cgra.engine import (
     BatchedCgraExecutor,
     CompiledProgram,
     compile_program,
-    get_default_engine,
-    set_default_engine,
 )
 from repro.cgra.pipelined_executor import PipelinedExecutor
 from repro.cgra.reference import ReferenceInterpreter
@@ -76,8 +77,6 @@ __all__ = [
     "BatchedCgraExecutor",
     "CompiledProgram",
     "compile_program",
-    "get_default_engine",
-    "set_default_engine",
     "PipelinedExecutor",
     "ReferenceInterpreter",
     "ContextImage",

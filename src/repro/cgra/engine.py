@@ -1,10 +1,12 @@
-"""Compiled fast-path execution engine for verified schedules.
+"""The compiled engine: verified schedules lowered to NumPy lockstep code.
 
-The CGRA runs on one of two engines, chosen by ``engine=`` (see
-:data:`ENGINES`): ``"interpreted"``, the cycle-accurate interpreter
-(:class:`~repro.cgra.executor.CgraExecutor`) that is the bit-exactness
-oracle, and ``"compiled"``, this module, which must match the
-interpreter's registers, actuator writes and fault text exactly.
+The CGRA has two executions of one static schedule.  The cycle-accurate
+interpreter (:class:`~repro.cgra.executor.CgraExecutor`, and
+:class:`~repro.cgra.pipelined_executor.PipelinedExecutor` for modulo
+schedules) is the bit-exactness oracle.  This module is the compiled
+engine, :class:`BatchedCgraExecutor`, which advances B ≥ 1 independent
+scenarios per call and must match the interpreter's registers, actuator
+writes and fault text in every lane.
 
 The interpreter pays enum dispatch, dict register lookups and per-op
 ``float(f32(...))`` boxing for every operation.  This module lowers a
@@ -17,36 +19,27 @@ pre-resolved program once per kernel:
   source and ``compile()``-ed once, with every operand reference inlined
   as a local variable;
 * sensor/actuator bindings are hoisted to function arguments;
-* per-op float32 rounding is preserved: each value is held as a
-  ``numpy.float32`` scalar, and binary64 operations on binary32 inputs
-  round identically to the interpreter's ``float(f32(f32(a) op f32(b)))``
+* per-op float32 rounding is preserved: each register holds a
+  ``numpy.float32`` ``[B]`` array where lanes differ, or a NumPy scalar
+  where they agree, and binary64 operations on binary32 inputs round
+  identically to the interpreter's ``float(f32(f32(a) op f32(b)))``
   (double rounding is exact for +,−,×,÷,√ because 53 ≥ 2·24 + 2).
 
-Two scalar variants are generated: ``step_fast`` stores only the PHI
-(loop-carried) registers back to the register file, ``step_traced``
-additionally stores every computed node.  Running ``n`` iterations as
-``(n−1)·fast + 1·traced`` leaves the register file in exactly the state
-the interpreter produces — non-PHI registers only ever hold the most
-recent iteration's values.
+Two step variants are generated: ``step_batched_fast`` stores only the
+PHI (loop-carried) registers back to the register file,
+``step_batched`` additionally stores every computed node.  Running ``n``
+iterations as ``(n−1)·fast + 1·traced`` leaves the register file in
+exactly the state the interpreter produces — non-PHI registers only ever
+hold the most recent iteration's values.
 
-Numeric faults are detected by running the compiled step under
-``numpy.errstate(over="raise", invalid="raise", divide="raise")``:
-the interpreter's per-op ``isfinite`` check can only fail when an
-operation signals overflow or invalid, so both engines fault on the
-same iteration.  The scalar step keeps explicit ``== 0.0``/``< 0.0``
-guards on division and square root (identical messages to the
-interpreter).
-
-**Batched lockstep execution** reuses the same codegen with NumPy
-registers that are ``[B]`` arrays where lanes differ and scalars where
-they agree: one compiled program advances B independent scenarios per
-call (:class:`BatchedCgraExecutor` +
-:class:`~repro.cgra.sensor.BatchSensorBus`, whose handlers may answer
-with a scalar or a ``[B]`` array).  Float32 arithmetic is bit-identical
-per lane to the scalar engine whether an operand is a scalar or an
-array.  The batched step carries **no** division or square-root guards
-— a per-op array reduction costs more than the op itself.  The
-``errstate`` envelope raises on the same faults: sqrt raises
+IO goes through a :class:`~repro.cgra.sensor.BatchSensorBus`, whose
+handlers may answer with a scalar or a ``[B]`` array; a lane-uniform
+operand keeps everything computed from it at scalar cost.  The step
+carries **no** division or square-root guards — a per-op array reduction
+costs more than the op itself.  Numeric faults are detected by running
+the step under ``numpy.errstate(over="raise", invalid="raise",
+divide="raise")``: the interpreter's per-op ``isfinite`` check can only
+fail when an operation signals overflow or invalid, sqrt raises
 ``invalid`` exactly when some lane is negative, and a zero divisor
 raises ``divide``/``invalid`` for every finite numerator, which is all
 the loop can reach (every op that makes a non-finite value raises first,
@@ -57,7 +50,6 @@ interpreter's exact guard text.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 
 import numpy as np
@@ -74,13 +66,7 @@ from repro.obs.profile import record_program
 __all__ = [
     "CompiledProgram",
     "compile_program",
-    "merged_entries",
     "BatchedCgraExecutor",
-    "set_default_engine",
-    "get_default_engine",
-    "resolve_engine",
-    "engine_name_error",
-    "ENGINES",
     "clear_program_cache",
 ]
 
@@ -94,63 +80,7 @@ _ITERS_PER_SECOND = get_registry().gauge(
     "cgra_iterations_per_second", "most recent bulk-run iteration throughput"
 )
 
-#: The engine names every ``engine=`` argument accepts: the
-#: cycle-accurate interpreter (the bit-exactness oracle) and this
-#: module's compiled fast path.
-ENGINES = ("interpreted", "compiled")
-
-#: Session-wide default used when an executor is constructed with
-#: ``engine=None`` (the CLI's ``--engine`` flag sets this).
-_DEFAULT_ENGINE = "interpreted"
-
-
-def engine_name_error(engine: str | None, field: str = "engine") -> str | None:
-    """Why ``engine`` is not a valid value for ``field``, or None if it is.
-
-    The one membership rule every engine seam applies: ``None`` (the
-    session default), a name in :data:`ENGINES`, or the deprecated
-    alias ``"auto"``.  Callers raise their own error type with it.
-    """
-    if engine is None or engine in ENGINES or engine == "auto":
-        return None
-    return f"{field} must be one of {ENGINES} or None, got {engine!r}"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the engine used when executors are built with ``engine=None``."""
-    global _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ExecutionError(f"engine must be one of {ENGINES}, got {name!r}")
-    _DEFAULT_ENGINE = name
-
-
-def get_default_engine() -> str:
-    """The session-wide default engine."""
-    return _DEFAULT_ENGINE
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument; ``None`` means the session default.
-
-    ``"auto"`` is a deprecated alias of ``"compiled"``: it warns and
-    resolves to the compiled engine.
-    """
-    error = engine_name_error(engine)
-    if error is not None:
-        raise ExecutionError(error)
-    if engine is None:
-        return _DEFAULT_ENGINE
-    if engine == "auto":
-        warnings.warn(
-            "engine='auto' is deprecated; use 'compiled'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return "compiled"
-    return engine
-
-
-def merged_entries(schedule: Schedule) -> list:
+def _merged_entries(schedule: Schedule) -> list:
     """All context-image entries merged into one tick-ordered program.
 
     Same ordering as the interpreter: global tick order, ties broken by
@@ -168,10 +98,9 @@ def merged_entries(schedule: Schedule) -> list:
 class _CodeEmitter:
     """Generates the Python source of one step function."""
 
-    def __init__(self, graph: DataflowGraph, entries: list, batched: bool) -> None:
+    def __init__(self, graph: DataflowGraph, entries: list) -> None:
         self.graph = graph
         self.entries = entries
-        self.batched = batched
         self._loads: dict[int, str] = {}
         self._computed: set[int] = set()
         # Body index → (op, node id, guarded operand) of unguarded ops.
@@ -202,20 +131,12 @@ class _CodeEmitter:
             body.append(f"write({io_id}, {self._operand(operands[0])})")
         elif op is Op.FDIV:
             a, b = (self._operand(o) for o in operands)
-            if self.batched:
-                # Unguarded: errstate raises, fault_error names the node.
-                self._sites[len(body)] = (op, nid, b)
-            else:
-                body.append(f"if {b} == 0.0:")
-                body.append(f"    raise _EE('division by zero in node {nid}')")
+            # Unguarded: errstate raises, fault_error names the node.
+            self._sites[len(body)] = (op, nid, b)
             body.append(f"v{nid} = {a} / {b}")
         elif op is Op.FSQRT:
             a = self._operand(operands[0])
-            if self.batched:
-                self._sites[len(body)] = (op, nid, a)
-            else:
-                body.append(f"if {a} < 0.0:")
-                body.append(f"    raise _EE('sqrt of negative value in node {nid}')")
+            self._sites[len(body)] = (op, nid, a)
             body.append(f"v{nid} = _sqrt({a})")
         elif op in (Op.FADD, Op.FSUB, Op.FMUL):
             sym = {Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*"}[op]
@@ -225,30 +146,17 @@ class _CodeEmitter:
             body.append(f"v{nid} = -{self._operand(operands[0])}")
         elif op is Op.FMIN:
             a, b = (self._operand(o) for o in operands)
-            if self.batched:
-                body.append(f"v{nid} = _minimum({a}, {b})")
-            else:
-                # min(a, b) returns a on ties — keep that argument order.
-                body.append(f"v{nid} = {b} if {b} < {a} else {a}")
+            body.append(f"v{nid} = _minimum({a}, {b})")
         elif op is Op.FMAX:
             a, b = (self._operand(o) for o in operands)
-            if self.batched:
-                body.append(f"v{nid} = _maximum({a}, {b})")
-            else:
-                body.append(f"v{nid} = {b} if {a} < {b} else {a}")
+            body.append(f"v{nid} = _maximum({a}, {b})")
         elif op in (Op.CMP_LT, Op.CMP_LE):
             sym = "<" if op is Op.CMP_LT else "<="
             a, b = (self._operand(o) for o in operands)
-            if self.batched:
-                body.append(f"v{nid} = _where({a} {sym} {b}, _ONE, _ZERO)")
-            else:
-                body.append(f"v{nid} = _ONE if {a} {sym} {b} else _ZERO")
+            body.append(f"v{nid} = _where({a} {sym} {b}, _ONE, _ZERO)")
         elif op is Op.SELECT:
             c, a, b = (self._operand(o) for o in operands)
-            if self.batched:
-                body.append(f"v{nid} = _where({c} != 0.0, {a}, {b})")
-            else:
-                body.append(f"v{nid} = {a} if {c} != 0.0 else {b}")
+            body.append(f"v{nid} = _where({c} != 0.0, {a}, {b})")
         else:
             raise ExecutionError(f"op {op} cannot be compiled")
         self._computed.add(nid)
@@ -292,12 +200,11 @@ class _CodeEmitter:
 
 
 class CompiledProgram:
-    """One schedule lowered to flat compiled step functions.
+    """One schedule lowered to the two compiled step functions.
 
-    The program is stateless: the register file is a plain list (scalar
-    engine) or a list of ``[B]`` arrays and lane-uniform scalars (batched
-    engine), owned by the executor and passed into every step call.
-    Slot index == node id (node ids are dense).
+    The program is stateless: the register file is a list of ``[B]``
+    arrays and lane-uniform scalars, owned by the executor and passed
+    into every step call.  Slot index == node id (node ids are dense).
     """
 
     def __init__(self, schedule: Schedule, precision: str = "single") -> None:
@@ -307,7 +214,7 @@ class CompiledProgram:
         self.graph: DataflowGraph = schedule.graph
         self.precision = precision
         self.ftype = np.float32 if precision == "single" else np.float64
-        self.entries = merged_entries(schedule)
+        self.entries = _merged_entries(schedule)
         self.n_slots = max(self.graph.nodes, default=-1) + 1
         #: Static per-iteration tick of each actuator write (io_id → tick).
         self.actuator_write_ticks: dict[int, int] = {
@@ -320,20 +227,21 @@ class CompiledProgram:
         self.op_class_counts: dict[str, int] = {}
         for _tick, op, _nid, _ops, _io in self.entries:
             self.op_class_counts[op.name] = self.op_class_counts.get(op.name, 0) + 1
-        emitter = _CodeEmitter(self.graph, self.entries, batched=False)
-        self.source_fast = emitter.emit(traced=False)
-        self.source_traced = emitter.emit(traced=True)
-        self.step_fast = self._compile(self.source_fast, "fast")
-        self.step_traced = self._compile(self.source_traced, "traced")
-        self._step_batched = None
-        self._step_batched_fast = None
-        self.source_batched: str | None = None
-        self.source_batched_fast: str | None = None
+        emitter = _CodeEmitter(self.graph, self.entries)
+        #: The step that stores every computed node (the last step of a run).
+        self.source_batched = emitter.emit(traced=True)
+        self.step_batched = self._compile(self.source_batched, "batched")
+        #: The step that stores only the PHI latches.  Loads only ever
+        #: come from CONST/PARAM/PHI slots, so running ``(n−1)·fast +
+        #: 1·traced`` leaves the register file identical to tracing
+        #: every step.
+        self.source_batched_fast = emitter.emit(traced=False)
+        self.step_batched_fast = self._compile(self.source_batched_fast, "batched-fast")
         #: Source line → (op, node id, guarded operand local) of the
-        #: batched steps' unguarded FDIV/FSQRT ops (both variants share
-        #: their body lines; the fast one only drops trailing stores).
-        self.batched_fault_sites: dict[int, tuple[Op, int, str]] = {}
-        self._batched_codes: set = set()
+        #: steps' unguarded FDIV/FSQRT ops (both variants share their
+        #: body lines; the fast one only drops trailing stores).
+        self.batched_fault_sites: dict[int, tuple[Op, int, str]] = emitter.fault_sites
+        self._step_codes = {self.step_batched.__code__, self.step_batched_fast.__code__}
         if _OBS.enabled:
             _PROGRAMS_COMPILED.inc(precision=precision)
 
@@ -343,7 +251,6 @@ class CompiledProgram:
             "_sqrt": np.sqrt,
             "_ZERO": self.ftype(0.0),
             "_ONE": self.ftype(1.0),
-            "_EE": ExecutionError,
             "_where": np.where,
             "_minimum": np.minimum,
             "_maximum": np.maximum,
@@ -352,51 +259,23 @@ class CompiledProgram:
         exec(code, ns)
         return ns["step"]
 
-    def _compile_batched(self, traced: bool):
-        emitter = _CodeEmitter(self.graph, self.entries, batched=True)
-        source = emitter.emit(traced=traced)
-        step = self._compile(source, "batched" if traced else "batched-fast")
-        self.batched_fault_sites = emitter.fault_sites
-        self._batched_codes.add(step.__code__)
-        return source, step
-
-    @property
-    def step_batched(self):
-        """The batched step function (compiled on first use)."""
-        if self._step_batched is None:
-            self.source_batched, self._step_batched = self._compile_batched(traced=True)
-        return self._step_batched
-
-    @property
-    def step_batched_fast(self):
-        """The batched step storing only PHI latches (compiled on
-        first use).  Same fast/traced split as the scalar engine: loads
-        only ever come from CONST/PARAM/PHI slots, so running
-        ``(n−1)·fast + 1·traced`` leaves the register file identical to
-        tracing every step."""
-        if self._step_batched_fast is None:
-            self.source_batched_fast, self._step_batched_fast = (
-                self._compile_batched(traced=False)
-            )
-        return self._step_batched_fast
-
     def fault_error(
         self, exc: FloatingPointError, iteration: int, kernel: str
     ) -> ExecutionError:
         """The :class:`ExecutionError` for a ``FloatingPointError`` that a
         step raised under ``errstate(raise)`` in ``iteration``.
 
-        When the innermost frame is a batched step stopped on one of its
+        When the innermost frame is a step stopped on one of its
         unguarded FDIV/FSQRT lines, and that op's divisor has a zero lane
         (or its radicand a negative lane) in the frame's locals, this is
         the interpreter's exact guard text.  Every other fault — overflow,
-        a fault inside a bus handler, a scalar step — gets the generic
-        non-finite message naming the iteration and ``kernel``.
+        or a fault inside a bus handler — gets the generic non-finite
+        message naming the iteration and ``kernel``.
         """
         tb = exc.__traceback__
         while tb is not None and tb.tb_next is not None:
             tb = tb.tb_next
-        if tb is not None and tb.tb_frame.f_code in self._batched_codes:
+        if tb is not None and tb.tb_frame.f_code in self._step_codes:
             site = self.batched_fault_sites.get(tb.tb_lineno)
             if site is not None:
                 op, nid, operand = site
@@ -409,22 +288,6 @@ class CompiledProgram:
             f"non-finite value produced in iteration {iteration} "
             f"of the {kernel} kernel: {exc}"
         )
-
-    def initial_slots(self, params: dict[str, float]) -> list:
-        """Fresh register file with constants/params/PHI inits loaded."""
-        ft = self.ftype
-        slots: list = [None] * self.n_slots
-        for node in self.graph.nodes.values():
-            if node.op is Op.CONST:
-                slots[node.node_id] = ft(node.value)
-            elif node.op is Op.PARAM:
-                slots[node.node_id] = ft(params[node.name])
-            elif node.op is Op.PHI:
-                if node.init_param is not None:
-                    slots[node.node_id] = ft(params[node.init_param])
-                else:
-                    slots[node.node_id] = ft(node.init_value)
-        return slots
 
 
 #: id(schedule) → (weakref, {precision: CompiledProgram}).  Keyed by
@@ -467,15 +330,16 @@ def clear_program_cache() -> None:
 
 
 class BatchedCgraExecutor:
-    """Advances B independent scenarios in lockstep with one program.
+    """The compiled engine: B ≥ 1 independent scenarios in lockstep.
 
     The register file holds one ``[B]`` float array per node, or a NumPy
     scalar for a value that is lane-uniform; every arithmetic op is a
-    NumPy operation, bit-identical per lane to the scalar compiled
-    engine, and runs at scalar cost until a per-lane operand joins it.
-    IO goes through a :class:`~repro.cgra.sensor.BatchSensorBus`, whose
-    handlers are NumPy-polymorphic: a lane-uniform read may answer with a
-    scalar, which keeps everything computed from it scalar.
+    NumPy operation, bit-identical per lane to the interpreter
+    (:class:`~repro.cgra.executor.CgraExecutor`), and runs at scalar cost
+    until a per-lane operand joins it.  IO goes through a
+    :class:`~repro.cgra.sensor.BatchSensorBus`, whose handlers are
+    NumPy-polymorphic: a lane-uniform read may answer with a scalar,
+    which keeps everything computed from it scalar.
 
     Parameters are scalars (lane-uniform) or length-B arrays; the same
     holds for :meth:`set_register`/:meth:`set_param`.  They must be finite
@@ -491,30 +355,12 @@ class BatchedCgraExecutor:
         bus,
         params: dict | None = None,
         precision: str = "single",
-        verify: bool = False,
-        engine: str | None = None,
     ) -> None:
-        if verify:
-            from repro.cgra.verify import Severity, verify_schedule
-            from repro.errors import VerificationError
-
-            report = verify_schedule(schedule)
-            if not report.ok:
-                raise VerificationError(
-                    "schedule failed static verification:\n"
-                    + report.format(min_severity=Severity.WARNING)
-                )
         self.schedule = schedule
         self.graph = schedule.graph
         self.bus = bus
         self.batch = int(bus.batch)
         self.precision = precision
-        # The batched executor is inherently compiled: ``engine`` is
-        # validated like every engine seam, and any valid name (including
-        # the session default "interpreted", which has no batched
-        # counterpart) runs the compiled batched step.
-        resolve_engine(engine)
-        self.engine = "compiled"
         self._program = compile_program(schedule, precision)
         self._ftype = self._program.ftype
         params = dict(params or {})
@@ -608,8 +454,8 @@ class BatchedCgraExecutor:
         return np.broadcast_to(value, (self.batch,)).copy()
 
     def lane_registers(self, lane: int) -> dict[int, float]:
-        """Register-file snapshot of one lane (comparable to the scalar
-        executor's ``registers`` dict)."""
+        """Register-file snapshot of one lane (comparable to the
+        interpreter's ``registers`` dict)."""
         if not 0 <= lane < self.batch:
             raise ExecutionError(f"lane must be in [0, {self.batch}), got {lane}")
         out: dict[int, float] = {}

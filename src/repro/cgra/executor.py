@@ -1,7 +1,11 @@
-"""Cycle-accurate execution of scheduled contexts.
+"""Cycle-accurate execution of scheduled contexts: the interpreter.
 
 Runs the context images tick by tick against a
-:class:`~repro.cgra.sensor.SensorBus`.  Numeric behaviour matches the
+:class:`~repro.cgra.sensor.SensorBus`.  This interpreter is the
+bit-exactness oracle of the CGRA: the compiled engine
+(:class:`~repro.cgra.engine.BatchedCgraExecutor`) must reproduce its
+registers, actuator writes and fault text in every lane.  Numeric
+behaviour matches the
 overlay's single-precision floating-point operators by default
 (``numpy.float32`` arithmetic per operation); ``precision="double"``
 switches to float64 for precision-ablation studies (benchmark E6b).
@@ -20,14 +24,12 @@ study (E7) reads it from :attr:`CgraExecutor.actuator_write_ticks`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cgra.context import build_context_images
 from repro.cgra.dfg import DataflowGraph
-from repro.cgra.engine import compile_program, resolve_engine
 from repro.cgra.ops import Op
 from repro.cgra.scheduler import Schedule
 from repro.cgra.sensor import SensorBus
@@ -51,9 +53,6 @@ _ITERATIONS = get_registry().counter(
 )
 _ENGINE_ITERATIONS = get_registry().counter(
     "cgra_engine_iterations_total", "iterations executed, by engine"
-)
-_ITERS_PER_SECOND = get_registry().gauge(
-    "cgra_iterations_per_second", "most recent bulk-run iteration throughput"
 )
 
 
@@ -85,13 +84,6 @@ class CgraExecutor:
         (:func:`repro.cgra.verify.verify_schedule`) before accepting the
         load and raise :class:`~repro.errors.VerificationError` listing
         every diagnostic if it finds errors.
-    engine:
-        ``"interpreted"`` (the per-op cycle-accurate interpreter, the
-        bit-exactness oracle) or ``"compiled"`` (the
-        :mod:`repro.cgra.engine` fast path, bit-exact with the
-        interpreter).  ``None`` uses the session default
-        (:func:`repro.cgra.engine.get_default_engine`); ``"auto"`` is a
-        deprecated alias of ``"compiled"``.
     """
 
     def __init__(
@@ -101,7 +93,6 @@ class CgraExecutor:
         params: dict[str, float] | None = None,
         precision: str = "single",
         verify: bool = False,
-        engine: str | None = None,
     ) -> None:
         if precision not in ("single", "double"):
             raise ExecutionError(f"precision must be 'single' or 'double', got {precision!r}")
@@ -119,7 +110,6 @@ class CgraExecutor:
         self.graph: DataflowGraph = schedule.graph
         self.bus = bus
         self.precision = precision
-        self.engine = resolve_engine(engine)
         self._ftype = np.float32 if precision == "single" else np.float64
         params = dict(params or {})
         missing = [p for p in self.graph.params if p not in params]
@@ -143,65 +133,42 @@ class CgraExecutor:
                 self._named_order.setdefault(node.name, []).append(node.node_id)
 
         self._params = {k: self._round(v) for k, v in params.items()}
-        self._compiled = None
-        self._slots: list | None = None
-        self._registers: dict[int, float] | None = None
-        if self.engine == "compiled":
-            self._compiled = compile_program(schedule, precision)
-            self._slots = self._compiled.initial_slots(params)
-            self._program: list[_Entry] = []
-        else:
-            #: Register file: node id → current value.
-            self._registers = {}
-            for node in self.graph.nodes.values():
-                if node.op is Op.CONST:
-                    self._registers[node.node_id] = self._round(node.value)
-                elif node.op is Op.PARAM:
-                    self._registers[node.node_id] = self._params[node.name]
-                elif node.op is Op.PHI:
-                    if node.init_param is not None:
-                        self._registers[node.node_id] = self._params[node.init_param]
-                    else:
-                        self._registers[node.node_id] = self._round(node.init_value)
+        #: Register file: node id → current value.
+        self.registers: dict[int, float] = {}
+        for node in self.graph.nodes.values():
+            if node.op is Op.CONST:
+                self.registers[node.node_id] = self._round(node.value)
+            elif node.op is Op.PARAM:
+                self.registers[node.node_id] = self._params[node.name]
+            elif node.op is Op.PHI:
+                if node.init_param is not None:
+                    self.registers[node.node_id] = self._params[node.init_param]
+                else:
+                    self.registers[node.node_id] = self._round(node.init_value)
 
-            # Merge all context images into one tick-ordered program.  The
-            # per-PE structure matters for scheduling/validation; execution
-            # order only needs global tick order (ties are independent ops).
-            images = build_context_images(schedule)
-            entries: list[_Entry] = []
-            for image in images.values():
-                for e in image.sorted_entries():
-                    entries.append(
-                        _Entry(
-                            tick=e.tick,
-                            op=Op(e.op),
-                            node_id=e.node_id,
-                            operands=e.operands,
-                            io_id=e.io_id,
-                        )
+        # Merge all context images into one tick-ordered program.  The
+        # per-PE structure matters for scheduling/validation; execution
+        # order only needs global tick order (ties are independent ops).
+        images = build_context_images(schedule)
+        entries: list[_Entry] = []
+        for image in images.values():
+            for e in image.sorted_entries():
+                entries.append(
+                    _Entry(
+                        tick=e.tick,
+                        op=Op(e.op),
+                        node_id=e.node_id,
+                        operands=e.operands,
+                        io_id=e.io_id,
                     )
-            entries.sort(key=lambda e: (e.tick, e.node_id))
-            self._program = entries
+                )
+        entries.sort(key=lambda e: (e.tick, e.node_id))
+        self._program = entries
         #: Iteration count executed so far.
         self.iterations = 0
         #: Ticks (within the iteration) at which each actuator write
         #: issued during the most recent iteration: io_id → tick.
         self.actuator_write_ticks: dict[int, int] = {}
-
-    @property
-    def registers(self) -> dict[int, float]:
-        """Register file: node id → current value.
-
-        Live dict for the interpreted engine; for the compiled engine a
-        float snapshot of the dense slot array (identical contents — the
-        traced step stores every computed node)."""
-        if self._registers is not None:
-            return self._registers
-        return {
-            nid: float(value)
-            for nid, value in enumerate(self._slots)
-            if value is not None
-        }
 
     # -- numeric core ---------------------------------------------------
 
@@ -254,17 +221,11 @@ class CgraExecutor:
             raise ExecutionError(f"unknown parameter {name!r}")
         self._params[name] = self._round(value)
         for nid in self._param_nodes.get(name, ()):
-            if self._slots is not None:
-                self._slots[nid] = self._ftype(value)
-            else:
-                self._registers[nid] = self._params[name]
+            self.registers[nid] = self._params[name]
 
     def run_iteration(self) -> None:
         """Execute one loop iteration (one particle revolution)."""
-        if self._compiled is not None:
-            self._run_compiled(1)
-            return
-        regs = self._registers
+        regs = self.registers
         write_ticks: dict[int, int] = {}
         for entry in self._program:
             if entry.op is Op.SENSOR_READ:
@@ -311,63 +272,8 @@ class CgraExecutor:
         """Execute ``n_iterations`` revolutions."""
         if n_iterations < 0:
             raise ExecutionError("n_iterations must be non-negative")
-        if self._compiled is not None:
-            if n_iterations:
-                self._run_compiled(n_iterations)
-            return
         for _ in range(n_iterations):
             self.run_iteration()
-
-    def _run_compiled(self, n_iterations: int) -> None:
-        """Bulk-run the compiled program: (n−1)·fast + 1·traced steps.
-
-        The fast step only stores the loop-carried (PHI) registers; the
-        final traced step stores every computed node, so the visible
-        register file is identical to ``n_iterations`` interpreter
-        iterations (non-PHI registers only ever hold the last iteration's
-        values).  Numeric faults surface through the raised FP-error
-        state instead of a per-op ``isfinite`` check.
-        """
-        program = self._compiled
-        slots = self._slots
-        bus = self.bus
-        read, read_addr, write = bus.read, bus.read_addr, bus.write
-        fast, traced = program.step_fast, program.step_traced
-        done = 0
-        t0 = time.perf_counter()
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for _ in range(n_iterations - 1):
-                    fast(slots, read, read_addr, write)
-                    done += 1
-                traced(slots, read, read_addr, write)
-                done += 1
-        except FloatingPointError as exc:
-            raise ExecutionError(
-                f"non-finite value produced in iteration {self.iterations + done} "
-                f"of the compiled kernel: {exc}"
-            ) from exc
-        finally:
-            self.iterations += done
-            if done:
-                self.actuator_write_ticks = dict(program.actuator_write_ticks)
-            if _OBS.enabled and done:
-                elapsed = time.perf_counter() - t0
-                n_ops = len(program.entries)
-                _OPS_EXECUTED.inc(done * n_ops, executor="sequential")
-                _CONTEXT_SWITCHES.inc(done * self.schedule.length, executor="sequential")
-                _TICKS_PER_ITER.set(self.schedule.length, executor="sequential")
-                _ITERATIONS.inc(done, executor="sequential")
-                _ENGINE_ITERATIONS.inc(done, engine="compiled")
-                if elapsed > 0.0:
-                    _ITERS_PER_SECOND.set(done / elapsed, engine="compiled")
-                if _OBS.profile:
-                    from repro.obs.profile import record_program
-
-                    record_program(
-                        self.graph.name, "compiled", done, elapsed,
-                        program.op_class_counts,
-                    )
 
     def set_register(self, name: str, value: float) -> None:
         """Set a loop-carried register by name *between* iterations.
@@ -378,10 +284,7 @@ class CgraExecutor:
         nid = self._phi_named.get(name)
         if nid is None:
             raise ExecutionError(f"no loop-carried register named {name!r}")
-        if self._slots is not None:
-            self._slots[nid] = self._ftype(value)
-        else:
-            self._registers[nid] = self._round(value)
+        self.registers[nid] = self._round(value)
 
     def register_of(self, name: str) -> float:
         """Read the current value of a named node (debug/monitoring).
@@ -392,18 +295,10 @@ class CgraExecutor:
         nid = self._phi_named.get(name)
         if nid is None:
             # First named node (graph insertion order) holding a value.
-            if self._slots is not None:
-                for candidate in self._named_order.get(name, ()):
-                    if self._slots[candidate] is not None:
-                        nid = candidate
-                        break
-            else:
-                for candidate in self._named_order.get(name, ()):
-                    if candidate in self._registers:
-                        nid = candidate
-                        break
+            for candidate in self._named_order.get(name, ()):
+                if candidate in self.registers:
+                    nid = candidate
+                    break
         if nid is None:
             raise ExecutionError(f"no node named {name!r} with a value")
-        if self._slots is not None:
-            return float(self._slots[nid])
-        return self._registers[nid]
+        return self.registers[nid]

@@ -1,5 +1,9 @@
 """Cycle-accurate execution of modulo schedules (overlapped iterations).
 
+This is the interpreter for modulo schedules: like
+:class:`~repro.cgra.executor.CgraExecutor` it is an oracle, not a fast
+path.
+
 :class:`~repro.cgra.executor.CgraExecutor` runs one iteration at a time;
 a modulo schedule initiates a new iteration every II ticks *before* the
 previous one finishes, so its execution interleaves operations of
@@ -24,12 +28,10 @@ Two properties follow, and the tests pin both:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cgra.engine import _ENGINE_ITERATIONS, _ITERS_PER_SECOND, resolve_engine
 from repro.cgra.modulo import ModuloSchedule
 from repro.cgra.ops import Op
 from repro.cgra.sensor import SensorBus
@@ -50,6 +52,9 @@ _TICKS_PER_ITER = get_registry().gauge(
 )
 _ITERATIONS = get_registry().counter(
     "cgra_iterations_total", "model iterations executed"
+)
+_ENGINE_ITERATIONS = get_registry().counter(
+    "cgra_engine_iterations_total", "iterations executed, by engine"
 )
 
 
@@ -73,7 +78,6 @@ class PipelinedExecutor:
         params: dict[str, float] | None = None,
         precision: str = "single",
         verify: bool = False,
-        engine: str | None = None,
     ) -> None:
         if precision not in ("single", "double"):
             raise ExecutionError(f"precision must be 'single' or 'double', got {precision!r}")
@@ -114,9 +118,6 @@ class PipelinedExecutor:
         for node in self.graph.nodes.values():
             if node.name and not node.is_zero_time():
                 self._named_scheduled.setdefault(node.name, node.node_id)
-        self.engine = resolve_engine(engine)
-        if self.engine == "compiled":
-            self._build_compiled()
 
     def _round(self, value: float) -> float:
         return float(self._ftype(value))
@@ -177,165 +178,6 @@ class PipelinedExecutor:
             raise ExecutionError(f"non-finite value in node {node_id}")
         return value
 
-    # -- compiled engine ------------------------------------------------
-
-    def _build_compiled(self) -> None:
-        """Lower the modulo schedule into a closure-per-node tick plan.
-
-        Values live in rotating per-node rows of depth ``stage_count + 3``
-        (deep enough for every legal cross-stage read plus the PHI
-        back-edge into the next iteration); a parallel tag row records
-        which iteration each slot currently holds, so :meth:`value_of`
-        can still detect reads of unretained iterations.  Nodes are
-        bucketed by schedule phase (``start % II``) so the tick loop
-        touches only the ops that actually fire on each tick, in the
-        interpreter's exact (tick, node id) order.
-        """
-        ii = self.schedule.ii
-        depth = max(1, self.schedule.stage_count) + 3
-        self._depth = depth
-        rows = {nid: [0.0] * depth for nid in self.schedule.ops}
-        tag_rows = {nid: [-2] * depth for nid in self.schedule.ops}
-        self._rows = rows
-        self._tag_rows = tag_rows
-        by_phase: list[list] = [[] for _ in range(ii)]
-        for nid, (_pe, start) in self.schedule.ops.items():
-            fn = self._make_node_fn(nid, rows)
-            by_phase[start % ii].append((start, nid, fn, rows[nid], tag_rows[nid]))
-        for bucket in by_phase:
-            bucket.sort(key=lambda entry: entry[1])
-        self._by_phase = by_phase
-        starts = [start for (_pe, start) in self.schedule.ops.values()]
-        self._min_start = min(starts) if starts else 0
-        self._max_start = max(starts) if starts else -1
-
-    def _make_operand(self, node_id: int, rows: dict[int, list]) -> callable:
-        """Accessor closure ``get(iteration) -> float`` for one operand."""
-        node = self.graph.node(node_id)
-        if node.op in (Op.CONST, Op.PARAM):
-            constant = self._static[node_id]
-            return lambda k: constant
-        if node.op is Op.PHI:
-            if node.init_param is not None:
-                init = self._params[node.init_param]
-            else:
-                init = self._round(node.init_value)
-            inner = self._make_operand(node.back_edge, rows)
-            return lambda k: init if k == 0 else inner(k - 1)
-        row = rows[node_id]
-        depth = self._depth
-        return lambda k: row[k % depth]
-
-    def _make_node_fn(self, nid: int, rows: dict[int, list]) -> callable:
-        """Closure ``fn(iteration) -> float`` computing one scheduled op.
-
-        Per-op float32/float64 rounding matches :meth:`_apply` exactly;
-        non-finite results are detected by the ``np.errstate`` guard
-        around the tick loop instead of a per-op ``isfinite`` check.
-        """
-        node = self.graph.node(nid)
-        op = node.op
-        ft = self._ftype
-        rnd = self._round
-        if op is Op.SENSOR_READ:
-            read, sid = self.bus.read, node.sensor_id
-            return lambda k: rnd(read(sid))
-        if op is Op.SENSOR_READ_ADDR:
-            read_addr, sid = self.bus.read_addr, node.sensor_id
-            a0 = self._make_operand(node.operands[0], rows)
-            return lambda k: rnd(read_addr(sid, a0(k)))
-        if op is Op.ACTUATOR_WRITE:
-            write, sid = self.bus.write, node.sensor_id
-            a0 = self._make_operand(node.operands[0], rows)
-
-            def fn_write(k):
-                write(sid, a0(k))
-                return 0.0
-
-            return fn_write
-        args = [self._make_operand(o, rows) for o in node.operands]
-        if op is Op.FADD:
-            a0, a1 = args
-            return lambda k: float(ft(ft(a0(k)) + ft(a1(k))))
-        if op is Op.FSUB:
-            a0, a1 = args
-            return lambda k: float(ft(ft(a0(k)) - ft(a1(k))))
-        if op is Op.FMUL:
-            a0, a1 = args
-            return lambda k: float(ft(ft(a0(k)) * ft(a1(k))))
-        if op is Op.FDIV:
-            a0, a1 = args
-
-            def fn_div(k):
-                b = a1(k)
-                if b == 0.0:
-                    raise ExecutionError(f"division by zero in node {nid}")
-                return float(ft(ft(a0(k)) / ft(b)))
-
-            return fn_div
-        if op is Op.FSQRT:
-            a0 = args[0]
-            _sqrt = np.sqrt
-
-            def fn_sqrt(k):
-                a = a0(k)
-                if a < 0.0:
-                    raise ExecutionError(f"sqrt of negative in node {nid}")
-                return float(ft(_sqrt(ft(a))))
-
-            return fn_sqrt
-        if op is Op.FNEG:
-            a0 = args[0]
-            return lambda k: float(ft(-ft(a0(k))))
-        if op is Op.FMIN:
-            a0, a1 = args
-            return lambda k: float(ft(min(a0(k), a1(k))))
-        if op is Op.FMAX:
-            a0, a1 = args
-            return lambda k: float(ft(max(a0(k), a1(k))))
-        if op is Op.CMP_LT:
-            a0, a1 = args
-            return lambda k: 1.0 if a0(k) < a1(k) else 0.0
-        if op is Op.CMP_LE:
-            a0, a1 = args
-            return lambda k: 1.0 if a0(k) <= a1(k) else 0.0
-        if op is Op.SELECT:
-            a0, a1, a2 = args
-            return lambda k: a1(k) if a0(k) != 0.0 else a2(k)
-        raise ExecutionError(f"unhandled op {op}")  # pragma: no cover
-
-    def _run_compiled(self, n_iterations: int) -> None:
-        ii = self.schedule.ii
-        base = self.iterations
-        end = base + n_iterations
-        by_phase = self._by_phase
-        t_begin = base * ii + self._min_start
-        t_end = (end - 1) * ii + self._max_start
-        started = time.perf_counter()
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for t in range(t_begin, t_end + 1):
-                    for start, _nid, fn, row, tagrow in by_phase[t % ii]:
-                        k = (t - start) // ii
-                        if base <= k < end:
-                            slot = k % self._depth
-                            row[slot] = fn(k)
-                            tagrow[slot] = k
-        except FloatingPointError as exc:
-            raise ExecutionError(
-                f"non-finite value produced in the pipelined compiled kernel: {exc}"
-            ) from None
-        elapsed = time.perf_counter() - started
-        self.iterations = end
-        if _OBS.enabled:
-            _OPS_EXECUTED.inc(n_iterations * len(self.schedule.ops), executor="pipelined")
-            _CONTEXT_SWITCHES.inc(n_iterations * ii, executor="pipelined")
-            _TICKS_PER_ITER.set(ii, executor="pipelined")
-            _ITERATIONS.inc(n_iterations, executor="pipelined")
-            _ENGINE_ITERATIONS.inc(n_iterations, engine="compiled")
-            if elapsed > 0.0:
-                _ITERS_PER_SECOND.set(n_iterations / elapsed, engine="compiled")
-
     def run(self, n_iterations: int) -> None:
         """Execute ``n_iterations`` overlapped iterations to completion.
 
@@ -346,9 +188,6 @@ class PipelinedExecutor:
         if n_iterations < 0:
             raise ExecutionError("n_iterations must be non-negative")
         if n_iterations == 0:
-            return
-        if self.engine == "compiled":
-            self._run_compiled(n_iterations)
             return
         ii = self.schedule.ii
         base = self.iterations
@@ -400,12 +239,4 @@ class PipelinedExecutor:
         if nid is None:
             raise ExecutionError(f"no scheduled node named {name!r}")
         it = iteration if iteration is not None else self.iterations - 1
-        if self.engine == "compiled":
-            slot = it % self._depth
-            if it < 0 or self._tag_rows[nid][slot] != it:
-                raise ExecutionError(
-                    f"value of node {nid} iteration {it} not yet "
-                    "computed — dependence constraints violated"
-                )
-            return self._rows[nid][slot]
         return self._operand_value(nid, it)

@@ -1,8 +1,7 @@
 """Physical constants used throughout the reproduction.
 
-All values follow CODATA 2018 (matching :mod:`scipy.constants`), but are
-spelled out here so the package's numeric behaviour is pinned independently
-of the SciPy version installed.
+All values follow CODATA 2018 and are spelled out here, so the package's
+numeric behaviour does not depend on any library's copy of them.
 
 Unit conventions used across :mod:`repro`
 -----------------------------------------

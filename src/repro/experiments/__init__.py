@@ -24,7 +24,6 @@ from repro.experiments.reconfig import reconfiguration_table
 from repro.experiments.rampup import RampUpScenario, rampup_run
 from repro.experiments.landau import landau_damping_comparison
 from repro.experiments.dual_harmonic_study import dual_harmonic_landau_study
-from repro.experiments.runner import run_experiment
 
 __all__ = [
     "MDE_DATE",
@@ -43,5 +42,4 @@ __all__ = [
     "rampup_run",
     "landau_damping_comparison",
     "dual_harmonic_landau_study",
-    "run_experiment",
 ]

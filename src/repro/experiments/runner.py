@@ -50,7 +50,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cgra.engine import ENGINES, set_default_engine
 from repro.errors import ConfigurationError
 
 __all__ = ["main", "EXPERIMENTS", "run_experiment"]
@@ -500,11 +499,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the shard-safety lint of the "
                              "experiment/fault modules before running; "
                              "abort on any error")
-    parser.add_argument("--engine", choices=ENGINES,
-                        help="CGRA execution engine for this run (default: "
-                             "session default, 'interpreted'; batched "
-                             "experiments such as 'sweep' always run "
-                             "compiled)")
     parser.add_argument("--faults", metavar="PATH", default=None,
                         help="arm ad-hoc fault injection for this run: PATH "
                              "is a JSON list of FaultSpec dicts (see "
@@ -528,8 +522,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _RUNNER_OPTIONS["batch"] = args.batch
     _RUNNER_OPTIONS["jobs"] = args.jobs
-    if args.engine is not None:
-        set_default_engine(args.engine)
 
     fault_payload = None
     if args.faults is not None:

@@ -10,13 +10,14 @@ experiment sweeps (jump-amplitude scans, ablations, Monte-Carlo jitter
 studies) pay one engine iteration per revolution instead of ``B``.
 
 Per-lane semantics match :class:`repro.hil.simulator.CavityInTheLoop`
-with ``engine="cgra"``: the model math is bit-exact with the scalar
-compiled engine (the batch register file applies the same per-op
-float32/float64 rounding elementwise), while the analytic sensor
-handlers use NumPy transcendentals (``np.sin``) whose results may differ
-from ``math.sin`` by the platform libm's ULP — lane traces therefore
-agree with scalar runs to floating-point noise, not necessarily
-bit-for-bit (see docs/PERFORMANCE.md).
+with ``engine="cgra"``, which runs the cycle-accurate interpreter: the
+model math is bit-exact with it (the batch register file applies the
+same per-op float32/float64 rounding elementwise), while the analytic
+sensor handlers use NumPy transcendentals (``np.sin``) whose results may
+differ from ``math.sin`` by the platform libm's ULP — lane traces
+therefore agree with scalar runs to floating-point noise, not
+necessarily bit-for-bit (see docs/PERFORMANCE.md).  A one-lane batch is
+the compiled counterpart of a scalar CGRA bench.
 
 The per-lane sweep variable is the phase-jump amplitude; ring, ion and
 RF calibration are lane-uniform.  So are the period and reference-buffer
@@ -42,7 +43,7 @@ from repro.cgra.sensor import (
     SENSOR_REF_BUFFER,
     BatchSensorBus,
 )
-from repro.constants import TWO_PI, deg_to_rad
+from repro.constants import TWO_PI
 from repro.control import ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
@@ -382,73 +383,16 @@ class BatchedCavityInTheLoop:
             dt = self._delta_t[:, 0]
         return -360.0 * self.config.harmonic * self.f_rev * dt
 
-    def step_revolution(self) -> None:
-        """Advance all lanes by one revolution."""
-        f = self._faults
-        if f is not None:
-            f.update(self._time)
-        jump_rad = float(self._jump_unit.phase_rad_at(self._time)) * self._jump_amps
-        self._gap_phase_rad = jump_rad + deg_to_rad(self.control.last_output_deg)
-        self._executor.run_iteration()
-        self.control.update(self.measured_phase_deg())
-        self._turn += 1
-        self._time += 1.0 / self.f_rev
-
-    def _run_fast(self, n_turns: int, t_rev: float, rec_every: int, record) -> None:
-        """Drive ``n_turns`` revolutions through the batched engine's
-        callback loop (:meth:`BatchedCgraExecutor.run_driven`).
-
-        Per turn this performs exactly the :meth:`step_revolution`
-        sequence — deadline check, gap-phase update, engine iteration,
-        control update, time advance, optional record — but with one
-        errstate/telemetry envelope for the whole run and the per-turn
-        arrays updated in place instead of reallocated (each elementwise
-        op matches the allocating expression bit for bit).
-        """
-        amps = self._jump_amps
-        gap = self._gap_phase_rad
-        ctrl = self.control
-        jump_unit = self._jump_unit
-        deadline = self.deadline
-        d2r = math.pi / 180.0
-        m = -360.0 * self.config.harmonic * self.f_rev
-        use_bunch0 = self.config.control_source == "bunch0"
-        dt0 = self._delta_t[:, 0]
-        mbuf = np.empty(self.batch)
-        tmp = np.empty(self.batch)
-
-        faults = self._faults
-
-        def pre(i: int) -> None:
-            deadline.check_revolution(t_rev)
-            if faults is not None:
-                faults.update(self._time)
-            jr = jump_unit.phase_rad_at(self._time)
-            np.multiply(amps, jr, out=gap)
-            np.multiply(ctrl.last_output_deg, d2r, out=tmp)
-            np.add(gap, tmp, out=gap)
-
-        def post(i: int) -> None:
-            if use_bunch0:
-                np.multiply(dt0, m, out=mbuf)
-                ctrl.update(mbuf)
-            else:
-                ctrl.update(self.measured_phase_deg())
-            self._turn += 1
-            self._time += t_rev
-            if (i + 1) % rec_every == 0:
-                record()
-
-        self._executor.run_driven(n_turns, pre=pre, post=post)
-
-    def run(self, duration: float, *, _fast: bool = True) -> BatchHilRunResult:
+    def run(self, duration: float) -> BatchHilRunResult:
         """Run all lanes for ``duration`` seconds of machine time.
 
-        ``_fast`` selects the driven batched-engine loop (one telemetry
-        envelope for the whole run, scratch buffers reused across turns);
-        ``_fast=False`` keeps the per-turn :meth:`step_revolution` loop.
-        Both produce bit-identical results — the slow form exists as the
-        parity reference for tests.
+        The revolutions run inside the batched engine's callback loop
+        (:meth:`BatchedCgraExecutor.run_driven`): per turn, ``pre`` does
+        the deadline check and the gap-phase update, the engine steps
+        once, and ``post`` runs the control update, advances time and
+        records.  One errstate/telemetry envelope covers the whole run,
+        and the per-turn arrays are updated in place (each elementwise
+        op matches the allocating expression bit for bit).
         """
         if duration <= 0:
             raise HilError("duration must be positive")
@@ -473,6 +417,15 @@ class BatchedCavityInTheLoop:
         dt0 = self._delta_t[:, 0]
         use_bunch0 = self.config.control_source == "bunch0"
         amps = self._jump_amps
+        gap = self._gap_phase_rad
+        ctrl = self.control
+        jump_unit = self._jump_unit
+        deadline = self.deadline
+        faults = self._faults
+        d2r = math.pi / 180.0
+        t_rev = 1.0 / self.f_rev
+        mbuf = np.empty(B)
+        tmp = np.empty(B)
 
         def record() -> None:
             nonlocal idx
@@ -481,30 +434,42 @@ class BatchedCavityInTheLoop:
                 np.multiply(dt0, m, out=phase[idx])
             else:
                 phase[idx] = self.measured_phase_deg()
-            corr[idx] = self.control.last_output_deg
-            np.multiply(amps, self._jump_unit.phase_deg_at(self._time), out=jump[idx])
+            corr[idx] = ctrl.last_output_deg
+            np.multiply(amps, jump_unit.phase_deg_at(self._time), out=jump[idx])
             dts[idx] = dt0
             dts_all[idx] = self._delta_t
             gam[idx] = self._executor.register_view("gamma_r")
             idx += 1
 
+        def pre(i: int) -> None:
+            deadline.check_revolution(t_rev)
+            if faults is not None:
+                faults.update(self._time)
+            jr = jump_unit.phase_rad_at(self._time)
+            np.multiply(amps, jr, out=gap)
+            np.multiply(ctrl.last_output_deg, d2r, out=tmp)
+            np.add(gap, tmp, out=gap)
+
+        def post(i: int) -> None:
+            if use_bunch0:
+                np.multiply(dt0, m, out=mbuf)
+                ctrl.update(mbuf)
+            else:
+                ctrl.update(self.measured_phase_deg())
+            self._turn += 1
+            self._time += t_rev
+            if (i + 1) % rec_every == 0:
+                record()
+
         record()
-        t_rev = 1.0 / self.f_rev
         span_attrs = dict(batch=B, duration_s=duration, n_turns=n_turns)
-        if self._faults is not None:
-            span_attrs["fault"] = self._faults.label
+        if faults is not None:
+            span_attrs["fault"] = faults.label
         with get_tracer().span("hil.run_batched", **span_attrs):
             # One profiler phase for the whole lockstep loop (the
             # batched engine hook below it adds per-op-class detail).
             with get_profiler().phase("hil.run_batched"):
-                if _fast:
-                    self._run_fast(n_turns, t_rev, rec_every, record)
-                else:
-                    for n in range(n_turns):
-                        self.deadline.check_revolution(t_rev)
-                        self.step_revolution()
-                        if (n + 1) % rec_every == 0:
-                            record()
+                self._executor.run_driven(n_turns, pre=pre, post=post)
         stats = self.deadline.stats(allow_empty=True)
         if _OBS.enabled:
             _HIL_ITERATIONS.inc(n_turns, engine="batched")

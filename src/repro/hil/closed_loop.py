@@ -22,12 +22,11 @@ second-scale runs (their equivalence is pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from repro.cgra.engine import engine_name_error
 from repro.constants import deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError
@@ -61,9 +60,6 @@ class SampleAccurateBenchConfig:
     sample_rate: float = 250e6
     control: ControlLoopConfig | None = None
     n_bunches: int = 1
-    #: CGRA execution engine forwarded to the framework: ``"interpreted"``,
-    #: ``"compiled"``, or None for the session default.
-    engine: str | None = None
     #: IQ integration window in revolutions (longer = less noise, more lag).
     detector_window_revolutions: int = 2
 
@@ -72,9 +68,6 @@ class SampleAccurateBenchConfig:
             raise ConfigurationError("detector window must be >= 1 revolution")
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
-        error = engine_name_error(self.engine)
-        if error is not None:
-            raise ConfigurationError(error)
 
 
 @dataclass
@@ -110,7 +103,6 @@ class SampleAccurateBench:
             ),
             n_bunches=config.n_bunches,
             sample_rate=config.sample_rate,
-            engine=config.engine,
         ))
         self.jump = PhaseJumpPattern(
             jump_deg=config.jump_deg,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cgra.engine import engine_name_error
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -96,9 +95,6 @@ class FrameworkConfig:
     n_bunches: int = 1
     pipelined: bool = True
     precision: str = "single"
-    #: CGRA execution engine: ``"interpreted"``, ``"compiled"``, or None
-    #: for the session default.  Both are bit-exact.
-    engine: str | None = None
     cgra_config: CgraConfig = field(default_factory=CgraConfig)
     #: Beam pickup pulse sigma in seconds.
     pulse_sigma: float = 25e-9
@@ -114,9 +110,6 @@ class FrameworkConfig:
             )
         if self.gap_volts_per_adc_volt <= 0 or self.ref_volts_per_adc_volt <= 0:
             raise ConfigurationError("voltage scales must be positive")
-        error = engine_name_error(self.engine)
-        if error is not None:
-            raise ConfigurationError(error)
 
 
 class FpgaFramework:
@@ -238,7 +231,7 @@ class FpgaFramework:
             harmonic=cfg.harmonic,
         )
         self._executor = CgraExecutor(
-            self.model.schedule, self._bus, params, precision=cfg.precision, engine=cfg.engine
+            self.model.schedule, self._bus, params, precision=cfg.precision
         )
 
     def feed(self, ref_samples: np.ndarray, gap_samples: np.ndarray) -> tuple[Waveform, Waveform]:

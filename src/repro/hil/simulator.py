@@ -8,10 +8,13 @@ on the gap phase.
 
 Two engines share identical physics and calibration:
 
-* ``engine="cgra"`` — every revolution runs one cycle-accurate iteration
-  of the compiled CGRA contexts against analytic (optionally
-  ADC-quantised) sensor handlers.  This is the reference implementation
-  and validates the real hardware path, at interpreter speed.
+* ``engine="cgra"`` — every revolution runs one iteration of the
+  compiled CGRA contexts on the cycle-accurate interpreter
+  (:class:`~repro.cgra.executor.CgraExecutor`, the bit-exactness oracle)
+  against analytic (optionally ADC-quantised) sensor handlers.  This is
+  the reference implementation and validates the real hardware path, at
+  interpreter speed; the compiled engine runs it through
+  :class:`~repro.hil.batch.BatchedCavityInTheLoop`.
 * ``engine="python"`` — the same model equations inlined in Python
   floats, ~100× faster; used for second-scale Fig.-5 runs.  A dedicated
   test pins both engines against each other turn by turn.
@@ -31,7 +34,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.cgra.engine import engine_name_error
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -92,10 +94,6 @@ class HilConfig:
     control: ControlLoopConfig | None = None
     n_bunches: int = 1
     engine: str = "python"
-    #: CGRA execution engine when ``engine="cgra"``: ``"interpreted"``,
-    #: ``"compiled"``, or None for the session default
-    #: (:func:`repro.cgra.set_default_engine`).  Both are bit-exact.
-    cgra_engine: str | None = None
     precision: str = "single"
     pipelined: bool = True
     cgra_config: CgraConfig = field(default_factory=CgraConfig)
@@ -128,9 +126,6 @@ class HilConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("python", "cgra"):
             raise ConfigurationError(f"engine must be 'python' or 'cgra', got {self.engine!r}")
-        error = engine_name_error(self.cgra_engine, "cgra_engine")
-        if error is not None:
-            raise ConfigurationError(error)
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:
@@ -393,7 +388,6 @@ class CavityInTheLoop:
             bus,
             params,
             precision=self.config.precision,
-            engine=self.config.cgra_engine,
         )
 
     def _python_step(self) -> None:

@@ -91,9 +91,9 @@ def prime_compile_caches() -> None:
 
     Populates this process's keyed model cache for the configuration
     every built-in HIL bench uses (1 bunch, pipelined, default fabric),
-    then builds the flat compiled program so the generated-source cache
-    starts warm too — worker runs begin with cache hits instead of
-    tool-flow/codegen runs.
+    then builds its compiled program — the two batched steps the sweep
+    and fault campaign run — so worker runs begin with cache hits
+    instead of tool-flow/codegen runs.
     """
     from repro.cgra.engine import compile_program
     from repro.cgra.models import compile_beam_model

@@ -29,14 +29,8 @@ windowed-sinc designs are provided for spectral analysis and tests.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
-
-try:  # SciPy is optional: process() falls back to the scalar recurrence.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - environment-dependent
-    _lfilter = None
 
 from repro.constants import TWO_PI
 from repro.errors import SignalError
@@ -149,22 +143,14 @@ class PhaseControlFilter:
     def process(self, x: np.ndarray) -> np.ndarray:
         """Filter a whole trace (stateful, continues from previous calls).
 
-        The whole block runs through one ``scipy.signal.lfilter`` call
-        (bit-identical to the scalar recurrence: the single-pole IIR in
-        direct form II transposed performs the exact same float64
-        operations per sample); without SciPy the scalar loop is used.
+        Runs the :meth:`step` recurrence sample by sample, so the output
+        is bit-identical to stepping the same samples one at a time.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size == 0:
             return np.empty(0)
         xp, yp = self._x_prev, self._y_prev
         r, g, c = self.recursion_factor, self.gain, self._c
-        if _lfilter is not None:
-            u = g * c * (x - np.concatenate(([xp], x[:-1])))
-            out, _ = _lfilter([1.0], [1.0, -r], u, zi=[r * yp])
-            self._x_prev = float(x[-1])
-            self._y_prev = float(out[-1])
-            return out
         out = np.empty_like(x)
         for i in range(x.size):
             yp = r * yp + g * c * (x[i] - xp)

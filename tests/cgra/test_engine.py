@@ -1,12 +1,13 @@
-"""Parity tests for the compiled execution engine (repro.cgra.engine).
+"""Parity tests for the compiled engine (repro.cgra.engine).
 
-The compiled engine lowers a verified schedule into a flat pre-resolved
-Python program.  Its contract is **bit-exactness**: for every kernel,
-precision and executor, the register trace, actuator writes and fault
-behaviour must be identical — not approximately, to the last ULP — to
-the cycle-accurate interpreter.  These tests compare the two engines
-iteration by iteration on every built-in beam model, on the batched
-lockstep executor, and on the pipelined (modulo-scheduled) executor.
+The compiled engine (:class:`BatchedCgraExecutor`) lowers a verified
+schedule into flat generated NumPy code that advances B lanes in
+lockstep.  Its contract is **bit-exactness** with the cycle-accurate
+interpreter (:class:`CgraExecutor`), the oracle: for every kernel,
+precision and lane, the register file, actuator writes and fault
+behaviour must be identical — not approximately, to the last ULP.
+These tests compare the two iteration by iteration on the built-in beam
+models, through the host interface, and on numeric faults.
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ from repro.cgra import (
     BatchSensorBus,
     BatchedCgraExecutor,
     CgraExecutor,
-    PipelinedExecutor,
     SensorBus,
     compile_beam_model,
-    get_default_engine,
-    set_default_engine,
 )
-from repro.cgra.engine import compile_program, resolve_engine
+from repro.cgra.engine import compile_program
 from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
-from repro.cgra.modulo import ModuloScheduler
 from repro.cgra.scheduler import ListScheduler
 from repro.cgra.sensor import (
     ACTUATOR_DELTA_T,
@@ -41,12 +38,9 @@ from repro.cgra.sensor import (
 from repro.errors import ExecutionError
 from repro.physics import KNOWN_IONS, SIS18
 
-
-@pytest.fixture(autouse=True)
-def _restore_default_engine():
-    saved = get_default_engine()
-    yield
-    set_default_engine(saved)
+#: Per-lane gap-voltage scales of the batched beam-model runs: the lanes
+#: differ, so the bunch math runs on ``[B]`` arrays.
+V_SCALES = (4862.0, 5000.0, 4000.0)
 
 
 def _beam_params(model):
@@ -63,85 +57,124 @@ def _beam_params(model):
     )
 
 
+def _ref(a):
+    # The reference particle is lane-uniform: a scalar address.
+    return math.sin(2 * math.pi * 800e3 * a / 250e6)
+
+
+def _rational(amp):
+    # Bounded rational — evaluates identically in scalar Python floats
+    # and elementwise NumPy float64 (IEEE mult/div/abs only), so per-lane
+    # reads compare exactly on every platform.
+    return lambda a: amp * (a * 1e-3) / (1.0 + abs(a) * 1e-3)
+
+
+_gap = _rational(0.6)
+
+
 def _scalar_bus(n_bunches):
     bus = SensorBus()
     bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
-    bus.register_addr_reader(
-        SENSOR_REF_BUFFER, lambda a: math.sin(2 * math.pi * 800e3 * a / 250e6)
-    )
-    bus.register_addr_reader(
-        SENSOR_GAP_BUFFER,
-        lambda a: math.sin(2 * math.pi * 3.2e6 * a / 250e6 + 0.14),
-    )
+    bus.register_addr_reader(SENSOR_REF_BUFFER, _ref)
+    bus.register_addr_reader(SENSOR_GAP_BUFFER, _gap)
     outs: list[float] = []
     for i in range(n_bunches):
         bus.register_writer(ACTUATOR_DELTA_T + i, outs.append)
     return bus, outs
 
 
+def _batch_bus(n_bunches, batch):
+    bus = BatchSensorBus(batch)
+    bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
+    bus.register_addr_reader(SENSOR_REF_BUFFER, _ref)
+    bus.register_addr_reader(SENSOR_GAP_BUFFER, _gap)
+    outs: list[np.ndarray] = []
+    for i in range(n_bunches):
+        bus.register_writer(ACTUATOR_DELTA_T + i, lambda v: outs.append(np.array(v)))
+    return bus, outs
+
+
+def _pair(model, precision="single"):
+    """A batched executor with one lane per :data:`V_SCALES` entry, and
+    one interpreter (with its write log) per lane."""
+    params = _beam_params(model)
+    bus_b, outs_b = _batch_bus(model.n_bunches, len(V_SCALES))
+    ex_b = BatchedCgraExecutor(model.schedule, bus_b, {**params, "V_SCALE": list(V_SCALES)},
+                               precision=precision)
+    lanes = []
+    for v_scale in V_SCALES:
+        bus_i, outs_i = _scalar_bus(model.n_bunches)
+        lanes.append((CgraExecutor(model.schedule, bus_i, {**params, "V_SCALE": v_scale},
+                                   precision=precision), outs_i))
+    return ex_b, outs_b, lanes
+
+
+def _assert_writes_match(outs_b, lanes):
+    for lane, (_ex_i, outs_i) in enumerate(lanes):
+        assert [float(w[lane]) for w in outs_b] == outs_i, f"lane {lane} writes"
+
+
 class TestSequentialParity:
-    """Interpreted vs compiled on the sequential executor."""
+    """Each lane of the compiled engine vs the interpreter."""
 
     @pytest.mark.parametrize("n_bunches", [1, 2, 4])
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_beam_model_bit_exact(self, n_bunches, precision):
         model = compile_beam_model(n_bunches=n_bunches, pipelined=True)
-        params = _beam_params(model)
-        bus_i, outs_i = _scalar_bus(n_bunches)
-        bus_c, outs_c = _scalar_bus(n_bunches)
-        ex_i = CgraExecutor(model.schedule, bus_i, params,
-                            precision=precision, engine="interpreted")
-        ex_c = CgraExecutor(model.schedule, bus_c, params,
-                            precision=precision, engine="compiled")
+        ex_b, outs_b, lanes = _pair(model, precision)
         for _ in range(40):
-            ex_i.run_iteration()
-            ex_c.run_iteration()
-            # Full register file, exact float equality every iteration.
-            assert ex_c.registers == ex_i.registers
-        assert outs_c == outs_i
-        assert ex_c.iterations == ex_i.iterations == 40
-        assert ex_c.actuator_write_ticks == ex_i.actuator_write_ticks
+            ex_b.run_iteration()
+            for lane, (ex_i, _outs) in enumerate(lanes):
+                ex_i.run_iteration()
+                # Full register file, exact float equality every iteration.
+                assert ex_b.lane_registers(lane) == ex_i.registers, f"lane {lane}"
+        _assert_writes_match(outs_b, lanes)
+        for ex_i, _outs in lanes:
+            assert ex_b.iterations == ex_i.iterations == 40
+            assert ex_b.actuator_write_ticks == ex_i.actuator_write_ticks
 
     def test_unpipelined_model(self):
         model = compile_beam_model(n_bunches=1, pipelined=False)
-        params = _beam_params(model)
-        bus_i, outs_i = _scalar_bus(1)
-        bus_c, outs_c = _scalar_bus(1)
-        CgraExecutor(model.schedule, bus_i, params, engine="interpreted").run(30)
-        CgraExecutor(model.schedule, bus_c, params, engine="compiled").run(30)
-        assert outs_c == outs_i
+        ex_b, outs_b, lanes = _pair(model)
+        ex_b.run(30)
+        for ex_i, _outs in lanes:
+            ex_i.run(30)
+        _assert_writes_match(outs_b, lanes)
 
     def test_host_interface_matches(self):
         """set_param / set_register / register_of behave identically."""
         model = compile_beam_model(n_bunches=1)
-        params = _beam_params(model)
-        bus_i, _ = _scalar_bus(1)
-        bus_c, _ = _scalar_bus(1)
-        ex_i = CgraExecutor(model.schedule, bus_i, params, engine="interpreted")
-        ex_c = CgraExecutor(model.schedule, bus_c, params, engine="compiled")
-        for ex in (ex_i, ex_c):
-            ex.run(5)
-            ex.set_register("dt[0]", 3.5e-9)
-            ex.set_param("V_SCALE", 5000.0)
-            ex.run(15)
-        assert ex_c.register_of("dt[0]") == ex_i.register_of("dt[0]")
-        assert ex_c.register_of("gamma_r") == ex_i.register_of("gamma_r")
-        assert ex_c.registers == ex_i.registers
+        ex_b, _outs, lanes = _pair(model)
+        offsets = [3.5e-9, -1.0e-9, 0.0]
+        scales = [5000.0, 4500.0, 5200.0]
+        ex_b.run(5)
+        ex_b.set_register("dt[0]", offsets)
+        ex_b.set_param("V_SCALE", scales)
+        ex_b.run(15)
+        for lane, (ex_i, _outs) in enumerate(lanes):
+            ex_i.run(5)
+            ex_i.set_register("dt[0]", offsets[lane])
+            ex_i.set_param("V_SCALE", scales[lane])
+            ex_i.run(15)
+            assert ex_b.register_of("dt[0]")[lane] == ex_i.register_of("dt[0]")
+            assert ex_b.register_of("gamma_r")[lane] == ex_i.register_of("gamma_r")
+            assert ex_b.lane_registers(lane) == ex_i.registers
 
     def test_unknown_names_raise(self):
         model = compile_beam_model(n_bunches=1)
-        bus, _ = _scalar_bus(1)
-        ex = CgraExecutor(model.schedule, bus, _beam_params(model), engine="compiled")
-        with pytest.raises(ExecutionError):
-            ex.set_param("no_such_param", 1.0)
-        with pytest.raises(ExecutionError):
-            ex.set_register("no_such_reg", 1.0)
-        with pytest.raises(ExecutionError):
-            ex.register_of("no_such_node")
+        ex_b, _outs, lanes = _pair(model)
+        for ex in (ex_b, lanes[0][0]):
+            with pytest.raises(ExecutionError):
+                ex.set_param("no_such_param", 1.0)
+            with pytest.raises(ExecutionError):
+                ex.set_register("no_such_reg", 1.0)
+            with pytest.raises(ExecutionError):
+                ex.register_of("no_such_node")
 
 
 class TestFaultParity:
-    """Numeric faults must raise the same error text in every engine."""
+    """Numeric faults raise the interpreter's error text, after the
+    interpreter's iteration count, in the compiled engine."""
 
     DIV = "void k(float p) { float x = 1.0; while (1) { x = x / p; } }"
     SQRT = "void k(float p) { float x = 1.0; while (1) { x = sqrt(p); } }"
@@ -153,42 +186,10 @@ class TestFaultParity:
         graph = compile_c_to_dfg(source)
         return ListScheduler(CgraFabric(CgraConfig(rows=2, cols=2))).schedule(graph)
 
-    def _executors(self, source, params):
-        schedule = self._schedule(source)
-        ex_i = CgraExecutor(schedule, SensorBus(), dict(params), engine="interpreted")
-        ex_c = CgraExecutor(schedule, SensorBus(), dict(params), engine="compiled")
-        return ex_i, ex_c
-
-    def test_division_by_zero(self):
-        ex_i, ex_c = self._executors(self.DIV, {"p": 0.0})
-        with pytest.raises(ExecutionError) as err_i:
-            ex_i.run(1)
-        with pytest.raises(ExecutionError) as err_c:
-            ex_c.run(1)
-        assert str(err_c.value) == str(err_i.value)
-        assert "division by zero in node" in str(err_c.value)
-
-    def test_sqrt_of_negative(self):
-        ex_i, ex_c = self._executors(self.SQRT, {"p": -1.0})
-        with pytest.raises(ExecutionError) as err_i:
-            ex_i.run(1)
-        with pytest.raises(ExecutionError) as err_c:
-            ex_c.run(1)
-        assert str(err_c.value) == str(err_i.value)
-
-    def test_iteration_count_after_fault(self):
-        """A fault in iteration k leaves both engines at k-1 iterations."""
-        ex_i, ex_c = self._executors(self.COUNTDOWN, {"p": 1.0})
-        for ex in (ex_i, ex_c):
-            with pytest.raises(ExecutionError):
-                ex.run(10)
-        assert ex_c.iterations == ex_i.iterations == 2
-
     # The batched step has no guards: errstate raises and the fault is
     # translated back to the interpreter's text.  Each case runs once
     # with a lane-uniform parameter (scalar registers) and once with one
     # faulting lane out of four.
-    @pytest.mark.parametrize("engine", ["compiled"])
     @pytest.mark.parametrize("driven", [False, True], ids=["run", "run_driven"])
     @pytest.mark.parametrize(
         "source, fault_p, lanes_p, text",
@@ -199,15 +200,13 @@ class TestFaultParity:
         ],
         ids=["division_by_zero", "sqrt_of_negative", "iteration_count"],
     )
-    def test_batched_matches_interpreter(self, engine, driven, source, fault_p, lanes_p, text):
-        ex_i = CgraExecutor(self._schedule(source), SensorBus(), {"p": fault_p},
-                            engine="interpreted")
+    def test_batched_matches_interpreter(self, driven, source, fault_p, lanes_p, text):
+        ex_i = CgraExecutor(self._schedule(source), SensorBus(), {"p": fault_p})
         with pytest.raises(ExecutionError) as err_i:
             ex_i.run(10)
         assert text in str(err_i.value)
         for p in (fault_p, lanes_p):
-            ex_b = BatchedCgraExecutor(self._schedule(source), BatchSensorBus(4), {"p": p},
-                                       engine=engine)
+            ex_b = BatchedCgraExecutor(self._schedule(source), BatchSensorBus(4), {"p": p})
             with pytest.raises(ExecutionError) as err_b:
                 ex_b.run_driven(10) if driven else ex_b.run(10)
             assert str(err_b.value) == str(err_i.value)
@@ -236,24 +235,19 @@ class TestFaultParity:
 
 
 class TestBatchedParity:
-    """Each lane of the batched executor is bit-identical to a scalar run."""
+    """Each lane of the batched executor is bit-identical to an
+    interpreter run."""
 
     BATCH = 5
-
-    @staticmethod
-    def _handler(amp):
-        # Bounded rational — evaluates identically in scalar Python
-        # floats and elementwise NumPy float64 (IEEE mult/div/abs only).
-        return lambda a: amp * (a * 1e-3) / (1.0 + abs(a) * 1e-3)
 
     def _scalar_run(self, model, params, ref_amp, gap_amp, n_iter):
         bus = SensorBus()
         bus.register_reader(SENSOR_PERIOD, lambda: 1.25e-6)
-        bus.register_addr_reader(SENSOR_REF_BUFFER, self._handler(ref_amp))
-        bus.register_addr_reader(SENSOR_GAP_BUFFER, self._handler(gap_amp))
+        bus.register_addr_reader(SENSOR_REF_BUFFER, _rational(ref_amp))
+        bus.register_addr_reader(SENSOR_GAP_BUFFER, _rational(gap_amp))
         outs: list[float] = []
         bus.register_writer(ACTUATOR_DELTA_T, outs.append)
-        ex = CgraExecutor(model.schedule, bus, params, engine="compiled")
+        ex = CgraExecutor(model.schedule, bus, params)
         traces = []
         for _ in range(n_iter):
             ex.run_iteration()
@@ -263,7 +257,7 @@ class TestBatchedParity:
     def _check_lanes(self, ref_amp):
         """Run the beam model on 5 lanes with per-lane gap reads and the
         reference handler scaled by ``ref_amp`` (per lane, or a scalar
-        for lane-uniform reads); assert every lane equals its scalar run.
+        for lane-uniform reads); assert every lane equals its interpreter run.
         Returns the reference addresses seen and the per-iteration
         ``gamma_r`` register views."""
         model = compile_beam_model(n_bunches=1)
@@ -312,8 +306,8 @@ class TestBatchedParity:
 
     def test_lane_uniform_reads_stay_scalar(self):
         """A scalar period and NumPy-polymorphic handlers: the reference
-        reads are lane-uniform, every lane still matches its scalar run
-        bit for bit, and the reference particle stays a NumPy scalar."""
+        reads are lane-uniform, every lane still matches its interpreter
+        run bit for bit, and the reference particle stays a NumPy scalar."""
         addresses, gamma_views = self._check_lanes(0.7)
         assert all(type(a) is np.float64 for a in addresses)
         assert all(isinstance(g, np.generic) for g in gamma_views)
@@ -363,79 +357,8 @@ class TestBatchedParity:
         assert ex.register_of("dt[0]").tolist() == [0.0, 0.0, 0.0]
 
 
-class TestPipelinedParity:
-    """Interpreted vs compiled on the modulo-scheduled executor."""
-
-    @pytest.mark.parametrize("precision", ["single", "double"])
-    def test_beam_model_bit_exact(self, precision):
-        model = compile_beam_model(n_bunches=2, pipelined=True)
-        msched = ModuloScheduler(model.schedule.fabric).schedule(model.graph)
-        params = _beam_params(model)
-        bus_i, outs_i = _scalar_bus(2)
-        bus_c, outs_c = _scalar_bus(2)
-        ex_i = PipelinedExecutor(msched, bus_i, params,
-                                 precision=precision, engine="interpreted")
-        ex_c = PipelinedExecutor(msched, bus_c, params,
-                                 precision=precision, engine="compiled")
-        ex_i.run(12)
-        ex_c.run(12)
-        ex_i.run(18)  # incremental run resumes the software pipeline
-        ex_c.run(18)
-        assert outs_c == outs_i
-        # The compiled engine retains a rotating window of recent
-        # iterations (stage_count + 3 deep); compare within it.
-        for it in (27, 28, 29, None):
-            assert ex_c.value_of("dt[0]", it) == ex_i.value_of("dt[0]", it)
-            assert ex_c.value_of("gamma_r", it) == ex_i.value_of("gamma_r", it)
-
-    def test_stale_read_raises_in_both(self):
-        model = compile_beam_model(n_bunches=1, pipelined=True)
-        msched = ModuloScheduler(model.schedule.fabric).schedule(model.graph)
-        params = _beam_params(model)
-        for engine in ("interpreted", "compiled"):
-            bus, _ = _scalar_bus(1)
-            ex = PipelinedExecutor(msched, bus, params, engine=engine)
-            ex.run(4)
-            with pytest.raises(ExecutionError):
-                ex.value_of("dt[0]", 100)  # far beyond the rotation window
-
-
 class TestEngineSelection:
-    def test_resolve_and_default(self):
-        assert resolve_engine(None) == get_default_engine()
-        assert resolve_engine("compiled") == "compiled"
-        set_default_engine("compiled")
-        assert get_default_engine() == "compiled"
-        model = compile_beam_model(n_bunches=1)
-        bus, _ = _scalar_bus(1)
-        ex = CgraExecutor(model.schedule, bus, _beam_params(model))
-        assert ex.engine == "compiled"
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ExecutionError):
-            resolve_engine("jit")
-        with pytest.raises(ExecutionError):
-            set_default_engine("fast")
-        model = compile_beam_model(n_bunches=1)
-        bus, _ = _scalar_bus(1)
-        with pytest.raises(ExecutionError):
-            CgraExecutor(model.schedule, bus, _beam_params(model), engine="llvm")
-        # An unknown engine fails at construction, naming the engines
-        # that exist.
-        for executor, engine_bus in ((CgraExecutor, bus),
-                                     (BatchedCgraExecutor, BatchSensorBus(2))):
-            with pytest.raises(ExecutionError, match="'interpreted', 'compiled'"):
-                executor(model.schedule, engine_bus, _beam_params(model),
-                         engine="vector")
-
-    def test_auto_is_a_deprecated_alias_of_compiled(self):
-        with pytest.warns(DeprecationWarning, match="'auto' is deprecated"):
-            assert resolve_engine("auto") == "compiled"
-        model = compile_beam_model(n_bunches=1)
-        bus, _ = _scalar_bus(1)
-        with pytest.warns(DeprecationWarning):
-            ex = CgraExecutor(model.schedule, bus, _beam_params(model), engine="auto")
-        assert ex.engine == "compiled"
+    """Every executor of one schedule selects the same compiled program."""
 
     def test_program_is_cached_per_schedule(self):
         model = compile_beam_model(n_bunches=1)

@@ -83,6 +83,8 @@ class TestValueEquivalence:
         assert isinstance(ex.value_of("x"), float)
         with pytest.raises(ExecutionError):
             ex.value_of("nope")
+        with pytest.raises(ExecutionError):
+            ex.value_of("x", 100)  # an iteration that has not run
 
 
 class TestPipelinedTimeline:

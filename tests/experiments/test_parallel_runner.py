@@ -44,28 +44,6 @@ class TestCsvBytePinning:
             pooled / "jitter.csv"
         ).read_bytes()
 
-    def test_jitter_csv_identical_across_engines(self, tmp_path):
-        """The engine seam never changes results: the compiled engine is
-        bit-exact with the interpreter, so the CSV is byte-identical for
-        every --engine choice, inline or on two workers."""
-        from repro.cgra import get_default_engine, set_default_engine
-
-        saved = get_default_engine()
-        try:
-            outputs = {}
-            for label, extra in (
-                ("interpreted", ["--engine", "interpreted"]),
-                ("compiled", ["--engine", "compiled"]),
-                ("compiled_pooled", ["--engine", "compiled", "--jobs", "2"]),
-            ):
-                out = tmp_path / label
-                assert main(["jitter", "--out", str(out), "--quick", *extra]) == 0
-                outputs[label] = (out / "jitter.csv").read_bytes()
-            assert outputs["compiled"] == outputs["interpreted"]
-            assert outputs["compiled_pooled"] == outputs["interpreted"]
-        finally:
-            set_default_engine(saved)
-
     def test_sweep_csv_identical_across_engines_and_jobs(self, tmp_path):
         """The ``sweep --quick`` CSV is pinned by digest, inline and on
         two workers.  Recorded on x86-64 with NumPy 2.4, where it was

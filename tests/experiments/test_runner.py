@@ -76,6 +76,25 @@ class TestCli:
         assert main(["bogus", "--out", str(tmp_path)]) == 2
         assert "ERROR" in capsys.readouterr().err
 
+    def test_module_entrypoint_loads_runner_once(self):
+        """``python -m repro.experiments.runner`` must not import the
+        runner as a package member first: runpy would then warn that it
+        is found in sys.modules and run a second copy as __main__."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.runner", "--list"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fig5a" in proc.stdout
+
 
 class TestTelemetryFlags:
     def test_metrics_writes_snapshot_and_report(self, tmp_path, capsys):

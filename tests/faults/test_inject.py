@@ -241,19 +241,25 @@ class TestBitIdentity:
 
 class TestEngineParityUnderFault:
     def test_cgra_tiers_bit_exact_with_faults(self):
-        """Faults act in the sensor handlers every engine shares, so
-        the bit-exactness of the CGRA tiers survives injection."""
+        """Faults act in the sensor handlers every engine shares, so the
+        compiled engine (a one-lane batched bench) stays bit-exact with
+        the interpreter (the scalar CGRA bench) under injection."""
         specs = (
             _spec(magnitude=0.4, onset=0.0005, duration=0.001),
             _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=6.0, onset=0.001),
         )
-        results = {}
-        for tier in ("interpreted", "compiled"):
-            res = CavityInTheLoop(
-                mde.bench_config(engine="cgra", cgra_engine=tier, faults=specs)
-            ).run(0.003)
-            results[tier] = np.asarray(res.phase_deg)
-        np.testing.assert_array_equal(results["interpreted"], results["compiled"])
+        scalar = CavityInTheLoop(
+            mde.bench_config(engine="cgra", record_every=1, faults=specs)
+        ).run(0.003)
+        batched = BatchedCavityInTheLoop(
+            _batch_config(1, faults=specs, record_every=1)
+        ).run(0.003)
+        assert len(scalar.time) == 2401
+        for name in ("time", "phase_deg", "correction_deg", "jump_deg",
+                     "delta_t", "delta_t_all", "gamma_ref"):
+            want = np.asarray(getattr(scalar, name))
+            got = getattr(batched, name)
+            np.testing.assert_array_equal(got if name == "time" else got[:, 0], want)
 
     def test_python_and_cgra_close_with_faults(self):
         """python vs cgra keep their usual 1e-9 parity under a smooth

@@ -2,14 +2,17 @@
 
 The batched bench advances B full closed loops with one compiled
 program.  Its contract: each lane evolves exactly as a scalar
-``CavityInTheLoop`` run with that lane's jump amplitude (same engine,
-same quantisation).  The model math is bit-exact per lane; the analytic
-``np.sin`` sensors match ``math.sin`` on this platform, so the traces
-compare with exact equality here — fall back to allclose only if a
-platform's libm disagrees (see docs/PERFORMANCE.md).
+``CavityInTheLoop(engine="cgra")`` run — the cycle-accurate interpreter
+— with that lane's jump amplitude (same quantisation).  The model math
+is bit-exact per lane; the analytic ``np.sin`` sensors match
+``math.sin`` on this platform, so the traces compare with exact
+equality here — fall back to allclose only if a platform's libm
+disagrees (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,6 +24,71 @@ from repro.physics import KNOWN_IONS, SIS18
 
 ION = KNOWN_IONS["14N7+"]
 AMPS = (4.0, 8.0, 12.0)
+
+#: (shape, sha256) of every array of ``test_driven_loop_digests``' run,
+#: by control source (x86-64, NumPy 2.4).
+DRIVEN_DIGESTS = {
+    "bunch0": {
+        "time": (
+            (1067,),
+            "a07d5188726f356b2b25f79b2c73c92b205f53466e4f6bb3ea519467e57932c7",
+        ),
+        "phase_deg": (
+            (1067, 3),
+            "582499bc1b07d824d97c13304b6aac2982199b369c290efbe40e222e69864ca5",
+        ),
+        "correction_deg": (
+            (1067, 3),
+            "34dc8b1e9d96d84f279755a830bf774f51508445d0a1e314cbc62729028e1e43",
+        ),
+        "jump_deg": (
+            (1067, 3),
+            "eb82b382736699f56ac5b449c82d87a4cd48907272a0c99ce3ff8baabb29c6c7",
+        ),
+        "delta_t": (
+            (1067, 3),
+            "5bb3e3ec8adcf083547bb9344aaab4ad8bd5469adb479c0ce605272ff9eabd8e",
+        ),
+        "delta_t_all": (
+            (1067, 3, 2),
+            "c197eaf7fdecf1c83dd5d62af6a638bee30ad89b633264d88c62bd6a475b7916",
+        ),
+        "gamma_ref": (
+            (1067, 3),
+            "9480ec7d80bfde48691c8cf7549a253e27ad027b1fe87ffccb2c89f19a90f78c",
+        ),
+    },
+    "mean": {
+        "time": (
+            (1067,),
+            "a07d5188726f356b2b25f79b2c73c92b205f53466e4f6bb3ea519467e57932c7",
+        ),
+        "phase_deg": (
+            (1067, 3),
+            "7a9667651267e3c7cc00b2ab9ee785bbdfac1b231dd59228d4ef799b72285309",
+        ),
+        "correction_deg": (
+            (1067, 3),
+            "514e4b3a8fc65c70ce84e55d01d7bfad4c0b8d124de658d34e9c844157ceac2c",
+        ),
+        "jump_deg": (
+            (1067, 3),
+            "eb82b382736699f56ac5b449c82d87a4cd48907272a0c99ce3ff8baabb29c6c7",
+        ),
+        "delta_t": (
+            (1067, 3),
+            "5dda44dd57efb191ef943e6ed3b1b16cce04c057de42cc1f76dbbf6c098b92bd",
+        ),
+        "delta_t_all": (
+            (1067, 3, 2),
+            "5595736efe6ff3f69ccc1d1c88fe0ce57f42e010a3b13a2d6b4cc67b6bf29a5a",
+        ),
+        "gamma_ref": (
+            (1067, 3),
+            "9480ec7d80bfde48691c8cf7549a253e27ad027b1fe87ffccb2c89f19a90f78c",
+        ),
+    },
+}
 
 
 def _batch_config(**overrides):
@@ -43,7 +111,6 @@ def _scalar_config(jump_deg, **overrides):
         jump_start_time=0.002,
         record_every=4,
         engine="cgra",
-        cgra_engine="compiled",
     )
     defaults.update(overrides)
     return HilConfig(**defaults)
@@ -65,23 +132,24 @@ class TestBatchedHil:
             assert np.array_equal(batched.delta_t_all[:, lane, :],
                                   scalar.delta_t_all)
 
-    def test_fast_loop_matches_reference_loop(self):
-        """run() drives the engine's callback loop (run_driven); the
-        ``_fast=False`` path keeps the original per-turn
-        ``step_revolution()`` loop as an executable reference.  Both
-        must produce bit-identical records and end state."""
-        cfg = _batch_config(n_bunches=2, record_every=3)
-        fast_bench = BatchedCavityInTheLoop(cfg)
-        slow_bench = BatchedCavityInTheLoop(cfg)
-        fast = fast_bench.run(0.004)
-        slow = slow_bench.run(0.004, _fast=False)
-        for name in ("time", "phase_deg", "correction_deg", "jump_deg",
-                     "delta_t", "delta_t_all", "gamma_ref"):
-            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-        assert fast_bench._turn == slow_bench._turn
-        assert fast_bench._time == slow_bench._time
-        assert (fast_bench.control.saturation_count
-                == slow_bench.control.saturation_count)
+    @pytest.mark.parametrize("control_source", ["bunch0", "mean"])
+    def test_driven_loop_digests(self, control_source):
+        """Two bunches, every third turn recorded: the sha256 of every
+        result array, and the end state.  The digests were recorded when
+        a per-turn reference loop still existed and matched this run bit
+        for bit; ``"mean"`` takes the other branch of the control update
+        and of the phase record."""
+        bench = BatchedCavityInTheLoop(
+            _batch_config(n_bunches=2, record_every=3, control_source=control_source)
+        )
+        result = bench.run(0.004)
+        for name, expected in DRIVEN_DIGESTS[control_source].items():
+            array = getattr(result, name)
+            digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+            assert (array.shape, digest) == expected, name
+        assert bench._turn == 3200
+        assert bench._time == 0.003999999999999891
+        assert bench.control.saturation_count == 0
 
     def test_control_damps_every_lane(self):
         cfg = _batch_config(jump_deg=(6.0, 10.0), jump_start_time=0.001)

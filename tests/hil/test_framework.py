@@ -52,11 +52,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             make_framework(gap_volts_per_adc_volt=-1.0)
 
-    def test_engine_names(self):
-        with pytest.raises(ConfigurationError, match="engine must be one of"):
-            make_framework(engine="vector")
-        assert make_framework().config.engine is None  # resolved per run
-
 
 class TestInitialisation:
     def test_waits_four_periods(self):

@@ -18,11 +18,8 @@ def config(**overrides):
 
 class TestConfigValidation:
     def test_engine_names(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="engine must be 'python' or 'cgra'"):
             config(engine="verilog")
-        with pytest.raises(ConfigurationError, match="cgra_engine must be one of"):
-            config(engine="cgra", cgra_engine="vector")
-        assert config(engine="cgra").cgra_engine is None  # resolved per run
 
     def test_bunch_bounds(self):
         with pytest.raises(ConfigurationError):

@@ -72,11 +72,3 @@ class TestValidation:
                 ring=SIS18, ion=KNOWN_IONS["14N7+"],
                 detector_window_revolutions=0,
             )
-
-    def test_engine_names(self):
-        with pytest.raises(ConfigurationError, match="engine must be one of"):
-            SampleAccurateBenchConfig(
-                ring=SIS18, ion=KNOWN_IONS["14N7+"], engine="vector",
-            )
-        config = SampleAccurateBenchConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"])
-        assert config.engine is None  # resolved per run

@@ -1,9 +1,10 @@
 """Property-based parity of the compiled engine over random DFGs.
 
 Reuses the random mini-C kernel generator from the differential suite:
-for *any* accepted kernel, the compiled engine (and each lane of the
-batched engine) must be bit-identical to the cycle-accurate interpreter
-— actuator writes and loop-carried registers, exact float equality.
+for *any* accepted kernel, every lane of the compiled engine
+(:class:`BatchedCgraExecutor`) must be bit-identical to the
+cycle-accurate interpreter — actuator writes and the whole register
+file, exact float equality.
 """
 
 from __future__ import annotations
@@ -11,13 +12,24 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cgra.engine import clear_program_cache
+from repro.cgra.engine import BatchedCgraExecutor, clear_program_cache
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
 from repro.cgra.scheduler import ListScheduler
-from repro.cgra.sensor import BatchSensorBus
-from tests.properties.test_differential_execution import _make_bus, kernels
+from repro.cgra.sensor import BatchSensorBus, SensorBus
+from tests.properties.test_differential_execution import kernels
+
+#: Per-lane offset of the sensor stream and of the loop-carried
+#: registers; lane 0 runs the kernel as written.
+LANE_OFFSETS = (0.0, 0.375, -1.25)
+
+
+def _sensor_value(n, offset):
+    # Bounded rational of the read count: IEEE add/mul/div/abs only, so
+    # a scalar read and one lane of an array read agree bit for bit.
+    u = n * 0.37 + offset
+    return u / (1.0 + abs(u))
 
 
 class TestCompiledEngineProperties:
@@ -27,65 +39,41 @@ class TestCompiledEngineProperties:
         source, names = kernel
         graph = compile_c_to_dfg(source)
         schedule = ListScheduler(CgraFabric(CgraConfig(rows=3, cols=3))).schedule(graph)
+        carried = sorted({phi.name for phi in graph.phis()} & set(names))
+        offsets = np.asarray(LANE_OFFSETS)
+        n_iter = 20
 
-        bus_i, outs_i = _make_bus()
-        ex_i = CgraExecutor(schedule, bus_i, {}, precision=precision,
-                            engine="interpreted")
-        bus_c, outs_c = _make_bus()
-        ex_c = CgraExecutor(schedule, bus_c, {}, precision=precision,
-                            engine="compiled")
-        ex_i.run(20)
-        ex_c.run(20)
-
-        assert outs_c == outs_i  # exact float equality, not approx
-        carried = {phi.name for phi in graph.phis()}
-        for name in set(names) & carried:
-            assert ex_c.register_of(name) == ex_i.register_of(name)
-        clear_program_cache()  # random schedules: don't accumulate programs
-
-    @settings(max_examples=25, deadline=None)
-    @given(kernel=kernels())
-    def test_batched_lanes_match_scalar(self, kernel):
-        source, names = kernel
-        graph = compile_c_to_dfg(source)
-        schedule = ListScheduler(CgraFabric(CgraConfig(rows=2, cols=2))).schedule(graph)
-        batch = 3
-
-        # The kernel generator's sensor is stateful (a call counter).  A
-        # batched run issues exactly one logical read per site, same as
-        # a scalar run, so lane-uniform broadcasting keeps the streams
-        # aligned — lane parity then follows from elementwise IEEE ops.
-        scalar_traces = []
-        for _ in range(batch):
-            bus, outs = _make_bus()
-            ex = CgraExecutor(schedule, bus, {}, engine="compiled")
-            ex.run(15)
-            carried = sorted({phi.name for phi in graph.phis()} & set(names))
-            scalar_traces.append(
-                (tuple(outs), tuple(ex.register_of(n) for n in carried))
-            )
-        assert scalar_traces.count(scalar_traces[0]) == batch  # deterministic
-
-        from repro.cgra.engine import BatchedCgraExecutor
-
-        bbus = BatchSensorBus(batch=batch)
-        counter = {"n": 0}
+        bus = BatchSensorBus(batch=len(offsets))
+        reads = {"n": 0}
 
         def sensor():
-            counter["n"] += 1
-            return np.sin(counter["n"] * 0.37)
+            reads["n"] += 1
+            return _sensor_value(reads["n"], offsets)
 
-        bbus.register_reader(0, sensor)
-        bouts: list[np.ndarray] = []
-        bbus.register_writer(16, lambda v: bouts.append(np.array(v)))
-        bex = BatchedCgraExecutor(schedule, bbus, {})
-        bex.run(15)
+        bus.register_reader(0, sensor)
+        writes: list[np.ndarray] = []
+        bus.register_writer(16, lambda v: writes.append(np.array(v)))
+        batched = BatchedCgraExecutor(schedule, bus, {}, precision=precision)
+        for name in carried:
+            batched.set_register(name, batched.register_of(name) + offsets)
+        batched.run(n_iter)
 
-        expect_outs, expect_regs = scalar_traces[0]
-        for lane in range(batch):
-            assert tuple(float(w[lane]) for w in bouts) == expect_outs
-        carried = sorted({phi.name for phi in graph.phis()} & set(names))
-        for name, expect in zip(carried, expect_regs):
-            lanes = bex.register_of(name)
-            assert all(float(v) == expect for v in lanes)
-        clear_program_cache()
+        for lane, offset in enumerate(LANE_OFFSETS):
+            scalar_bus = SensorBus()
+            lane_reads = {"n": 0}
+
+            def lane_sensor(offset=offset):
+                lane_reads["n"] += 1
+                return _sensor_value(lane_reads["n"], offset)
+
+            scalar_bus.register_reader(0, lane_sensor)
+            outs: list[float] = []
+            scalar_bus.register_writer(16, outs.append)
+            oracle = CgraExecutor(schedule, scalar_bus, {}, precision=precision)
+            for name in carried:
+                oracle.set_register(name, oracle.register_of(name) + offset)
+            oracle.run(n_iter)
+
+            assert [float(w[lane]) for w in writes] == outs  # exact, not approx
+            assert batched.lane_registers(lane) == oracle.registers
+        clear_program_cache()  # random schedules: don't accumulate programs

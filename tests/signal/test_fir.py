@@ -111,8 +111,8 @@ class TestPhaseControlFilter:
 
 
 class TestVectorizedProcess:
-    """The lfilter-vectorized process() must be bit-identical to the
-    scalar step() recurrence, including state carried across blocks."""
+    """Block-wise process() must be bit-identical to the scalar step()
+    recurrence, including state carried across blocks."""
 
     def test_process_bit_exact_with_step(self):
         rng = np.random.default_rng(3)
