@@ -174,6 +174,7 @@ class MachineExperimentEmulator:
             self._time += 1.0 / self.f_rev
             if (n + 1) % every == 0:
                 record()
+        self.control.publish()
         return MachineRunResult(
             time=time[:idx],
             phase_deg=phase[:idx],

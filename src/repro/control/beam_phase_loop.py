@@ -13,6 +13,11 @@ Wiring (sign conventions, fixed here once for the whole repository):
 
 The loop may saturate its correction (hardware phase shifters have
 limited range); saturation events are counted.
+
+Telemetry: :meth:`BeamPhaseControlLoop.update` writes nothing to the
+registry.  The loop counts its updates and saturations and keeps its
+last input and output; the run owner hands them to the ``control_*``
+metrics once per run through :meth:`BeamPhaseControlLoop.publish`.
 """
 
 from __future__ import annotations
@@ -90,8 +95,12 @@ class BeamPhaseControlLoop:
         )
         self._tick = 0
         self._last_output = 0.0
+        self._last_input = 0.0
         #: Number of updates that hit the saturation limit.
         self.saturation_count = 0
+        # Executed updates and saturations not yet published.
+        self._updates = 0
+        self._saturations = 0
         self._observers: list[Callable[[int, float, float], None]] = []
 
     def add_observer(self, fn: Callable[[int, float, float], None]) -> None:
@@ -120,7 +129,9 @@ class BeamPhaseControlLoop:
 
         Honors ``update_divider`` (measurements between updates are
         skipped, holding the previous output, as a decimating DSP would)
-        and ``enabled``.
+        and ``enabled``.  Registry telemetry waits for :meth:`publish`;
+        only a saturation emits its ``control.saturated`` trace event
+        here, while tracing is on.
         """
         if not self.config.enabled:
             self._last_output = 0.0
@@ -130,22 +141,36 @@ class BeamPhaseControlLoop:
         if not run_now:
             return self._last_output
         u = self._filter.step(float(measured_phase_deg))
+        self._updates += 1
         limit = self.config.saturation_deg
-        saturated = limit is not None and abs(u) > limit
-        if saturated:
+        if limit is not None and abs(u) > limit:
             u = limit if u > 0 else -limit
             self.saturation_count += 1
-        self._last_output = u
-        if _OBS.enabled:
-            _PHASE_ERROR.set(measured_phase_deg)
-            _CORRECTION.set(u)
-            _UPDATES.inc()
-            if saturated:
-                _SATURATION.inc()
+            self._saturations += 1
+            if _OBS.trace:
                 get_tracer().event(
                     "control.saturated", phase_deg=measured_phase_deg, output_deg=u
                 )
+        self._last_input = measured_phase_deg
+        self._last_output = u
         if self._observers:
             for fn in self._observers:
                 fn(self._tick - 1, float(measured_phase_deg), u)
         return u
+
+    def publish(self) -> None:
+        """Hand the updates executed since the last call to the registry:
+        the last input and output to the ``control_phase_error_deg`` and
+        ``control_correction_deg`` gauges, the update and saturation
+        counts to their counters (no-ops while observability is
+        disabled).  Publishing again without new updates changes
+        nothing."""
+        if not self._updates:
+            return
+        _PHASE_ERROR.set(self._last_input)
+        _CORRECTION.set(self._last_output)
+        _UPDATES.inc(self._updates)
+        if self._saturations:
+            _SATURATION.inc(self._saturations)
+        self._updates = 0
+        self._saturations = 0

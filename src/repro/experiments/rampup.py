@@ -168,6 +168,7 @@ def rampup_run(
         t += t_rev
         turn += 1
 
+    deadline.publish()
     arr = np.asarray(records)
     return RampUpResult(
         time=arr[:, 0],

@@ -470,6 +470,9 @@ class BatchedCavityInTheLoop:
             # batched engine hook below it adds per-op-class detail).
             with get_profiler().phase("hil.run_batched"):
                 self._executor.run_driven(n_turns, pre=pre, post=post)
+        # The run's per-revolution telemetry, once (no-ops while disabled).
+        self.deadline.publish()
+        self._adc.publish()
         stats = self.deadline.stats(allow_empty=True)
         if _OBS.enabled:
             _HIL_ITERATIONS.inc(n_turns, engine="batched")

@@ -201,6 +201,9 @@ class SampleAccurateBench:
             correction[i] = self.control.last_output_deg
             t += n / self.config.sample_rate
             span.end()
+        # The run's per-revolution telemetry, once (no-ops while disabled).
+        self.framework.deadline.publish()
+        self.control.publish()
         if _OBS.enabled:
             record_hil_run(
                 name="sample_accurate_bench",

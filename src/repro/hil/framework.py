@@ -22,7 +22,10 @@ buffers "need to hold at least two full cycles of the reference voltage".
 A :class:`~repro.hil.softcore.ParameterInterface` exposes the runtime
 knobs (output scaling, monitor-source select, recording), and every
 iteration is checked against the revolution deadline by a
-:class:`~repro.hil.realtime.DeadlineMonitor`.
+:class:`~repro.hil.realtime.DeadlineMonitor`.  The monitor's slack
+record reaches the telemetry registry when whoever drives the framework
+calls ``framework.deadline.publish()`` at the end of its run
+(:class:`~repro.hil.closed_loop.SampleAccurateBench` does).
 """
 
 from __future__ import annotations

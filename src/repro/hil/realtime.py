@@ -9,22 +9,27 @@ slack statistics; by default a miss raises
 silently overruns its deadline produces wrong physics, not just late
 answers.
 
-Telemetry: every checked revolution feeds the ``hil_slack_ticks``
-histogram and, on a miss, ``hil_deadline_misses_total`` in the global
-:mod:`repro.obs` registry (no-ops while observability is disabled);
+Telemetry: the monitor keeps its per-revolution slack record in a typed
+float buffer and writes nothing to the registry per revolution.  The
+run owner calls :meth:`DeadlineMonitor.publish` once at the end of its
+run, which feeds the revolutions checked since the previous publication
+to the ``hil_slack_ticks`` histogram and their misses to
+``hil_deadline_misses_total`` (no-ops while observability is disabled).
+A miss under the ``"raise"`` policy publishes before it raises, so the
+miss is counted even though the run never reaches its end.
 :meth:`DeadlineMonitor.stats` reports exact p50/p99 slack percentiles
 from the full per-iteration record.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, RealTimeViolation
 from repro.obs import get_registry
-from repro.obs._state import STATE as _OBS
 
 __all__ = ["JitterStats", "DeadlineMonitor"]
 
@@ -103,8 +108,11 @@ class DeadlineMonitor:
         self.schedule_length_ticks = int(schedule_length_ticks)
         self.cgra_clock_hz = float(cgra_clock_hz)
         self.policy = policy
-        self._slacks: list[float] = []
+        self._slacks = array("d")
         self._misses = 0
+        # What publish() has already handed to the registry.
+        self._published = 0
+        self._published_misses = 0
 
     def check_revolution(self, revolution_period_s: float) -> float:
         """Account one revolution; returns the slack in ticks."""
@@ -113,13 +121,10 @@ class DeadlineMonitor:
         budget = revolution_period_s * self.cgra_clock_hz
         slack = budget - self.schedule_length_ticks
         self._slacks.append(slack)
-        if _OBS.enabled:
-            _SLACK_HIST.observe(slack)
         if slack < 0:
             self._misses += 1
-            if _OBS.enabled:
-                _MISSES.inc()
             if self.policy == "raise":
+                self.publish()
                 raise RealTimeViolation(
                     f"iteration needs {self.schedule_length_ticks} ticks but the "
                     f"revolution budget is {budget:.1f} ticks "
@@ -127,14 +132,30 @@ class DeadlineMonitor:
                 )
         return slack
 
+    def publish(self) -> None:
+        """Feed the revolutions checked since the last call to
+        ``hil_slack_ticks`` and their misses to ``hil_deadline_misses_total``.
+
+        Publishing again without new revolutions adds nothing.  The
+        histogram reads the record in place; its view dies with the
+        call, so the buffer can keep growing afterwards.
+        """
+        n = len(self._slacks)
+        if n > self._published:
+            _SLACK_HIST.observe_many(np.frombuffer(self._slacks)[self._published:])
+            self._published = n
+        if self._misses > self._published_misses:
+            _MISSES.inc(self._misses - self._published_misses)
+            self._published_misses = self._misses
+
     @property
     def n_checked(self) -> int:
         """Revolutions accounted so far."""
         return len(self._slacks)
 
     def slacks(self) -> np.ndarray:
-        """The full per-iteration slack record (ticks), oldest first."""
-        return np.asarray(self._slacks, dtype=float)
+        """The full per-iteration slack record (ticks), oldest first (a copy)."""
+        return np.array(self._slacks, dtype=float)
 
     def stats(self, allow_empty: bool = False) -> JitterStats:
         """Summary over all checked revolutions.
@@ -147,7 +168,7 @@ class DeadlineMonitor:
             if allow_empty:
                 return JitterStats.empty()
             raise ConfigurationError("no revolutions checked yet")
-        arr = np.asarray(self._slacks)
+        arr = np.frombuffer(self._slacks)
         return JitterStats(
             n_iterations=arr.size,
             min_slack=float(arr.min()),

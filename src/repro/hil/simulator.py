@@ -275,6 +275,18 @@ class CavityInTheLoop:
             cgra_clock_hz=config.cgra_config.clock_mhz * 1e6,
         )
 
+        # Run constants of the per-revolution model equations.
+        self._t_rev = 1.0 / self.f_rev
+        self._spacing = self._t_rev / config.harmonic
+        self._qmc2 = ion.gamma_gain_per_volt()
+        self._circumference = ring.circumference
+        self._alpha_c = ring.alpha_c
+        #: Phase-detector scale: degrees at h·f_R per second of Δt.
+        self._deg_per_s = -360.0 * config.harmonic * self.f_rev
+        # Angular frequencies of the reference and gap DDS signals.
+        self._w_ref = TWO_PI * self.f_rev
+        self._w_gap = TWO_PI * config.harmonic * self.f_rev
+
         # Mutable run state:
         self._gap_phase_rad = 0.0
         self._time = 0.0
@@ -292,13 +304,15 @@ class CavityInTheLoop:
                 if value != 0.0:
                     self._executor.set_register(f"dt[{i}]", float(value))
         else:
+            # Per-bunch state in Python floats: every operation below is
+            # the same IEEE-754 double operation NumPy scalars would do.
             self._py_gamma_r = self.gamma0
-            self._py_dgamma = np.zeros(config.n_bunches)
-            self._py_dt = initial.copy()
+            self._py_dgamma = [0.0] * config.n_bunches
+            self._py_dt = initial.tolist()
             # Pipelined semantics: stage 2 consumes the voltages sensed in
             # the *previous* iteration (the pipeline_barrier() registers).
             self._py_prev_v_r = 0.0
-            self._py_prev_v_a = np.zeros(config.n_bunches)
+            self._py_prev_v_a = [0.0] * config.n_bunches
         self._delta_t[:] = initial
 
     # -- engine plumbing -------------------------------------------------
@@ -317,13 +331,13 @@ class CavityInTheLoop:
         :mod:`repro.faults.inject`).
         """
         t = addr_samples / 250e6
-        v = self.config.adc_amplitude * math.sin(TWO_PI * self.f_rev * t)
+        v = self.config.adc_amplitude * math.sin(self._w_ref * t)
         return self._maybe_quantize(v)
 
     def _gap_adc_voltage(self, addr_samples: float) -> float:
         """Gap-buffer read: (dual-)harmonic signal with the commanded phase."""
         t = addr_samples / 250e6
-        base = TWO_PI * self.config.harmonic * self.f_rev * t + self._gap_phase_rad
+        base = self._w_gap * t + self._gap_phase_rad
         f = self._faults
         if f is not None and f.active:
             return self._faulted_gap_voltage(base, f)
@@ -365,7 +379,7 @@ class CavityInTheLoop:
 
     def _build_executor(self) -> CgraExecutor:
         bus = SensorBus()
-        t_rev = 1.0 / self.f_rev
+        t_rev = self._t_rev
         bus.register_reader(SENSOR_PERIOD, lambda: t_rev)
         bus.register_addr_reader(SENSOR_REF_BUFFER, self._ref_adc_voltage)
         bus.register_addr_reader(SENSOR_GAP_BUFFER, self._gap_adc_voltage)
@@ -396,35 +410,37 @@ class CavityInTheLoop:
         The Δt outputs are latched *before* the update (stage-1 IO), so
         the visible output matches the CGRA's by construction.
         """
-        cfg = self.config
-        self._delta_t[:] = self._py_dt
-        t_rev = 1.0 / self.f_rev
+        dt = self._py_dt
+        n = len(dt)
+        self._delta_t[:] = dt
         gamma_r = self._py_gamma_r
         inv_g2 = 1.0 / (gamma_r * gamma_r)
         beta_r = math.sqrt(1.0 - inv_g2)
-        t_ref = cfg.ring.circumference / (beta_r * SPEED_OF_LIGHT)
-        d_t = t_ref - t_rev
+        t_ref = self._circumference / (beta_r * SPEED_OF_LIGHT)
+        d_t = t_ref - self._t_rev
         v_r = self._ref_adc_voltage(d_t * 250e6) * self.ref_scale
-        spacing = t_rev / cfg.harmonic
-        qmc2 = cfg.ion.gamma_gain_per_volt()
-        v_a = np.empty(cfg.n_bunches)
-        for i in range(cfg.n_bunches):
-            addr = (d_t + spacing * i + self._py_dt[i]) * 250e6
-            v_a[i] = self._gap_adc_voltage(addr) * self.gap_scale
-        if cfg.pipelined:
+        spacing, gap_scale = self._spacing, self.gap_scale
+        v_a = [
+            self._gap_adc_voltage((d_t + spacing * i + dt[i]) * 250e6) * gap_scale
+            for i in range(n)
+        ]
+        if self.config.pipelined:
             # Swap in the previous iteration's voltages (pipeline registers).
             v_r, self._py_prev_v_r = self._py_prev_v_r, v_r
             v_a, self._py_prev_v_a = self._py_prev_v_a, v_a
+        qmc2 = self._qmc2
         gamma_r = gamma_r + qmc2 * v_r
         inv_g2n = 1.0 / (gamma_r * gamma_r)
-        eta = cfg.ring.alpha_c - inv_g2n
+        eta = self._alpha_c - inv_g2n
         beta_r2 = 1.0 - inv_g2n
-        k_dt = cfg.ring.circumference * eta / (beta_r2 * SPEED_OF_LIGHT * gamma_r)
-        for i in range(cfg.n_bunches):
-            self._py_dgamma[i] += qmc2 * (v_a[i] - v_r)
-            gamma_a = gamma_r + self._py_dgamma[i]
+        k_dt = self._circumference * eta / (beta_r2 * SPEED_OF_LIGHT * gamma_r)
+        dgamma = self._py_dgamma
+        for i in range(n):
+            dg = dgamma[i] + qmc2 * (v_a[i] - v_r)
+            dgamma[i] = dg
+            gamma_a = gamma_r + dg
             beta_a = math.sqrt(1.0 - 1.0 / (gamma_a * gamma_a))
-            self._py_dt[i] += k_dt * self._py_dgamma[i] / beta_a
+            dt[i] += k_dt * dg / beta_a
         self._py_gamma_r = gamma_r
 
     # -- the loop ---------------------------------------------------------
@@ -441,7 +457,7 @@ class CavityInTheLoop:
             dt = float(self._delta_t.mean())
         else:
             dt = float(self._delta_t[0])
-        return -360.0 * self.config.harmonic * self.f_rev * dt
+        return self._deg_per_s * dt
 
     def step_revolution(self) -> None:
         """Advance the closed loop by one revolution.
@@ -468,7 +484,7 @@ class CavityInTheLoop:
         # 3. DSP measurement + control update.
         self.control.update(self.measured_phase_deg())
         self._turn += 1
-        self._time += 1.0 / self.f_rev
+        self._time += self._t_rev
 
     def _step_revolution_profiled(self) -> None:
         """step_revolution with per-phase timing (profiling on)."""
@@ -491,7 +507,7 @@ class CavityInTheLoop:
         profiler.add("hil.compute", t2 - t1)
         profiler.add("hil.sense", t3 - t2)
         self._turn += 1
-        self._time += 1.0 / self.f_rev
+        self._time += self._t_rev
 
     def run(self, duration: float) -> HilRunResult:
         """Run the bench for ``duration`` seconds of machine time."""
@@ -527,7 +543,7 @@ class CavityInTheLoop:
             idx += 1
 
         record()
-        t_rev = 1.0 / self.f_rev
+        t_rev = self._t_rev
         span_attrs = dict(
             engine=self.config.engine, duration_s=duration, n_turns=n_turns
         )
@@ -539,6 +555,10 @@ class CavityInTheLoop:
                 self.step_revolution()
                 if (n + 1) % rec_every == 0:
                     record()
+        # The run's per-revolution telemetry, once (no-ops while disabled).
+        self.deadline.publish()
+        self._adc.publish()
+        self.control.publish()
         # allow_empty guards the degenerate sub-revolution duration
         # (n_turns == 0): well-defined empty stats, not a crash.
         stats = self.deadline.stats(allow_empty=True)

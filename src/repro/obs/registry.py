@@ -29,6 +29,8 @@ import math
 import threading
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.obs._state import STATE
 
@@ -53,6 +55,11 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
     + [10.0**e for e in range(-1, 7)]
     + [math.inf]
 )
+
+
+#: Values :meth:`Histogram.observe_many` bins per pass (bounds its
+#: temporaries to a few tens of KiB whatever the input length).
+_OBSERVE_CHUNK = 4096
 
 
 def _label_key(labels: dict) -> tuple:
@@ -245,10 +252,46 @@ class Histogram(_Instrument):
             s.max = value
 
     def observe_many(self, values: Iterable[float], **labels) -> None:
+        """Observe every value in order, vectorized.
+
+        Bit-identical to calling :meth:`observe` once per value: the
+        bucket of each value is the first bound ``>=`` it (NaN lands in
+        the ``+inf`` bucket), the sum accumulates left to right from the
+        series' running sum, and min/max skip NaN and keep the first of
+        equal values (so the sign of a zero extreme matches too).  A
+        buffer-protocol input (``array('d')``, ndarray) is read in
+        place, chunk by chunk, so no full-length temporary is built.
+        """
         if not STATE.enabled:
             return
-        for v in values:
-            self.observe(float(v), **labels)
+        if not hasattr(values, "__len__"):  # a generator or other iterator
+            values = np.fromiter(values, dtype=float)
+        values = np.asarray(values, dtype=float).reshape(-1)
+        if values.size == 0:
+            return
+        s = self._get(labels)
+        bounds = np.asarray(self.buckets)
+        n_buckets = len(self.buckets)
+        total = np.empty(_OBSERVE_CHUNK + 1)
+        for start in range(0, values.size, _OBSERVE_CHUNK):
+            chunk = values[start:start + _OBSERVE_CHUNK]
+            n = chunk.size
+            index = np.minimum(np.searchsorted(bounds, chunk), n_buckets - 1)
+            for i, c in enumerate(np.bincount(index, minlength=n_buckets).tolist()):
+                if c:
+                    s.counts[i] += c
+            s.count += n
+            total[0] = s.sum
+            total[1:n + 1] = chunk
+            # Python float addition overflows to inf and yields NaN silently.
+            with np.errstate(over="ignore", invalid="ignore"):
+                s.sum = float(np.add.accumulate(total[:n + 1])[-1])
+            low = float(np.fmin.reduce(chunk))
+            if low < s.min:
+                s.min = float(chunk[np.argmax(chunk == low)])
+            high = float(np.fmax.reduce(chunk))
+            if high > s.max:
+                s.max = float(chunk[np.argmax(chunk == high)])
 
     def count(self, **labels) -> int:
         s = self._series.get(_label_key(labels))

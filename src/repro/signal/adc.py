@@ -81,6 +81,9 @@ class ADC:
         self._lsb = self.vpp / (2**self.bits)
         self._code_min = -(2 ** (self.bits - 1))
         self._code_max = 2 ** (self.bits - 1) - 1
+        # Scalar-path samples and clips not yet published (see publish()).
+        self._scalar_samples = 0
+        self._scalar_clips = 0
 
     @property
     def full_scale(self) -> float:
@@ -161,25 +164,41 @@ class ADC:
     def convert_scalar(self, volts: float) -> int:
         """Scalar fast path of :meth:`convert` — identical transfer
         function without the ndarray round-trip (Python ``round`` and
-        ``np.round`` are both round-half-even)."""
+        ``np.round`` are both round-half-even).
+
+        Telemetry: the sample and clip counts accumulate on this ADC;
+        the run owner hands them to the registry once per run through
+        :meth:`publish` (the array path :meth:`convert` still counts per
+        call, one registry write per block).
+        """
         v = float(volts)
         if self.noise_rms > 0.0:
             v += self._rng.normal(0.0, self.noise_rms)
-        code = round(v / self.lsb)
-        lo, hi = self.code_min, self.code_max
-        if _OBS.enabled:
-            _SAMPLES.inc()
-            if code < lo or code > hi:
-                _CLIPS.inc()
-        if code < lo:
-            return lo
-        if code > hi:
-            return hi
+        code = round(v / self._lsb)
+        self._scalar_samples += 1
+        if code < self._code_min:
+            self._scalar_clips += 1
+            return self._code_min
+        if code > self._code_max:
+            self._scalar_clips += 1
+            return self._code_max
         return code
+
+    def publish(self) -> None:
+        """Add the scalar-path samples and clips counted since the last
+        call to ``signal_adc_samples_total`` / ``signal_adc_clips_total``
+        (no-ops while observability is disabled); publishing again adds
+        nothing."""
+        if self._scalar_samples:
+            _SAMPLES.inc(self._scalar_samples)
+            self._scalar_samples = 0
+        if self._scalar_clips:
+            _CLIPS.inc(self._scalar_clips)
+            self._scalar_clips = 0
 
     def quantize_scalar(self, volts: float) -> float:
         """Scalar fast path of :meth:`quantize` (identical transfer)."""
-        return self.convert_scalar(volts) * self.lsb
+        return self.convert_scalar(volts) * self._lsb
 
     def sample_waveform(self, waveform: Waveform) -> Waveform:
         """Quantise an already-sampled waveform at this ADC's resolution.

@@ -89,6 +89,7 @@ class TestDeadlineMonitor:
             mon = DeadlineMonitor(128, policy="count")
             mon.check_revolution(1 / 800e3)
             mon.check_revolution(1 / 1.0e6)  # miss
+            mon.publish()
             hist = obs.metrics().get("hil_slack_ticks")
             misses = obs.metrics().get("hil_deadline_misses_total")
             assert hist.count() == 2

@@ -1,7 +1,10 @@
 """Counter/gauge/histogram semantics, labels and no-op mode."""
 
 import math
+import struct
+from array import array
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -124,6 +127,67 @@ class TestHistogram:
         assert h.buckets[-1] == math.inf
         h.observe(100.0)
         assert h.count() == 1
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestObserveMany:
+    """observe_many is repeated observe, bit for bit."""
+
+    @staticmethod
+    def _assert_same(one_by_one, vectorized):
+        (a,), (b,) = one_by_one.state().values(), vectorized.state().values()
+        assert a["counts"] == b["counts"]
+        assert a["count"] == b["count"]
+        for moment in ("sum", "min", "max"):
+            assert _bits(a[moment]) == _bits(b[moment]), moment
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_repeated_observe(self, enabled, seed):
+        rng = np.random.default_rng(seed)
+        # Wide dynamic range across every bucket, longer than one chunk,
+        # with exact bucket bounds, signed zeros, rails and NaN mixed in.
+        n = 9000
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 8, n)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 100.0, -0.1, 1e308]
+        at = rng.integers(0, n, 40)
+        values[at] = [specials[i % len(specials)] for i in range(40)]
+        one_by_one = enabled.histogram(f"one_{seed}")
+        vectorized = enabled.histogram(f"many_{seed}")
+        for v in (3.5, -2.0):  # a running series to continue from
+            one_by_one.observe(v)
+            vectorized.observe(v)
+        for v in values:
+            one_by_one.observe(v)
+        source = array("d", values.tolist()) if seed % 2 else values
+        vectorized.observe_many(source)
+        self._assert_same(one_by_one, vectorized)
+
+    @pytest.mark.parametrize("values", [
+        [math.nan, math.nan],
+        [math.inf, -math.inf, math.nan],
+        [0.0, -0.0, -0.0],
+        [-0.0, 0.0],
+        [1e308, 1e308, -5.0],
+        [],
+    ])
+    def test_edge_values(self, enabled, values):
+        one_by_one = enabled.histogram("one")
+        vectorized = enabled.histogram("many")
+        one_by_one.observe(1.0)
+        vectorized.observe(1.0)
+        for v in values:
+            one_by_one.observe(v)
+        vectorized.observe_many(values)
+        self._assert_same(one_by_one, vectorized)
+
+    def test_typed_buffer_can_grow_afterwards(self, enabled):
+        record = array("d", [1.0, 2.0])
+        enabled.histogram("grow").observe_many(record)
+        record.append(3.0)  # BufferError if a view outlived the call
+        assert enabled.histogram("grow").count() == 2
 
 
 class TestRegistry:
