@@ -73,6 +73,8 @@ class MachineExperimentConfig:
             raise ConfigurationError("sigma_delta_t must be positive")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        if self.control is not None:
+            self.control.check_revolution_frequency(self.revolution_frequency)
 
 
 @dataclass
@@ -107,6 +109,11 @@ class MachineExperimentEmulator:
             ring, ion, self.rf, self.gamma0, config.sigma_delta_t, config.n_particles, rng
         )
         self._gap_phase_rad = 0.0
+        self._omega_rf = 2.0 * math.pi * config.harmonic * self.f_rev
+        # Gap-voltage buffer _gap_voltage fills and returns every turn.
+        self._v_gap = np.empty(config.n_particles)
+        # Dipole phase per second of mean Δt: −360°·h·f_R.
+        self._phase_per_s = -360.0 * config.harmonic * self.f_rev
         self.tracker = MultiParticleTracker(
             ring, ion, self.rf, delta_t, delta_gamma, self.gamma0,
             gap_voltage=self._gap_voltage,
@@ -130,17 +137,22 @@ class MachineExperimentEmulator:
             )
         self.control = BeamPhaseControlLoop(loop_cfg)
         self._time = 0.0
-        # Scratch phase buffer reused each turn.
-        self._omega_rf = 2.0 * math.pi * config.harmonic * self.f_rev
 
     def _gap_voltage(self, delta_t: np.ndarray, f_rev: float, turn: int) -> np.ndarray:
-        """Gap voltage for the whole ensemble with the commanded phase."""
-        return self.rf.voltage * np.sin(self._omega_rf * delta_t + self._gap_phase_rad)
+        """Gap voltage V̂·sin(ω_RF·Δt + φ) for the whole ensemble with the
+        commanded phase φ, in the emulator's buffer (overwritten next turn).
+        """
+        v = self._v_gap
+        np.multiply(self._omega_rf, delta_t, out=v)
+        v += self._gap_phase_rad
+        np.sin(v, out=v)
+        v *= self.rf.voltage
+        return v
 
     def measured_phase_deg(self) -> float:
         """DSP dipole-phase reading (same polarity as the bench)."""
-        mean_dt = float(self.tracker.delta_t.mean())
-        return -360.0 * self.config.harmonic * self.f_rev * mean_dt
+        delta_t = self.tracker.delta_t
+        return self._phase_per_s * float(np.add.reduce(delta_t) / delta_t.size)
 
     def run(self, duration: float) -> MachineRunResult:
         """Run the emulated machine experiment for ``duration`` seconds."""

@@ -81,6 +81,19 @@ class ControlLoopConfig:
         if self.saturation_deg is not None and self.saturation_deg <= 0.0:
             raise ConfigurationError("saturation_deg must be positive or None")
 
+    def check_revolution_frequency(self, f_rev: float) -> None:
+        """Raise :class:`ConfigurationError` unless ``sample_rate`` is ``f_rev``.
+
+        The loop updates once per revolution and its filter is normalised
+        to ``sample_rate``; a loop clocked at any other revolution
+        frequency would run the wrong filter.
+        """
+        if abs(self.sample_rate - f_rev) > 1e-6 * f_rev:
+            raise ConfigurationError(
+                "control sample_rate must equal the revolution frequency "
+                f"({f_rev}), got {self.sample_rate}"
+            )
+
 
 class BeamPhaseControlLoop:
     """Stateful controller: measured phase (deg) in → gap correction (deg) out."""

@@ -254,11 +254,7 @@ class BatchedCavityInTheLoop:
         )
         self._jump_amps = np.asarray(config.jump_deg, dtype=float)
         control_cfg = config.control or ControlLoopConfig(sample_rate=self.f_rev)
-        if abs(control_cfg.sample_rate - self.f_rev) > 1e-6 * self.f_rev:
-            raise ConfigurationError(
-                "control sample_rate must equal the revolution frequency "
-                f"({self.f_rev}), got {control_cfg.sample_rate}"
-            )
+        control_cfg.check_revolution_frequency(self.f_rev)
         self.control = _VectorControlLoop(control_cfg, self.batch)
 
         self.gap_scale = self.gap_voltage_amplitude / config.adc_amplitude

@@ -224,11 +224,7 @@ class CavityInTheLoop:
             start_time=config.jump_start_time,
         )
         control_cfg = config.control or ControlLoopConfig(sample_rate=self.f_rev)
-        if abs(control_cfg.sample_rate - self.f_rev) > 1e-6 * self.f_rev:
-            raise ConfigurationError(
-                "control sample_rate must equal the revolution frequency "
-                f"({self.f_rev}), got {control_cfg.sample_rate}"
-            )
+        control_cfg.check_revolution_frequency(self.f_rev)
         self.control = BeamPhaseControlLoop(control_cfg)
 
         #: ADC volts ↔ gap volts calibration (the bench scales kV-scale

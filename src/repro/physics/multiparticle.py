@@ -30,7 +30,6 @@ import numpy as np
 from repro.constants import SPEED_OF_LIGHT
 from repro.errors import PhysicsError
 from repro.physics.ion import IonSpecies
-from repro.physics.relativity import beta_from_gamma
 from repro.physics.rf import RFSystem
 from repro.physics.ring import SynchrotronRing
 from repro.physics.tracking import reference_gamma_update
@@ -123,6 +122,11 @@ class MultiParticleTracker:
         # (the guides' "in-place operations / be easy on the memory" rule).
         self._scratch = np.empty_like(delta_t)
         self._scratch2 = np.empty_like(delta_t)
+        # The reference particle sees only the synchronous-phase voltage
+        # (it is pinned to the undisturbed reference signal; phase jumps
+        # and control corrections act on the bunches, not on it).
+        self._v_ref = rf.voltage * math.sin(rf.synchronous_phase)
+        self._gain = ion.gamma_gain_per_volt()
         #: Collective-effect hooks: objects with
         #: ``voltages(delta_t, f_rev, turn) -> volts_array`` applied as
         #: additional per-particle kicks each turn (space charge, beam
@@ -181,9 +185,11 @@ class MultiParticleTracker:
     def step(self, f_rev: float | None = None) -> None:
         """Advance the whole ensemble by one revolution.
 
-        Vector form of Eqs. 2, 3 and 6; the reference-particle update and
-        the η/β coefficients are scalars shared by all particles, so one
-        turn costs two fused array operations plus the voltage evaluation.
+        Vector form of Eqs. 2, 3 and 6 as a fixed chain of in-place ufuncs
+        on two scratch buffers.  V_R and Q/mc² are hoisted to
+        construction and the Eq. 6 factor is computed in scalar ``math``;
+        all are shared by every particle, and each result is
+        bit-identical to the direct array expressions.
         """
         if f_rev is None:
             f_rev = self.ring.revolution_frequency(self.gamma_ref)
@@ -195,37 +201,36 @@ class MultiParticleTracker:
             v_async = np.asarray(v_async, dtype=float).copy()
             for effect in self._collective:
                 v_async += effect.voltages(self.delta_t, f_rev, self.turn)
-        # The reference particle sees only the synchronous-phase voltage
-        # (it is pinned to the undisturbed reference signal; phase jumps
-        # and control corrections act on the bunches, not on it).
-        v_ref = self.rf.voltage * math.sin(self.rf.synchronous_phase)
 
-        self.gamma_ref = reference_gamma_update(self.gamma_ref, v_ref, self.ion)
+        gamma_ref = reference_gamma_update(self.gamma_ref, self._v_ref, self.ion)
+        self.gamma_ref = gamma_ref
 
-        gain = self.ion.gamma_gain_per_volt()
         # Eq. 3 vectorised, in place:
-        np.subtract(v_async, v_ref, out=self._scratch)
-        self._scratch *= gain
-        self.delta_gamma += self._scratch
+        scratch = self._scratch
+        np.subtract(v_async, self._v_ref, out=scratch)
+        scratch *= self._gain
+        self.delta_gamma += scratch
 
         # Eq. 6 vectorised.  β of each particle differs; compute it from
-        # γ = γ_R + Δγ (all particles stay far from γ=1 in valid runs).
-        # The γ chain runs entirely in the second scratch buffer —
-        # elementwise identical to the allocating expressions.
-        gamma_async = np.add(self.delta_gamma, self.gamma_ref, out=self._scratch2)
-        if (gamma_async < 1.0).any():
+        # γ = γ_R + Δγ in the second scratch buffer.  fmin skips NaN as a
+        # γ < 1 test does; a NaN-propagating minimum would let one NaN
+        # hide a lost particle.
+        gamma_async = np.add(self.delta_gamma, gamma_ref, out=self._scratch2)
+        if np.fmin.reduce(gamma_async) < 1.0:
             raise PhysicsError("a macro particle dropped below gamma=1")
-        beta_ref = beta_from_gamma(self.gamma_ref)
-        eta = self.ring.phase_slip(self.gamma_ref)
-        np.multiply(gamma_async, gamma_async, out=self._scratch)
-        np.divide(1.0, self._scratch, out=self._scratch)
-        np.subtract(1.0, self._scratch, out=self._scratch)
-        np.sqrt(self._scratch, out=self._scratch)  # beta_async
+        # Scalar forms of beta_from_gamma and ring.phase_slip, as in
+        # tracking.delta_t_update; γ_R ≥ 1 was checked above.
+        beta_ref = math.sqrt(1.0 - 1.0 / (gamma_ref * gamma_ref))
+        eta = self.ring.alpha_c - 1.0 / (gamma_ref * gamma_ref)
         coeff = self.ring.circumference * eta / (beta_ref * beta_ref * SPEED_OF_LIGHT)
+        np.multiply(gamma_async, gamma_async, out=scratch)
+        np.divide(1.0, scratch, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.sqrt(scratch, out=scratch)  # beta_async
         # delta_t += coeff / beta_async * delta_gamma / gamma_ref
-        np.divide(self.delta_gamma, self._scratch, out=self._scratch)
-        self._scratch *= coeff / self.gamma_ref
-        self.delta_t += self._scratch
+        np.divide(self.delta_gamma, scratch, out=scratch)
+        scratch *= coeff / gamma_ref
+        self.delta_t += scratch
         self.turn += 1
 
     def track(

@@ -8,6 +8,7 @@ from repro.baselines.offline_tracker import (
     MachineExperimentEmulator,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.mde import control_config
 from repro.physics import SIS18, KNOWN_IONS
 from repro.physics.oscillation import estimate_oscillation_frequency
 
@@ -36,6 +37,13 @@ class TestConfig:
             MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], n_particles=1)
         with pytest.raises(ConfigurationError):
             MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], sigma_delta_t=0.0)
+
+    def test_control_rate_must_match_revolution(self):
+        """An 800 kHz loop filter cannot run once per 400 kHz revolution."""
+        with pytest.raises(ConfigurationError, match="sample_rate must equal"):
+            MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"],
+                                    revolution_frequency=400e3, control=control_config())
+        MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], control=control_config())
 
 
 class TestRun:

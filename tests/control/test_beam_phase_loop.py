@@ -28,6 +28,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ControlLoopConfig(gain_scale=0.0)
 
+    def test_revolution_frequency_check(self):
+        cfg = ControlLoopConfig(sample_rate=800e3)
+        cfg.check_revolution_frequency(800e3 * (1.0 + 0.5e-6))
+        with pytest.raises(ConfigurationError, match="sample_rate must equal"):
+            cfg.check_revolution_frequency(800e3 * (1.0 + 2e-6))
+        with pytest.raises(ConfigurationError):
+            cfg.check_revolution_frequency(400e3)
+
 
 class TestLoopBehaviour:
     def test_zero_input_zero_output(self):

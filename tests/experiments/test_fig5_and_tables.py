@@ -14,13 +14,24 @@ from repro.physics import SIS18, KNOWN_IONS
 
 
 class TestFig5Metrics:
+    # The next two tests pin EXPERIMENTS.md E5's measured values at the
+    # precision E5 states them.
+
     def test_bench_metrics_match_paper_story(self):
         res = fig5_run_bench(duration=0.055)
         m = fig5_metrics(res.time, res.phase_deg, jump_deg=8.0, jump_time=0.005)
-        assert m.synchrotron_frequency == pytest.approx(1.28e3, rel=0.08)
-        assert 0.8 < m.peak_ratio < 1.1
-        assert m.residual_peak_to_peak < 1.0
-        assert m.settled_shift == pytest.approx(8.0, abs=0.5)
+        assert m.synchrotron_frequency == pytest.approx(1330.0, abs=10.0)
+        assert m.peak_ratio == pytest.approx(0.94, abs=0.01)
+        assert m.residual_peak_to_peak < 0.01
+        assert m.settled_shift == pytest.approx(8.00, abs=0.01)
+
+    def test_machine_metrics_at_experiments_ensemble(self):
+        """5000 particles over the first jump window, the config's seed."""
+        res = fig5_run_machine(duration=0.06, n_particles=5000)
+        m = fig5_metrics(res.time, res.phase_deg, jump_deg=10.0, jump_time=0.005)
+        assert m.synchrotron_frequency == pytest.approx(1230.0, abs=15.0)
+        assert m.residual_peak_to_peak < 0.3
+        assert m.settled_shift == pytest.approx(10.0, abs=0.1)
 
     def test_machine_metrics(self):
         res = fig5_run_machine(duration=0.055, n_particles=800)

@@ -102,6 +102,21 @@ class TestEnsembleBehaviour:
         with pytest.raises(PhysicsError):
             tracker.step(800e3)
 
+    def test_lost_particle_found_past_nan(self, ring, ion, rf, gamma0):
+        """A NaN Δγ does not hide a particle below γ = 1 on the same turn
+        (a NaN-propagating minimum would compare False and pass)."""
+        tracker = MultiParticleTracker(
+            ring, ion, rf, np.zeros(3),
+            np.array([np.nan, 0.0, -(gamma0 - 1.0) * 1.01]), gamma0,
+        )
+        with pytest.raises(PhysicsError):
+            tracker.step(800e3)
+
+    def test_all_nan_ensemble_does_not_raise(self, ring, ion, rf, gamma0):
+        tracker = MultiParticleTracker(ring, ion, rf, np.zeros(2), np.full(2, np.nan), gamma0)
+        tracker.step(800e3)
+        assert np.isnan(tracker.delta_t).all()
+
     def test_moments_dipole_phase(self, ring, ion, rf, gamma0):
         tracker = MultiParticleTracker(ring, ion, rf, np.full(3, 1e-9), np.zeros(3), gamma0)
         m = tracker.moments()
