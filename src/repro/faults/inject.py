@@ -15,7 +15,8 @@ and cheap when armed:
 * **per revolution** — :meth:`FaultProgram.update` re-evaluates the
   active window of every spec and folds the active ones into four
   channel values (gap gain, gap phase, gap clip level, stuck-bit
-  masks);
+  masks); before the first onset and after the last window has closed
+  it is a float compare that leaves the channels neutral;
 * **per sensor read** — the bench applies those values inside its
   analytic handlers.  When no fault is active at the current time the
   handlers take their original branch, so an armed-but-not-yet-onset run
@@ -175,10 +176,16 @@ class FaultProgram:
             for s in self.loop_specs
             if s.kind is FaultKind.MICROPHONIC_DETUNING
         }
-        #: Earliest onset over the loop faults: before it, update() is a
-        #: single float compare per revolution.
+        #: Earliest onset and latest window end over the loop faults
+        #: (inf if any is open-ended): before the one and from the other
+        #: on, update() is a float compare per revolution.
         self._first_onset = min(
             (s.onset_time for s in self.loop_specs), default=math.inf
+        )
+        self._last_end = max(
+            (math.inf if s.duration is None else s.onset_time + s.duration
+             for s in self.loop_specs),
+            default=math.inf,
         )
 
         #: Whether any loop fault is active at the last update() time.
@@ -206,7 +213,8 @@ class FaultProgram:
 
     def update(self, t: float) -> None:
         """Re-evaluate every loop fault's window at run time ``t``."""
-        if t < self._first_onset:
+        if t < self._first_onset or t >= self._last_end:
+            # No window is open: every spec's active_at(t) is False.
             if self.active:
                 self._reset_channels()
             return

@@ -106,6 +106,17 @@ class BatchHilConfig:
     def __post_init__(self) -> None:
         if len(self.jump_deg) < 1:
             raise ConfigurationError("jump_deg needs at least one lane")
+        # NaN passes every sign check below, so finiteness comes first.
+        for name in ("revolution_frequency", "synchrotron_frequency",
+                     "jump_toggle_period", "jump_start_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("jump_deg", "initial_delta_t"):
+            for lane, value in enumerate(getattr(self, name) or ()):
+                if not math.isfinite(value):
+                    raise ConfigurationError(
+                        f"{name} of lane {lane} must be finite, got {value!r}"
+                    )
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:
@@ -145,7 +156,10 @@ class BatchHilConfig:
 class BatchHilRunResult:
     """Recorded traces of one batched run (decimated by ``record_every``).
 
-    Per-record arrays carry one column per lane.
+    Per-record arrays carry one column per lane.  ``time``,
+    ``correction_deg``, ``delta_t_all`` and ``gamma_ref`` are written per
+    record; ``delta_t``, ``phase_deg`` and ``jump_deg`` are derived from
+    them after the run (see :meth:`BatchedCavityInTheLoop.run`).
     """
 
     #: Machine time of each record, seconds — shape (n_records,).
@@ -156,7 +170,8 @@ class BatchHilRunResult:
     correction_deg: np.ndarray
     #: Commanded jump drive per lane, degrees — (n_records, B).
     jump_deg: np.ndarray
-    #: Arrival-time offset of bunch 0 per lane, seconds — (n_records, B).
+    #: Arrival-time offset of bunch 0 per lane, seconds — (n_records, B);
+    #: a view of ``delta_t_all[..., 0]``.
     delta_t: np.ndarray
     #: All bunches — (n_records, B, n_bunches).
     delta_t_all: np.ndarray
@@ -178,24 +193,24 @@ class _VectorControlLoop:
 
     def __init__(self, config: ControlLoopConfig, batch: int) -> None:
         self.config = config
-        # Reuse the scalar filter's normalisation math (r, g·C).
+        # Reuse the scalar filter's normalisation math (r, g·C), held as
+        # [B] arrays like the bench's per-run constants.
         template = PhaseControlFilter(
             f_pass=config.f_pass,
             gain=config.gain * config.gain_scale,
             recursion_factor=config.recursion_factor,
             sample_rate=config.sample_rate / config.update_divider,
         )
-        self._r = template.recursion_factor
-        self._gc = template.gain * template._c
+        self._r = np.full(batch, template.recursion_factor)
+        self._gc = np.full(batch, template.gain * template._c)
+        limit = config.saturation_deg
+        self._limit = None if limit is None else np.full(batch, limit)
+        self._neg_limit = None if limit is None else np.full(batch, -limit)
         self._x_prev = np.zeros(batch)
         self._y_prev = np.zeros(batch)
         self._tick = 0
         self._last_output = np.zeros(batch)
         self.saturation_count = 0
-        # Scratch buffers for the allocation-free update below.
-        self._t1 = np.empty(batch)
-        self._t2 = np.empty(batch)
-        self._u = np.empty(batch)
 
     @property
     def last_output_deg(self) -> np.ndarray:
@@ -211,24 +226,19 @@ class _VectorControlLoop:
         self._tick += 1
         if not run_now:
             return self._last_output
-        x = np.asarray(measured_phase_deg, dtype=float)
-        # In-place form of u = r*y_prev + gc*(x - x_prev): each elementwise
-        # op matches the allocating expression (scalar multiplies commute
-        # bit-exactly), so results are identical with zero per-call arrays.
-        t1, t2, u = self._t1, self._t2, self._u
-        np.multiply(self._y_prev, self._r, out=t1)
-        np.subtract(x, self._x_prev, out=t2)
-        np.multiply(t2, self._gc, out=t2)
-        np.add(t1, t2, out=u)
-        np.copyto(self._x_prev, x)
+        # The scalar filter's r*y_prev + g·C*(x - x_prev), op for op.
+        x = measured_phase_deg
+        u = self._r * self._y_prev + self._gc * (x - self._x_prev)
+        self._x_prev[...] = x
         # y_prev feeds back the *unclipped* output, matching the scalar loop.
-        np.copyto(self._y_prev, u)
-        limit = self.config.saturation_deg
+        self._y_prev[...] = u
+        limit = self._limit
         if limit is not None:
             saturated = int(np.count_nonzero(np.abs(u) > limit))
             if saturated:
                 self.saturation_count += saturated
-                np.clip(u, -limit, limit, out=u)
+                # np.clip's transfer (NaN passes) without its wrapper.
+                u = np.minimum(np.maximum(u, self._neg_limit), limit)
         self._last_output = u
         return u
 
@@ -260,6 +270,18 @@ class BatchedCavityInTheLoop:
         self.gap_scale = self.gap_voltage_amplitude / config.adc_amplitude
         self.ref_scale = config.harmonic * self.gap_voltage_amplitude / config.adc_amplitude
         self._adc = ADC(bits=14, vpp=2.0, sample_rate=250e6)
+
+        # Per-run scalars that meet a lane array every turn, as [B]
+        # arrays: at B = 8 an array-array ufunc is ~40 % cheaper than the
+        # same op with a Python-float operand.  Each array holds the
+        # float the scalar expression evaluates to (left to right, as
+        # written), so every product stays bit-identical.
+        lanes = self.batch
+        self._phase_scale = np.full(lanes, -360.0 * config.harmonic * self.f_rev)
+        self._deg_to_rad = np.full(lanes, math.pi / 180.0)
+        self._sample_rate = np.full(lanes, 250e6)
+        self._gap_omega = np.full(lanes, TWO_PI * config.harmonic * self.f_rev)
+        self._adc_amplitude = np.full(lanes, config.adc_amplitude)
 
         # Fault injection (same contract as the scalar bench): per-lane
         # faults via each spec's target index, None when disarmed.
@@ -325,23 +347,25 @@ class BatchedCavityInTheLoop:
         return self._maybe_quantize(v)
 
     def _gap_adc_voltage(self, addr_samples) -> np.ndarray:
-        """Gap-buffer read: harmonic signal with the commanded phase."""
-        t = addr_samples / 250e6
-        base = TWO_PI * self.config.harmonic * self.f_rev * t + self._gap_phase_rad
+        """Gap-buffer read: harmonic signal with the commanded phase.
+
+        Returns a fresh array: at ``precision="double"`` the engine keeps
+        a float64 read as is (``np.float64(arr) is arr``), so a buffer
+        owned here would alias into the register file.
+        """
+        base = self._gap_omega * (addr_samples / self._sample_rate) + self._gap_phase_rad
         f = self._faults
         if f is not None and f.active:
             # Per-lane fault channels; unfaulted lanes carry neutral
             # elements (+0.0, x1.0, clip at inf, mask 0), which are
             # bitwise no-ops, so co-resident lanes are undisturbed.
-            v = self.config.adc_amplitude * np.sin(base + f.gap_phase)
-            v = v * f.gap_gain
-            np.clip(v, -f.gap_clip, f.gap_clip, out=v)
+            v = self._adc_amplitude * np.sin(base + f.gap_phase) * f.gap_gain
+            v = np.minimum(np.maximum(v, -f.gap_clip), f.gap_clip)
             if f.stuck_any:
                 codes = self._adc.apply_stuck_mask(self._adc.convert(v), f.stuck_mask)
                 return self._adc.codes_to_volts(codes)
             return self._maybe_quantize(v)
-        v = self.config.adc_amplitude * np.sin(base)
-        return self._maybe_quantize(v)
+        return self._maybe_quantize(self._adc_amplitude * np.sin(base))
 
     def _build_executor(self) -> BatchedCgraExecutor:
         bus = BatchSensorBus(self.batch)
@@ -352,8 +376,8 @@ class BatchedCavityInTheLoop:
         bus.register_addr_reader(SENSOR_REF_BUFFER, self._ref_adc_voltage)
         bus.register_addr_reader(SENSOR_GAP_BUFFER, self._gap_adc_voltage)
         for i in range(self.config.n_bunches):
-            def writer(value: np.ndarray, i: int = i) -> None:
-                self._delta_t[:, i] = value
+            def writer(value: np.ndarray, column: np.ndarray = self._delta_t[:, i]) -> None:
+                column[...] = value
             bus.register_writer(ACTUATOR_DELTA_T + i, writer)
         params = self.model.default_params(
             gamma_r0=self.gamma0,
@@ -377,7 +401,7 @@ class BatchedCavityInTheLoop:
             dt = self._delta_t.mean(axis=1)
         else:
             dt = self._delta_t[:, 0]
-        return -360.0 * self.config.harmonic * self.f_rev * dt
+        return self._phase_scale * dt
 
     def run(self, duration: float) -> BatchHilRunResult:
         """Run all lanes for ``duration`` seconds of machine time.
@@ -386,9 +410,12 @@ class BatchedCavityInTheLoop:
         (:meth:`BatchedCgraExecutor.run_driven`): per turn, ``pre`` does
         the deadline check and the gap-phase update, the engine steps
         once, and ``post`` runs the control update, advances time and
-        records.  One errstate/telemetry envelope covers the whole run,
-        and the per-turn arrays are updated in place (each elementwise
-        op matches the allocating expression bit for bit).
+        records.  One errstate/telemetry envelope covers the whole run.
+        A record stores the time, the scalar jump drive, the correction,
+        every bunch's Δt and γ_R; ``delta_t`` (a view of ``delta_t_all``'s
+        bunch 0), ``phase_deg`` and ``jump_deg`` are derived from them
+        after the run, each one elementwise op that matches the per-turn
+        expression bit for bit.
         """
         if duration <= 0:
             raise HilError("duration must be positive")
@@ -397,42 +424,31 @@ class BatchedCavityInTheLoop:
         n_rec = n_turns // rec_every + 1
         B = self.batch
         time = np.empty(n_rec)
-        phase = np.empty((n_rec, B))
+        drive = np.empty(n_rec)
         corr = np.empty((n_rec, B))
-        jump = np.empty((n_rec, B))
-        dts = np.empty((n_rec, B))
         dts_all = np.empty((n_rec, B, self.config.n_bunches))
         gam = np.empty((n_rec, B))
         idx = 0
 
-        # Hot-loop constants.  ``m`` folds the phase-detector scale the
-        # same way measured_phase_deg evaluates it left to right, and
-        # ``dt0`` is a persistent view (the delta_t buffer is written in
-        # place by the actuator handlers, never rebound).
-        m = -360.0 * self.config.harmonic * self.f_rev
+        # Hot-loop constants.  ``dt0`` is a persistent view (the delta_t
+        # buffer is written in place by the actuator handlers, never
+        # rebound).
+        m = self._phase_scale
         dt0 = self._delta_t[:, 0]
         use_bunch0 = self.config.control_source == "bunch0"
         amps = self._jump_amps
-        gap = self._gap_phase_rad
         ctrl = self.control
         jump_unit = self._jump_unit
         deadline = self.deadline
         faults = self._faults
-        d2r = math.pi / 180.0
+        d2r = self._deg_to_rad
         t_rev = 1.0 / self.f_rev
-        mbuf = np.empty(B)
-        tmp = np.empty(B)
 
         def record() -> None:
             nonlocal idx
             time[idx] = self._time
-            if use_bunch0:
-                np.multiply(dt0, m, out=phase[idx])
-            else:
-                phase[idx] = self.measured_phase_deg()
+            drive[idx] = jump_unit.phase_deg_at(self._time)
             corr[idx] = ctrl.last_output_deg
-            np.multiply(amps, jump_unit.phase_deg_at(self._time), out=jump[idx])
-            dts[idx] = dt0
             dts_all[idx] = self._delta_t
             gam[idx] = self._executor.register_view("gamma_r")
             idx += 1
@@ -441,17 +457,11 @@ class BatchedCavityInTheLoop:
             deadline.check_revolution(t_rev)
             if faults is not None:
                 faults.update(self._time)
-            jr = jump_unit.phase_rad_at(self._time)
-            np.multiply(amps, jr, out=gap)
-            np.multiply(ctrl.last_output_deg, d2r, out=tmp)
-            np.add(gap, tmp, out=gap)
+            self._gap_phase_rad = (amps * jump_unit.phase_rad_at(self._time)
+                                   + ctrl.last_output_deg * d2r)
 
         def post(i: int) -> None:
-            if use_bunch0:
-                np.multiply(dt0, m, out=mbuf)
-                ctrl.update(mbuf)
-            else:
-                ctrl.update(self.measured_phase_deg())
+            ctrl.update(dt0 * m if use_bunch0 else self.measured_phase_deg())
             self._turn += 1
             self._time += t_rev
             if (i + 1) % rec_every == 0:
@@ -487,13 +497,15 @@ class BatchedCavityInTheLoop:
                 control_saturations=self.control.saturation_count,
                 **extras,
             )
+        dts_all = dts_all[:idx]
+        delta_t = dts_all[..., 0]
         return BatchHilRunResult(
             time=time[:idx],
-            phase_deg=phase[:idx],
+            phase_deg=(delta_t if use_bunch0 else dts_all.mean(axis=2)) * m,
             correction_deg=corr[:idx],
-            jump_deg=jump[:idx],
-            delta_t=dts[:idx],
-            delta_t_all=dts_all[:idx],
+            jump_deg=drive[:idx, None] * amps,
+            delta_t=delta_t,
+            delta_t_all=dts_all,
             gamma_ref=gam[:idx],
             deadline=stats,
             schedule_length=self.model.schedule_length,

@@ -68,6 +68,8 @@ class SampleAccurateBenchConfig:
             raise ConfigurationError("detector window must be >= 1 revolution")
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
+        if self.control is not None:
+            self.control.check_revolution_frequency(self.revolution_frequency)
 
 
 @dataclass

@@ -126,6 +126,16 @@ class HilConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("python", "cgra"):
             raise ConfigurationError(f"engine must be 'python' or 'cgra', got {self.engine!r}")
+        # NaN passes every sign check below, so finiteness comes first.
+        for name in ("revolution_frequency", "synchrotron_frequency", "jump_deg",
+                     "jump_toggle_period", "jump_start_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for bunch, value in enumerate(self.initial_delta_t or ()):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"initial_delta_t of bunch {bunch} must be finite, got {value!r}"
+                )
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:

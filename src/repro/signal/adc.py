@@ -130,8 +130,13 @@ class ADC:
     def quantize(self, volts) -> np.ndarray:
         """Convert to codes and back: the quantised voltage seen inside
         the FPGA.  This is the transfer function applied at every model
-        input of the HIL bench."""
-        return self.codes_to_volts(self.convert(volts))
+        input of the HIL bench.
+
+        ``convert`` returns int64 codes, so ``codes * lsb`` is
+        :meth:`codes_to_volts` without its ``asarray`` round trip.  The
+        int64 cast inside ``convert`` is also what turns a NaN input
+        into an error under ``np.errstate(invalid="raise")``."""
+        return self.convert(volts) * self._lsb
 
     def apply_stuck_bit(self, codes, bit: int) -> np.ndarray:
         """Force ``bit`` of the two's-complement output word to 1.

@@ -122,6 +122,55 @@ class TestFaultProgramChannels:
         assert FaultProgram(specs).label == "c1,dac_clipping"
 
 
+def _assert_neutral(p: FaultProgram) -> None:
+    assert not p.active and not p.stuck_any
+    np.testing.assert_array_equal(p.gap_gain, np.ones(p.batch))
+    np.testing.assert_array_equal(p.gap_phase, np.zeros(p.batch))
+    np.testing.assert_array_equal(p.gap_clip, np.full(p.batch, math.inf))
+    np.testing.assert_array_equal(p.stuck_mask, np.zeros(p.batch, dtype=np.int64))
+
+
+class TestAfterLastWindow:
+    """Past every window's end the program is neutral, whatever ran last."""
+
+    def _windows(self):
+        # Overlapping windows on two lanes: [0.01, 0.02) and [0.015, 0.03).
+        return [
+            _spec(magnitude=0.5, onset=0.01, duration=0.01, target=0),
+            _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=3.0, onset=0.015,
+                  duration=0.015, target=2),
+        ]
+
+    def test_neutral_past_the_last_window(self):
+        p = FaultProgram(self._windows(), batch=4)
+        p.update(0.016)
+        assert p.active and p.stuck_any
+        for t in (0.03, 0.031, 1.0):  # the end is exclusive
+            p.update(t)
+            _assert_neutral(p)
+
+    def test_later_fault_holds_between_the_two_ends(self):
+        p = FaultProgram(self._windows(), batch=4)
+        p.update(0.016)
+        np.testing.assert_array_equal(p.gap_gain, [0.5, 1.0, 1.0, 1.0])
+        p.update(0.025)  # first window closed, second still open
+        assert p.active and p.stuck_any
+        np.testing.assert_array_equal(p.gap_gain, np.ones(4))
+        np.testing.assert_array_equal(p.stuck_mask, [0, 0, 1 << 3, 0])
+        p.update(0.0299)
+        np.testing.assert_array_equal(p.stuck_mask, [0, 0, 1 << 3, 0])
+
+    def test_open_ended_spec_never_closes(self):
+        specs = [*self._windows(), _spec(kind=FaultKind.DDS_PHASE_GLITCH,
+                                         magnitude=0.25, onset=0.005, target=1)]
+        p = FaultProgram(specs, batch=4)
+        for t in (0.03, 1.0, 1e3):
+            p.update(t)
+            assert p.active and not p.stuck_any
+            np.testing.assert_array_equal(p.gap_phase, [0.0, 0.25, 0.0, 0.0])
+            np.testing.assert_array_equal(p.stuck_mask, np.zeros(4, dtype=np.int64))
+
+
 class TestValidation:
     def test_rejects_non_spec(self):
         with pytest.raises(FaultSpecError, match="FaultSpec"):

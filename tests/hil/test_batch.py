@@ -17,9 +17,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.control import ControlLoopConfig
+from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.hil import BatchHilConfig, BatchedCavityInTheLoop, CavityInTheLoop, HilConfig
+from repro.hil.batch import _VectorControlLoop
 from repro.physics import KNOWN_IONS, SIS18
 
 ION = KNOWN_IONS["14N7+"]
@@ -199,5 +200,52 @@ class TestBatchedHil:
         with pytest.raises(HilError):
             BatchedCavityInTheLoop(_batch_config()).run(0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["revolution_frequency", "synchrotron_frequency",
+                                       "jump_toggle_period", "jump_start_time",
+                                       "jump_deg", "initial_delta_t"])
+    def test_non_finite_values_rejected(self, field, value):
+        if field in ("jump_deg", "initial_delta_t"):
+            overrides = {field: (0.0, value, 0.0)}  # lane 1 of three
+            match = f"{field} of lane 1 must be finite"
+        else:
+            overrides = {field: value}
+            match = f"{field} must be finite"
+        with pytest.raises(ConfigurationError, match=match):
+            _batch_config(quantize_adc=False, **overrides)
+
     def test_batch_property(self):
         assert _batch_config().batch == len(AMPS)
+
+
+class TestVectorControlLoop:
+    """The batched filter against B scalar loops fed the same lanes."""
+
+    #: Per-lane measurement scale: lanes 0-1 stay below a 0.5 deg limit,
+    #: lanes 2-4 go above it, lane 5 reads NaN from step 10 on.
+    SCALES = (0.01, 0.1, 10.0, 100.0, 1000.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"update_divider": 3}, {"enabled": False}],
+        ids=["every_turn", "divider3", "disabled"],
+    )
+    def test_bit_equal_to_scalar_loops(self, overrides):
+        config = ControlLoopConfig(sample_rate=800e3, saturation_deg=0.5, **overrides)
+        lanes = len(self.SCALES)
+        vector = _VectorControlLoop(config, lanes)
+        scalars = [BeamPhaseControlLoop(config) for _ in range(lanes)]
+        rng = np.random.default_rng(1801)
+        x = np.empty(lanes)  # one buffer, rewritten every step
+        for step in range(60):
+            x[:] = rng.standard_normal(lanes) * self.SCALES
+            if step >= 10:
+                x[-1] = np.nan
+            got = vector.update(x)
+            want = np.array([loop.update(v) for loop, v in zip(scalars, x)])
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), step
+            assert np.array_equal(vector.last_output_deg, want, equal_nan=True)
+        assert vector.saturation_count == sum(loop.saturation_count for loop in scalars)
+        if config.enabled:
+            assert vector.saturation_count > 0
+            assert not np.isnan(got[:-1]).any() and np.isnan(got[-1])

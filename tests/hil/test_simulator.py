@@ -31,6 +31,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             config(adc_amplitude=1.5)  # beyond the 2 Vpp input limit
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["revolution_frequency", "synchrotron_frequency",
+                                       "jump_toggle_period", "jump_start_time",
+                                       "jump_deg", "initial_delta_t"])
+    def test_non_finite_values_rejected(self, field, value):
+        if field == "initial_delta_t":
+            overrides = dict(n_bunches=2, initial_delta_t=(0.0, value))
+            match = "initial_delta_t of bunch 1 must be finite"
+        else:
+            overrides = {field: value}
+            match = f"{field} must be finite"
+        with pytest.raises(ConfigurationError, match=match):
+            config(**overrides)
+
     def test_control_rate_must_match_revolution(self):
         from repro.control import ControlLoopConfig
 

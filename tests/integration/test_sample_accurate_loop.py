@@ -72,3 +72,12 @@ class TestValidation:
                 ring=SIS18, ion=KNOWN_IONS["14N7+"],
                 detector_window_revolutions=0,
             )
+
+    def test_control_rate_must_match_revolution(self):
+        control = ControlLoopConfig(sample_rate=800e3)
+        with pytest.raises(ConfigurationError, match="revolution frequency"):
+            SampleAccurateBenchConfig(
+                ring=SIS18, ion=KNOWN_IONS["14N7+"], revolution_frequency=400e3,
+                control=control,
+            )
+        SampleAccurateBenchConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], control=control)

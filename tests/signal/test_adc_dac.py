@@ -24,6 +24,13 @@ class TestADC:
         q = adc.quantize(v)
         assert np.abs(q - v).max() <= adc.lsb / 2 + 1e-12
 
+    def test_nan_input_raises_under_errstate(self):
+        # The int64 cast is what turns a NaN reading into an error
+        # inside the HIL benches' errstate envelope.
+        adc = ADC()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            adc.quantize(np.array([0.25, np.nan, -0.5]))
+
     def test_clipping_at_rails(self):
         adc = ADC()
         q = adc.quantize(np.array([-5.0, 5.0]))
