@@ -61,7 +61,6 @@ from repro.cgra.scheduler import Schedule
 from repro.errors import ExecutionError
 from repro.obs import get_registry
 from repro.obs._state import STATE as _OBS
-from repro.obs.profile import record_program
 
 __all__ = [
     "CompiledProgram",
@@ -221,12 +220,6 @@ class CompiledProgram:
             io_id: tick for tick, op, _nid, _ops, io_id in self.entries
             if op is Op.ACTUATOR_WRITE
         }
-        #: Static op-class census of one iteration (op name → count);
-        #: the profiler attributes measured run time across op classes
-        #: proportionally to these counts (deterministic, schedule-fixed).
-        self.op_class_counts: dict[str, int] = {}
-        for _tick, op, _nid, _ops, _io in self.entries:
-            self.op_class_counts[op.name] = self.op_class_counts.get(op.name, 0) + 1
         emitter = _CodeEmitter(self.graph, self.entries)
         #: The step that stores every computed node (the last step of a run).
         self.source_batched = emitter.emit(traced=True)
@@ -527,11 +520,6 @@ class BatchedCgraExecutor:
                 _ENGINE_ITERATIONS.inc(done * self.batch, engine="batched")
                 if elapsed > 0.0:
                     _ITERS_PER_SECOND.set(done * self.batch / elapsed, engine="batched")
-                if _OBS.profile:
-                    record_program(
-                        self.graph.name, "batched", done, elapsed,
-                        self._program.op_class_counts, lanes=self.batch,
-                    )
 
     def register_view(self, name: str):
         """Live value of a named loop-carried register — the current

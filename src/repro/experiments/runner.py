@@ -17,8 +17,6 @@ match EXPERIMENTS.md.  ``--metrics``/``--trace`` switch on the
 :mod:`repro.obs` telemetry and write its artefacts
 (``<name>_metrics.json``/``.csv``, ``<name>_trace.jsonl``,
 ``<name>_report.json``) next to the CSVs — see docs/OBSERVABILITY.md.
-``--profile`` adds the deterministic phase/op profiler (implies
-``--metrics``; writes ``<name>_profile.json`` and logs the hot list);
 ``--trace-out PATH`` (implies ``--trace``) additionally accumulates
 every experiment's spans across the whole invocation and writes one
 Chrome/Perfetto trace file at the end — each experiment runs under a
@@ -373,61 +371,58 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[Path, bool], list[str]]]] = {
 }
 
 
-def run_experiment(name: str, out_dir: Path, quick: bool = False) -> list[str]:
-    """Run one experiment by id; returns its summary lines."""
+def _check_experiment(name: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``name`` is an experiment id."""
     if name not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
+
+
+def run_experiment(name: str, out_dir: Path, quick: bool = False) -> list[str]:
+    """Run one experiment by id; returns its summary lines."""
+    _check_experiment(name)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, fn = EXPERIMENTS[name]
     return fn(out_dir, quick)
 
 
 class _TraceSession:
-    """Accumulates spans + profile across experiments for ``--trace-out``.
+    """Accumulates spans across experiments for ``--trace-out``.
 
-    ``_export_telemetry`` resets the global tracer/profiler after every
+    ``_export_telemetry`` resets the global tracer after every
     experiment (per-experiment artefacts stay scoped); this object takes
     custody of the records first so the end-of-run Perfetto export sees
     the whole invocation.  It reuses a private :class:`~repro.obs.Tracer`
-    /:class:`~repro.obs.Profiler` pair as the accumulator, which the
-    exporter accepts directly.
+    as the accumulator, which the exporter accepts directly.
     """
 
     def __init__(self) -> None:
         from repro import obs
 
         self.tracer = obs.Tracer()
-        self.profiler = obs.Profiler()
 
     def absorb(self) -> None:
-        """Take the global tracer's records/profile (call before reset)."""
+        """Take the global tracer's records (call before reset)."""
         from repro import obs
 
         live = obs.get_tracer()
         self.tracer.records.extend(live.records)
         self.tracer.dropped += live.dropped
-        self.profiler.merge_state(obs.get_profiler().state())
 
     def export(self, path: Path) -> Path:
         from repro import obs
 
-        return obs.export.export_trace_perfetto(
-            path, tracer=self.tracer, profiler=self.profiler
-        )
+        return obs.export.export_trace_perfetto(path, tracer=self.tracer)
 
 
 def _export_telemetry(
     name: str,
     out_dir: Path,
     want_trace: bool,
-    want_profile: bool = False,
     session: _TraceSession | None = None,
 ) -> None:
     """Write the obs artefacts for one experiment and reset for the next."""
-    import json
-
     from repro import obs
 
     paths = [
@@ -436,16 +431,6 @@ def _export_telemetry(
     ]
     if want_trace:
         paths.append(obs.export.export_trace_jsonl(out_dir / f"{name}_trace.jsonl"))
-    if want_profile:
-        profiler = obs.get_profiler()
-        profile_path = out_dir / f"{name}_profile.json"
-        profile_path.write_text(json.dumps(profiler.state(), indent=2))
-        paths.append(profile_path)
-        for phase, entry in profiler.hot_list(5):
-            logger.info(
-                "  profile %-28s %10.4fs total  %8d calls  mean %.3g s",
-                phase, entry.total_s, entry.count, entry.mean_s,
-            )
     reports = obs.run_reports()
     if reports:
         paths.append(
@@ -483,22 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also record spans; write <name>_trace.jsonl "
                              "(implies --metrics)")
-    parser.add_argument("--profile", action="store_true",
-                        help="time phases/ops with the deterministic "
-                             "profiler; write <name>_profile.json and log "
-                             "the hot list (implies --metrics)")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write one Chrome/Perfetto trace file covering "
                              "the whole run (implies --trace); inspect with "
                              "python -m repro.obs.view PATH")
-    parser.add_argument("--verify", action="store_true",
-                        help="statically verify the built-in CGRA kernels "
-                             "(lint, schedule legality, value ranges) before "
-                             "running; abort on any error")
-    parser.add_argument("--analyze", action="store_true",
-                        help="run the shard-safety lint of the "
-                             "experiment/fault modules before running; "
-                             "abort on any error")
     parser.add_argument("--faults", metavar="PATH", default=None,
                         help="arm ad-hoc fault injection for this run: PATH "
                              "is a JSON list of FaultSpec dicts (see "
@@ -523,6 +496,20 @@ def main(argv: list[str] | None = None) -> int:
     _RUNNER_OPTIONS["batch"] = args.batch
     _RUNNER_OPTIONS["jobs"] = args.jobs
 
+    # --list and an unknown id return before anything process-wide
+    # (session faults, telemetry) is switched on.
+    if args.list or args.experiment is None:
+        for name, (description, _) in EXPERIMENTS.items():
+            print(f"{name:10s} {description}")
+        return 0
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    try:
+        for name in names:
+            _check_experiment(name)
+    except ConfigurationError as exc:
+        logger.error("%s", exc)
+        return 2
+
     fault_payload = None
     if args.faults is not None:
         import json
@@ -542,36 +529,13 @@ def main(argv: list[str] | None = None) -> int:
             ", ".join(s.label or s.kind.value for s in specs),
         )
 
-    if args.list or args.experiment is None:
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name:10s} {description}")
-        return 0
-
-    if args.verify:
-        from repro.cgra.lint import main as lint_main
-
-        rc = lint_main(["--all", "--fail-on-error", "-q"])
-        if rc != 0:
-            logger.error("static verification of the built-in kernels failed")
-            return rc
-        logger.info("static verification passed for all built-in kernels")
-
-    if args.analyze:
-        from repro.analysis import main as analysis_main
-
-        rc = analysis_main(["--all", "--fail-on-error", "-q"])
-        if rc != 0:
-            logger.error("static analysis preflight failed (rc=%d)", rc)
-            return rc
-        logger.info("static analysis preflight passed (shardlint)")
-
     want_trace = args.trace or args.trace_out is not None
-    telemetry = args.metrics or want_trace or args.profile
+    telemetry = args.metrics or want_trace
     session: _TraceSession | None = None
     if telemetry:
         from repro import obs
 
-        obs.enable(trace=want_trace, profile=args.profile)
+        obs.enable(trace=want_trace)
         obs.reset()
         if args.trace_out is not None:
             session = _TraceSession()
@@ -596,7 +560,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         _RUNNER_OPTIONS["pool"] = WorkerPool(jobs=args.jobs, primers=primers)
 
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     out_dir = Path(args.out)
     try:
         for name in names:
@@ -628,10 +591,7 @@ def main(argv: list[str] | None = None) -> int:
                 logger.info("  %s", line)
             if telemetry:
                 _export_telemetry(
-                    name, out_dir,
-                    want_trace=want_trace,
-                    want_profile=args.profile,
-                    session=session,
+                    name, out_dir, want_trace=want_trace, session=session
                 )
         if session is not None:
             trace_path = session.export(Path(args.trace_out))

@@ -50,7 +50,6 @@ from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
-from repro.obs.profile import get_profiler
 from repro.physics.ion import IonSpecies
 from repro.physics.rf import RFSystem, voltage_for_synchrotron_frequency
 from repro.physics.ring import SynchrotronRing
@@ -472,10 +471,7 @@ class BatchedCavityInTheLoop:
         if faults is not None:
             span_attrs["fault"] = faults.label
         with get_tracer().span("hil.run_batched", **span_attrs):
-            # One profiler phase for the whole lockstep loop (the
-            # batched engine hook below it adds per-op-class detail).
-            with get_profiler().phase("hil.run_batched"):
-                self._executor.run_driven(n_turns, pre=pre, post=post)
+            self._executor.run_driven(n_turns, pre=pre, post=post)
         # The run's per-revolution telemetry, once (no-ops while disabled).
         self.deadline.publish()
         self._adc.publish()

@@ -23,7 +23,6 @@ second-scale runs (their equivalence is pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.errors import ConfigurationError
 from repro.hil.framework import FpgaFramework, FrameworkConfig
 from repro.obs import get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
-from repro.obs.profile import get_profiler
 from repro.physics.ion import IonSpecies
 from repro.physics.rf import RFSystem, voltage_for_synchrotron_frequency
 from repro.physics.ring import SynchrotronRing
@@ -167,15 +165,9 @@ class SampleAccurateBench:
         delta_t = np.empty(n_revolutions)
         correction = np.empty(n_revolutions)
         tracer = get_tracer()
-        profiler = get_profiler()
         t = 0.0
         for i in range(n_revolutions):
-            # sense → compute → actuate, timed per phase when profiling
-            # is on (one flag check per revolution otherwise).
-            profiling = _OBS.profile
             span = tracer.span("closed_loop.revolution", revolution=i)
-            if profiling:
-                t0 = perf_counter()
             n = self._next_block_size()
             ref, gap = self.group.generate(n)
             beam, _monitor = self.framework.feed(ref.samples, gap.samples)
@@ -185,18 +177,9 @@ class SampleAccurateBench:
             while len(self._beam_history) > keep:
                 dropped = self._beam_history.pop(0)
                 self._history_t0 += dropped.size / self.config.sample_rate
-            if profiling:
-                t1 = perf_counter()
             measured = self._measure_phase()
-            if profiling:
-                t2 = perf_counter()
             if measured is not None:
                 self.control.update(measured)
-            if profiling:
-                t3 = perf_counter()
-                profiler.add("hil.sense", t1 - t0)
-                profiler.add("hil.compute", t2 - t1)
-                profiler.add("hil.actuate", t3 - t2)
             time[i] = t
             phase[i] = measured if measured is not None else 0.0
             delta_t[i] = self.framework.delta_t[0] if self.framework.initialised else 0.0

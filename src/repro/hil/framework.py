@@ -49,7 +49,6 @@ from repro.hil.realtime import DeadlineMonitor
 from repro.hil.softcore import DramRecorder, ParameterInterface
 from repro.obs import get_registry, get_tracer
 from repro.obs._state import STATE as _OBS
-from repro.obs.profile import get_profiler
 from repro.physics.ion import IonSpecies
 from repro.physics.ring import SynchrotronRing
 from repro.signal.adc import ADC
@@ -286,10 +285,7 @@ class FpgaFramework:
             "hil.iteration", iteration=self.executor.iterations, period_s=period_s
         ):
             self.deadline.check_revolution(period_s)
-            # The framework's model step is the closed loop's "compute"
-            # phase; one profiler phase per iteration when profiling on.
-            with get_profiler().phase("hil.model_iteration"):
-                self.executor.run_iteration()
+            self.executor.run_iteration()
         if _OBS.enabled:
             _REV_PERIOD.set(period_s)
             _FRAMEWORK_ITERATIONS.inc(engine="framework")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
-from repro.obs.profile import get_profiler
 from repro.physics.ion import IonSpecies
 from repro.physics.rf import RFSystem, voltage_for_synchrotron_frequency
 from repro.physics.ring import SynchrotronRing
@@ -466,16 +464,7 @@ class CavityInTheLoop:
         return self._deg_per_s * dt
 
     def step_revolution(self) -> None:
-        """Advance the closed loop by one revolution.
-
-        The three stages map onto the profiler's closed-loop phases:
-        **actuate** (gap phase programming), **compute** (beam model
-        iteration), **sense** (DSP measurement + control update).  Off
-        the profiled path this costs a single flag check per revolution.
-        """
-        if _OBS.profile:
-            self._step_revolution_profiled()
-            return
+        """Advance the closed loop by one revolution."""
         f = self._faults
         if f is not None:
             f.update(self._time)
@@ -489,29 +478,6 @@ class CavityInTheLoop:
             self._python_step()
         # 3. DSP measurement + control update.
         self.control.update(self.measured_phase_deg())
-        self._turn += 1
-        self._time += self._t_rev
-
-    def _step_revolution_profiled(self) -> None:
-        """step_revolution with per-phase timing (profiling on)."""
-        profiler = get_profiler()
-        f = self._faults
-        if f is not None:
-            f.update(self._time)
-        t0 = perf_counter()
-        jump_rad = float(self.jump.phase_rad_at(self._time))
-        self._gap_phase_rad = jump_rad + deg_to_rad(self.control.last_output_deg)
-        t1 = perf_counter()
-        if self._executor is not None:
-            self._executor.run_iteration()
-        else:
-            self._python_step()
-        t2 = perf_counter()
-        self.control.update(self.measured_phase_deg())
-        t3 = perf_counter()
-        profiler.add("hil.actuate", t1 - t0)
-        profiler.add("hil.compute", t2 - t1)
-        profiler.add("hil.sense", t3 - t2)
         self._turn += 1
         self._time += self._t_rev
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from repro.obs import export, report
 from repro.obs._state import STATE
-from repro.obs.profile import ProfileEntry, Profiler, get_profiler
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -56,14 +55,11 @@ __all__ = [
     "disable",
     "enabled",
     "trace_enabled",
-    "profile_enabled",
     "reset",
     "metrics",
     "tracer",
-    "profiler",
     "get_registry",
     "get_tracer",
-    "get_profiler",
     "Counter",
     "Gauge",
     "Histogram",
@@ -72,8 +68,6 @@ __all__ = [
     "SpanRecord",
     "current_context",
     "trace_context",
-    "Profiler",
-    "ProfileEntry",
     "HilRunReport",
     "record_hil_run",
     "add_run_report",
@@ -87,18 +81,16 @@ __all__ = [
 ]
 
 
-def enable(trace: bool = False, profile: bool = False) -> None:
-    """Turn metrics collection on (and optionally spans / profiling)."""
+def enable(trace: bool = False) -> None:
+    """Turn metrics collection on (and optionally spans)."""
     STATE.enabled = True
     STATE.trace = bool(trace)
-    STATE.profile = bool(profile)
 
 
 def disable() -> None:
     """Turn all telemetry off (instruments keep their recorded values)."""
     STATE.enabled = False
     STATE.trace = False
-    STATE.profile = False
 
 
 def enabled() -> bool:
@@ -111,11 +103,6 @@ def trace_enabled() -> bool:
     return STATE.trace
 
 
-def profile_enabled() -> bool:
-    """True when phase/op profiling is on."""
-    return STATE.profile
-
-
 def metrics() -> MetricsRegistry:
     """The global metric registry."""
     return get_registry()
@@ -126,18 +113,12 @@ def tracer() -> Tracer:
     return get_tracer()
 
 
-def profiler() -> Profiler:
-    """The global phase/op profiler."""
-    return get_profiler()
-
-
 def reset() -> None:
-    """Zero all metric values, drop spans/events, profiles and reports.
+    """Zero all metric values, drop spans/events and reports.
 
     The enable/disable switches are left as they are; instrument objects
     stay registered so import-time references remain valid.
     """
     get_registry().reset()
     get_tracer().reset()
-    get_profiler().reset()
     clear_run_reports()

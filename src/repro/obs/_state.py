@@ -7,9 +7,8 @@ HIL step) stay honest when telemetry is off — the overhead benchmark
 (``benchmarks/test_obs_overhead.py``) pins that cost.
 
 ``enabled`` gates metrics; ``trace`` additionally gates span/event
-recording and ``profile`` gates the phase/op profiler
-(:mod:`repro.obs.profile`).  Tracing and profiling imply metrics:
-:func:`repro.obs.enable` enforces that ordering.
+recording.  Tracing implies metrics: :func:`repro.obs.enable` enforces
+that ordering.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ __all__ = ["ObsState", "STATE"]
 class ObsState:
     """Mutable global switches (attribute access is the fast path)."""
 
-    __slots__ = ("enabled", "trace", "profile")
+    __slots__ = ("enabled", "trace")
 
     def __init__(self) -> None:
         self.enabled = False
         self.trace = False
-        self.profile = False
 
 
 #: The process-wide switch every instrument checks.

@@ -10,8 +10,7 @@ Five formats, all plain files next to the experiment CSVs:
 * :func:`export_trace_perfetto` — Chrome trace-event JSON that loads
   directly in https://ui.perfetto.dev (and ``chrome://tracing``); span
   ids travel in ``args`` so :mod:`repro.obs.view` can rebuild the tree
-  from the same file, and the profiler table rides along under a
-  top-level ``profile`` key;
+  from the same file;
 * :func:`export_run_reports_json` / :func:`write_bench_json` — run
   reports, and a pytest-benchmark-compatible ``BENCH_*.json`` so perf
   numbers from CI land in the same shape the benchmark suite emits.
@@ -26,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.errors import ConfigurationError
-from repro.obs.profile import Profiler, get_profiler
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.report import HilRunReport, run_reports
 from repro.obs.trace import Tracer, get_tracer
@@ -120,11 +118,7 @@ def export_trace_jsonl(path: str | Path, tracer: Tracer | None = None) -> Path:
     return path
 
 
-def export_trace_perfetto(
-    path: str | Path,
-    tracer: Tracer | None = None,
-    profiler: Profiler | None = None,
-) -> Path:
+def export_trace_perfetto(path: str | Path, tracer: Tracer | None = None) -> Path:
     """Write the trace as Chrome trace-event JSON (Perfetto-loadable).
 
     Spans become complete (``ph: "X"``) events and point events become
@@ -136,11 +130,9 @@ def export_trace_perfetto(
     same file.  Records merged from worker processes (a ``worker``
     attribute, set by :func:`repro.obs.snapshot.merge_snapshot`) land on
     their own Perfetto process track; everything else lands on the
-    parent track.  The profiler table is embedded under a top-level
-    ``profile`` key (Chrome/Perfetto ignore unknown top-level keys).
+    parent track.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    profiler = profiler if profiler is not None else get_profiler()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     records = sorted(tracer.records, key=lambda r: r.start)
@@ -194,11 +186,7 @@ def export_trace_perfetto(
             "ts": (records[-1].start - t0) * 1e6 if records else 0.0,
             "args": {"dropped_records": tracer.dropped},
         })
-    doc = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "profile": profiler.state(),
-    }
+    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
     path.write_text(json.dumps(doc, default=_json_default))
     return path
 

@@ -11,11 +11,11 @@ worker.  This module makes it transportable:
   and can atomically reset afterwards, so one warm worker produces one
   delta snapshot per task;
 * :func:`merge_snapshot` folds a snapshot into the parent's registry,
-  tracer, profiler and report list with per-kind semantics: **counters
-  add**, **gauges last-write-wins in merge order** (merging shards in
-  index order reproduces the serial outcome), **histograms add bucket
-  counts and moments**, **profile entries add** (count/total, min/max
-  compose), spans append (tagged with the worker id), reports append.
+  tracer and report list with per-kind semantics: **counters add**,
+  **gauges last-write-wins in merge order** (merging shards in index
+  order reproduces the serial outcome), **histograms add bucket counts
+  and moments**, spans append (tagged with the worker id), reports
+  append.
 
 Spans keep their ``trace_id``/``span_id``/``parent_id`` through the
 round trip, so a worker span whose parent context was propagated from
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.obs.profile import Profiler, get_profiler
 from repro.obs.registry import Histogram, MetricsRegistry, get_registry
 from repro.obs.report import HilRunReport, add_run_report, run_reports
 from repro.obs.trace import SpanRecord, Tracer, get_tracer
@@ -49,8 +48,7 @@ class ObsSnapshot:
 
     ``metrics`` entries carry ``name``/``kind``/``description`` plus the
     instrument's raw :meth:`state` payload (and bucket bounds for
-    histograms); ``spans``/``reports`` are ``to_dict()`` records;
-    ``profile`` is the profiler's :meth:`~repro.obs.profile.Profiler.state`.
+    histograms); ``spans``/``reports`` are ``to_dict()`` records.
     """
 
     metrics: list[dict] = field(default_factory=list)
@@ -58,8 +56,6 @@ class ObsSnapshot:
     reports: list[dict] = field(default_factory=list)
     #: Spans the worker's tracer discarded at its record cap.
     dropped_spans: int = 0
-    #: Phase/op profile table (name → count/total/min/max payload).
-    profile: dict = field(default_factory=dict)
     #: The capturing tracer's epoch origin (``time.time() -
     #: time.perf_counter()``); merge uses it to rebase span starts onto
     #: the parent's clock.  None in snapshots from older emitters.
@@ -68,14 +64,13 @@ class ObsSnapshot:
     @property
     def empty(self) -> bool:
         """True when nothing was recorded (idle worker)."""
-        return not (self.metrics or self.spans or self.reports or self.profile)
+        return not (self.metrics or self.spans or self.reports)
 
 
 def capture_snapshot(
     reset: bool = False,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    profiler: Profiler | None = None,
 ) -> ObsSnapshot:
     """Freeze the current telemetry state into an :class:`ObsSnapshot`.
 
@@ -85,7 +80,6 @@ def capture_snapshot(
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    profiler = profiler if profiler is not None else get_profiler()
     metrics: list[dict] = []
     for name in registry.names():
         instrument = registry.get(name)
@@ -106,13 +100,11 @@ def capture_snapshot(
         spans=[record.to_dict() for record in tracer.records],
         reports=[report.to_dict() for report in run_reports()],
         dropped_spans=tracer.dropped,
-        profile=profiler.state(),
         clock_origin_s=tracer.clock_origin,
     )
     if reset:
         registry.reset()
         tracer.reset()
-        profiler.reset()
         from repro.obs.report import clear_run_reports
 
         clear_run_reports()
@@ -123,7 +115,6 @@ def merge_snapshot(
     snapshot: ObsSnapshot,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    profiler: Profiler | None = None,
     worker: int | str | None = None,
 ) -> None:
     """Fold one worker snapshot into the parent-side telemetry.
@@ -137,7 +128,6 @@ def merge_snapshot(
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    profiler = profiler if profiler is not None else get_profiler()
     for entry in snapshot.metrics:
         kind = entry["kind"]
         if kind == "counter":
@@ -175,6 +165,5 @@ def merge_snapshot(
             )
         )
     tracer.dropped += snapshot.dropped_spans
-    profiler.merge_state(snapshot.profile)
     for report in snapshot.reports:
         add_run_report(HilRunReport.from_dict(report))

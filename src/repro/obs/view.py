@@ -1,20 +1,17 @@
-"""Terminal viewer for trace artefacts: span tree + profile hot list.
+"""Terminal viewer for trace artefacts: the span tree.
 
 .. code-block:: bash
 
     python -m repro.experiments.runner sweep --quick --jobs 2 --trace-out t.json
     python -m repro.obs.view t.json
-    python -m repro.obs.view results/fig5a_trace.jsonl --top 20
+    python -m repro.obs.view results/fig5a_trace.jsonl --max-depth 3
 
 Reads either export format — the Chrome/Perfetto JSON written by
 ``--trace-out`` / :func:`repro.obs.export.export_trace_perfetto`, or the
-JSONL written by ``--trace`` / ``export_trace_jsonl`` — and prints:
-
-* the **span tree**, rebuilt from ``span_id``/``parent_id`` links, with
-  sibling spans of the same name aggregated into one line
-  (``hil.iteration ×8000``) so repetitive hot loops stay readable;
-* the **per-phase profile totals** embedded in the file (Perfetto
-  export only), ranked by total time.
+JSONL written by ``--trace`` / ``export_trace_jsonl`` — and prints the
+**span tree**, rebuilt from ``span_id``/``parent_id`` links, with
+sibling spans of the same name aggregated into one line
+(``hil.iteration ×8000``) so repetitive hot loops stay readable.
 
 Everything goes to stdout; the exit code is 0 unless the file cannot be
 parsed.
@@ -27,17 +24,16 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["load_trace", "format_span_tree", "format_profile", "main"]
+__all__ = ["load_trace", "format_span_tree", "main"]
 
 
-def load_trace(path: str | Path) -> tuple[list[dict], dict]:
-    """Parse a trace artefact into (span dicts, profile table).
+def load_trace(path: str | Path) -> list[dict]:
+    """Parse a trace artefact into span dicts.
 
-    Accepts the Perfetto JSON document (``traceEvents`` +
-    optional ``profile``) or span-per-line JSONL.  Returned span dicts
-    are normalised to the JSONL shape: ``name``, ``start_s``,
-    ``duration_s``, ``attrs``, ``event``, ``trace_id``, ``span_id``,
-    ``parent_id``.
+    Accepts the Perfetto JSON document (``traceEvents``) or
+    span-per-line JSONL.  Returned span dicts are normalised to the
+    JSONL shape: ``name``, ``start_s``, ``duration_s``, ``attrs``,
+    ``event``, ``trace_id``, ``span_id``, ``parent_id``.
     """
     text = Path(path).read_text()
     try:
@@ -63,7 +59,7 @@ def load_trace(path: str | Path) -> tuple[list[dict], dict]:
                 "span_id": span_id,
                 "parent_id": parent_id,
             })
-        return spans, dict(doc.get("profile", {}))
+        return spans
     # Fall back to JSONL (one record per line).
     spans = []
     for line in text.splitlines():
@@ -78,7 +74,7 @@ def load_trace(path: str | Path) -> tuple[list[dict], dict]:
         record.setdefault("start_s", 0.0)
         record.setdefault("duration_s", 0.0)
         spans.append(record)
-    return spans, {}
+    return spans
 
 
 class _TreeNode:
@@ -175,43 +171,19 @@ def format_span_tree(spans: list[dict], max_depth: int = 12) -> list[str]:
     return lines
 
 
-def format_profile(profile: dict, top: int = 15) -> list[str]:
-    """Render the embedded profile table as a ranked hot list."""
-    if not profile:
-        return []
-    ranked = sorted(
-        profile.items(), key=lambda item: (-float(item[1]["total_s"]), item[0])
-    )
-    lines = ["", "profile hot list (by total time):"]
-    name_width = max(len(name) for name, _ in ranked[:top])
-    for name, entry in ranked[:top]:
-        count = int(entry["count"])
-        total = float(entry["total_s"])
-        per = total / count if count else 0.0
-        lines.append(
-            f"  {name:<{name_width}}  {_fmt_seconds(total):>9}  "
-            f"×{count:<10} {_fmt_seconds(per)}/call"
-        )
-    if len(ranked) > top:
-        lines.append(f"  ... {len(ranked) - top} more phase(s)")
-    return lines
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.view",
-        description="Print the span tree and profile hot list of a trace "
-        "artefact (Perfetto JSON from --trace-out, or JSONL from --trace).",
+        description="Print the span tree of a trace artefact (Perfetto "
+        "JSON from --trace-out, or JSONL from --trace).",
     )
     parser.add_argument("trace", help="trace file (.json or .jsonl)")
-    parser.add_argument("--top", type=int, default=15,
-                        help="profile hot-list length (default 15)")
     parser.add_argument("--max-depth", type=int, default=12,
                         help="span-tree depth limit (default 12)")
     args = parser.parse_args(argv)
     try:
-        spans, profile = load_trace(args.trace)
+        spans = load_trace(args.trace)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
         return 2
@@ -220,8 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for line in format_span_tree(spans, max_depth=args.max_depth):
             print(line)
-    for line in format_profile(profile, top=args.top):
-        print(line)
     return 0
 
 

@@ -61,7 +61,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError, ParallelExecutionError
-from repro.obs.profile import get_profiler
 from repro.obs.snapshot import ObsSnapshot, capture_snapshot, merge_snapshot
 from repro.obs.trace import current_context, get_tracer, trace_context
 
@@ -208,7 +207,6 @@ _WORKER_STATE = {"obs": False}
 def _worker_init(
     obs_enabled: bool,
     trace_enabled: bool,
-    profile_enabled: bool,
     primers: tuple[Callable[[], None], ...],
 ) -> None:
     """Per-worker initializer: clean telemetry, primed caches.
@@ -222,7 +220,7 @@ def _worker_init(
     obs.disable()
     obs.reset()
     if obs_enabled:
-        obs.enable(trace=trace_enabled, profile=profile_enabled)
+        obs.enable(trace=trace_enabled)
     _WORKER_STATE["obs"] = obs_enabled
     for primer in primers:
         primer()
@@ -248,7 +246,7 @@ def _execute(index: int, fn: Callable[[Any], Any], item: Any) -> tuple:
 
 
 def _execute_instrumented(index: int, fn, item, ctx: tuple | None) -> tuple:
-    """Run one item inside a ``parallel.shard`` span / profile phase.
+    """Run one item inside a ``parallel.shard`` span.
 
     ``ctx`` is the parent process's ``(trace_id, span_id)`` frozen at
     dispatch time: adopting it parents the shard's whole span subtree
@@ -266,7 +264,6 @@ def _execute_instrumented(index: int, fn, item, ctx: tuple | None) -> tuple:
     finally:
         if adopt is not None:
             adopt.__exit__()
-    get_profiler().add("parallel.shard", elapsed)
     return value, failure, elapsed
 
 
@@ -372,7 +369,6 @@ class WorkerPool:
                 initargs=(
                     obs.enabled(),
                     obs.trace_enabled(),
-                    obs.profile_enabled(),
                     self._primers,
                 ),
             )

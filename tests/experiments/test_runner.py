@@ -124,19 +124,6 @@ class TestTelemetryFlags:
 
 
 class TestProfileAndTraceOut:
-    def test_profile_writes_table_and_logs_hot_list(self, tmp_path, capsys):
-        import json
-
-        assert main(["fig5a", "--out", str(tmp_path), "--quick", "--profile"]) == 0
-        profile = json.loads((tmp_path / "fig5a_profile.json").read_text())
-        # The HIL fast path files its sense/compute/actuate phases.
-        assert any(name.startswith("hil.") for name in profile)
-        assert all(entry["count"] > 0 for entry in profile.values())
-        assert "profile" in capsys.readouterr().err
-        # --profile implies metrics but not tracing.
-        assert (tmp_path / "fig5a_metrics.json").exists()
-        assert not (tmp_path / "fig5a_trace.jsonl").exists()
-
     def test_trace_out_writes_single_span_tree(self, tmp_path, capsys):
         from repro.obs.view import load_trace
 
@@ -144,7 +131,7 @@ class TestProfileAndTraceOut:
         assert main(["fig1", "--out", str(tmp_path), "--quick",
                      "--trace-out", str(trace_path)]) == 0
         assert "perfetto trace" in capsys.readouterr().err
-        spans, _ = load_trace(trace_path)
+        spans = load_trace(trace_path)
         roots = [s for s in spans if s["parent_id"] is None]
         assert [r["name"] for r in roots] == ["experiment.fig1"]
         assert len({s["trace_id"] for s in spans}) == 1
@@ -160,7 +147,7 @@ class TestProfileAndTraceOut:
         # A later invocation overwrites: the file covers one session.
         assert main(["schedule", "--out", str(tmp_path), "--quick",
                      "--trace-out", str(trace_path)]) == 0
-        spans, _ = load_trace(trace_path)
+        spans = load_trace(trace_path)
         assert {s["name"] for s in spans if s["parent_id"] is None} == {
             "experiment.schedule"
         }
@@ -170,7 +157,7 @@ class TestProfileAndTraceOut:
 
         trace_path = tmp_path / "t.json"
         assert main(["fig1", "--out", str(tmp_path), "--quick",
-                     "--trace-out", str(trace_path), "--profile"]) == 0
+                     "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         assert view_main([str(trace_path)]) == 0
         assert "experiment.fig1" in capsys.readouterr().out

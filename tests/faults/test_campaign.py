@@ -333,6 +333,25 @@ class TestRunnerFaultsFlag:
         ) == 0
         assert session_faults() == ()
 
+    def test_list_does_not_arm_faults(self, tmp_path, capsys):
+        from repro.faults.session import session_faults
+
+        assert main(["--list", "--faults", str(self._payload(tmp_path))]) == 0
+        assert "fig5a" in capsys.readouterr().out
+        assert session_faults() == ()
+
+    def test_unknown_experiment_exits_before_arming(self, tmp_path, capsys):
+        from repro.faults.session import session_faults
+
+        assert main(
+            ["bogus", "--out", str(tmp_path / "o"),
+             "--faults", str(self._payload(tmp_path))]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'bogus'" in err
+        assert "armed" not in err
+        assert session_faults() == ()
+
     def test_bad_payload_is_a_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "cavity_failure"}))  # not a list

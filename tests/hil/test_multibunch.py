@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.physics import SIS18, KNOWN_IONS
 from repro.physics.oscillation import estimate_oscillation_frequency
+from tests.hil.test_simulator import assert_engines_identical
 
 
 def config(**overrides):
@@ -60,17 +61,8 @@ class TestIndependentBunches:
 
 class TestMultiBunchEngines:
     def test_cgra_python_equivalence_four_bunches(self):
-        offsets = (0.0, 3e-9, 6e-9, 9e-9)
-        r_cgra = CavityInTheLoop(config(
-            engine="cgra", precision="double", n_bunches=4,
-            initial_delta_t=offsets, record_every=1,
-        )).run(0.003)
-        r_py = CavityInTheLoop(config(
-            engine="python", n_bunches=4,
-            initial_delta_t=offsets, record_every=1,
-        )).run(0.003)
-        np.testing.assert_allclose(
-            r_cgra.delta_t_all, r_py.delta_t_all, atol=1e-18
+        assert_engines_identical(
+            0.003, n_bunches=4, initial_delta_t=(0.0, 3e-9, 6e-9, 9e-9)
         )
 
 

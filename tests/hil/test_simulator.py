@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, HilError
+from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.physics import SIS18, KNOWN_IONS
 from repro.physics.oscillation import estimate_oscillation_frequency
@@ -14,6 +15,22 @@ def config(**overrides):
                   jump_start_time=0.002)
     kwargs.update(overrides)
     return HilConfig(**kwargs)
+
+
+def assert_engines_identical(duration=0.004, **overrides):
+    """Run the interpreter at double precision and the Python step on
+    the same bench; every recorded array must match bit for bit."""
+    r_cgra = CavityInTheLoop(
+        config(engine="cgra", precision="double", record_every=1, **overrides)
+    ).run(duration)
+    r_py = CavityInTheLoop(
+        config(engine="python", record_every=1, **overrides)
+    ).run(duration)
+    for name in ("time", "phase_deg", "correction_deg", "jump_deg",
+                 "delta_t", "delta_t_all", "gamma_ref"):
+        np.testing.assert_array_equal(
+            getattr(r_cgra, name), getattr(r_py, name), err_msg=name
+        )
 
 
 class TestConfigValidation:
@@ -135,15 +152,15 @@ class TestEngines:
     def test_cgra_python_equivalence(self, pipelined):
         """The headline invariant: both engines produce identical traces
         at double precision."""
-        r_cgra = CavityInTheLoop(
-            config(engine="cgra", precision="double", pipelined=pipelined,
-                   record_every=1)
-        ).run(0.004)
-        r_py = CavityInTheLoop(
-            config(engine="python", pipelined=pipelined, record_every=1)
-        ).run(0.004)
-        np.testing.assert_allclose(r_cgra.phase_deg, r_py.phase_deg, atol=1e-9)
-        np.testing.assert_allclose(r_cgra.delta_t, r_py.delta_t, atol=1e-18)
+        assert_engines_identical(pipelined=pipelined)
+
+    def test_cgra_python_equivalence_dual_harmonic(self):
+        assert_engines_identical(dual_harmonic_ratio=0.2)
+
+    def test_cgra_python_equivalence_adc_stuck_bit(self):
+        assert_engines_identical(faults=(FaultSpec(
+            kind=FaultKind.ADC_STUCK_BIT, magnitude=9.0, onset_time=0.001,
+            duration=0.002),))
 
     def test_single_precision_close_to_double(self):
         r32 = CavityInTheLoop(config(engine="cgra", precision="single",

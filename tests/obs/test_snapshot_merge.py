@@ -141,27 +141,6 @@ class TestGaugeOrderDeterminism:
         assert parent.gauge("g", "").value() == 0.0
 
 
-class TestProfileMerge:
-    def test_profile_tables_merge_by_addition(self, enabled):
-        from repro.obs.profile import Profiler
-
-        worker = Profiler()
-        worker._add("hil.sense", 2.0)
-        parent = Profiler()
-        parent._add("hil.sense", 1.0)
-        snap = capture_snapshot(
-            registry=MetricsRegistry(), tracer=Tracer(), profiler=worker
-        )
-        assert snap.profile["hil.sense"]["count"] == 1
-        merge_snapshot(
-            snap, registry=MetricsRegistry(), tracer=Tracer(), profiler=parent
-        )
-        entry = parent.entries()["hil.sense"]
-        assert entry.count == 2
-        assert entry.total_s == 3.0
-        assert (entry.min_s, entry.max_s) == (1.0, 2.0)
-
-
 class TestSpansAndReports:
     def test_spans_merge_with_worker_tag(self, tracing):
         worker_tracer = Tracer()
@@ -193,7 +172,7 @@ class TestSpansAndReports:
             snap, registry=MetricsRegistry(), tracer=tracing, worker=7
         )
         path = obs.export.export_trace_perfetto(tmp_path / "t.json")
-        spans, _ = load_trace(path)
+        spans = load_trace(path)
         by_name = {s["name"]: s for s in spans}
         shard = by_name["shard"]
         assert shard["attrs"]["worker"] == 7

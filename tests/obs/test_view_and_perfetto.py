@@ -3,7 +3,6 @@
 import json
 
 from repro import obs
-from repro.obs.profile import Profiler
 from repro.obs.trace import SpanRecord, Tracer
 from repro.obs.view import format_span_tree, load_trace, main
 
@@ -19,7 +18,7 @@ class TestPerfettoExport:
         _record_tree(tracing)
         path = obs.export.export_trace_perfetto(tmp_path / "t.json")
         doc = json.loads(path.read_text())
-        assert set(doc) == {"traceEvents", "displayTimeUnit", "profile"}
+        assert set(doc) == {"traceEvents", "displayTimeUnit"}
         phases = [e["ph"] for e in doc["traceEvents"]]
         assert phases.count("X") == 2  # two spans
         assert phases.count("i") == 1  # one instant
@@ -57,27 +56,17 @@ class TestPerfettoExport:
         t = Tracer(max_records=1)
         t.event("kept")
         t.event("lost")
-        path = obs.export.export_trace_perfetto(
-            tmp_path / "d.json", tracer=t, profiler=Profiler()
-        )
+        path = obs.export.export_trace_perfetto(tmp_path / "d.json", tracer=t)
         last = json.loads(path.read_text())["traceEvents"][-1]
         assert last["name"] == "trace.dropped"
         assert last["args"]["dropped_records"] == 1
-
-    def test_profile_table_embedded(self, tmp_path):
-        obs.enable(trace=True, profile=True)
-        obs.profiler().add("hil.sense", 0.5)
-        path = obs.export.export_trace_perfetto(tmp_path / "t.json")
-        doc = json.loads(path.read_text())
-        assert doc["profile"]["hil.sense"]["count"] == 1
-        assert doc["profile"]["hil.sense"]["total_s"] == 0.5
 
 
 class TestLoadTrace:
     def test_perfetto_round_trip_keeps_links_and_attrs(self, tracing, tmp_path):
         _record_tree(tracing)
         path = obs.export.export_trace_perfetto(tmp_path / "t.json")
-        spans, profile = load_trace(path)
+        spans = load_trace(path)
         assert {s["name"] for s in spans} == {
             "experiment.demo", "parallel.shard", "tick",
         }
@@ -94,8 +83,7 @@ class TestLoadTrace:
     def test_jsonl_round_trip(self, tracing, tmp_path):
         _record_tree(tracing)
         path = obs.export.export_trace_jsonl(tmp_path / "t.jsonl")
-        spans, profile = load_trace(path)
-        assert profile == {}
+        spans = load_trace(path)
         assert len(spans) == 3
         by_name = {s["name"]: s for s in spans}
         assert (
@@ -111,7 +99,7 @@ class TestTreeRendering:
                 with tracing.span("child"):
                     pass
         path = obs.export.export_trace_perfetto(tmp_path / "t.json")
-        spans, _ = load_trace(path)
+        spans = load_trace(path)
         lines = format_span_tree(spans)
         assert "4 record(s), 1 trace id(s)" in lines[0]
         root_line = next(line for line in lines if line.startswith("root"))
@@ -120,16 +108,15 @@ class TestTreeRendering:
         assert "×3" in child_line
         assert child_line.startswith("  ")  # indented under root
 
-    def test_cli_prints_tree_and_hot_list(self, tmp_path, capsys):
-        obs.enable(trace=True, profile=True)
-        with obs.tracer().span("root"):
-            pass
-        obs.profiler().add("hil.compute", 1.25)
+    def test_cli_prints_tree(self, tracing, tmp_path, capsys):
+        with tracing.span("root"):
+            with tracing.span("child"):
+                pass
         path = obs.export.export_trace_perfetto(tmp_path / "t.json")
         assert main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "root" in out
-        assert "hot list" in out and "hil.compute" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("root")
+        assert lines[2].startswith("  child")
 
     def test_cli_reads_jsonl_too(self, tracing, tmp_path, capsys):
         _record_tree(tracing)

@@ -1,10 +1,9 @@
-"""Cross-process trace/profile propagation through the sharded pool.
+"""Cross-process trace propagation through the sharded pool.
 
 The acceptance contract of the flight recorder: a ``jobs=N`` run whose
 dispatch happens inside a parent span produces ONE span tree — a single
 trace id, every worker span's parent link resolving back through
-``parallel.shard`` to the dispatching span — and the workers' profiler
-tables merge home by addition.
+``parallel.shard`` to the dispatching span.
 """
 
 import pytest
@@ -17,12 +16,6 @@ from repro.parallel import run_sharded
 
 def _traced_shard(x):
     with obs.get_tracer().span("shard_work", item=x):
-        pass
-    return x
-
-
-def _profiled_shard(x):
-    with obs.profiler().phase("worker_phase"):
         pass
     return x
 
@@ -91,14 +84,3 @@ class TestSingleTree:
             r for r in obs.tracer().records if r.name == "parallel.shard"
         ]
         assert all(r.parent_id is None for r in shards)
-
-
-class TestProfilePropagation:
-    def test_worker_profiles_merge_home(self):
-        obs.enable(profile=True)
-        results = run_sharded(_profiled_shard, [1, 2, 3, 4], jobs=2, primers=())
-        assert [r.value for r in results] == [1, 2, 3, 4]
-        entries = obs.profiler().entries()
-        assert entries["worker_phase"].count == 4
-        # The dispatch layer times every shard, worker-side or inline.
-        assert entries["parallel.shard"].count == 4
