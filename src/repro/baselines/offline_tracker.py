@@ -156,8 +156,8 @@ class MachineExperimentEmulator:
 
     def run(self, duration: float) -> MachineRunResult:
         """Run the emulated machine experiment for ``duration`` seconds."""
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ConfigurationError(f"duration must be finite and positive, got {duration!r}")
         n_turns = int(round(duration * self.f_rev))
         every = self.config.record_every
         n_rec = n_turns // every + 1

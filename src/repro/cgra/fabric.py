@@ -12,17 +12,16 @@ any interconnect structure."
 4-neighbour links by default; arbitrary extra links can be added, and
 per-PE operator subsets express heterogeneous fabrics (e.g. only some
 PEs carry the expensive sqrt/div cores, one PE owns the SensorAccess
-port).  Routing distances come from shortest paths on the interconnect
-graph (networkx), at :attr:`~repro.cgra.ops.OperatorLatencies.route_hop`
-ticks per hop.
+port).  Routing distances are shortest-path hop counts on the
+interconnect (a breadth-first search from every PE), at
+:attr:`~repro.cgra.ops.OperatorLatencies.route_hop` ticks per hop.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.cgra.ops import IO_OPS, ZERO_TIME_OPS, Op, OperatorLatencies
 from repro.errors import ConfigurationError, ScheduleError
@@ -100,23 +99,43 @@ class CgraConfig:
         return 1.0 / (self.clock_mhz * 1e6)
 
 
+def _hop_distances(
+    links: dict[tuple[int, int], set[tuple[int, int]]],
+) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """All-pairs hop counts: one breadth-first search per PE."""
+    distance = {}
+    for source in links:
+        hops = {source: 0}
+        queue = deque([source])
+        while queue:
+            pe = queue.popleft()
+            for neighbour in links[pe]:
+                if neighbour not in hops:
+                    hops[neighbour] = hops[pe] + 1
+                    queue.append(neighbour)
+        distance[source] = hops
+    return distance
+
+
 class CgraFabric:
-    """A concrete fabric instance: PE capability map + interconnect graph."""
+    """A concrete fabric instance: PE capability map + interconnect links."""
 
     def __init__(self, config: CgraConfig) -> None:
         self.config = config
-        self.graph = nx.Graph()
         positions = list(itertools.product(range(config.rows), range(config.cols)))
-        self.graph.add_nodes_from(positions)
+        # Undirected adjacency: each PE's set of directly linked PEs.
+        self._links: dict[tuple[int, int], set[tuple[int, int]]] = {
+            pe: set() for pe in positions
+        }
         for r, c in positions:
             if r + 1 < config.rows:
-                self.graph.add_edge((r, c), (r + 1, c))
+                self._link((r, c), (r + 1, c))
             elif config.torus and config.rows > 2:
-                self.graph.add_edge((r, c), (0, c))
+                self._link((r, c), (0, c))
             if c + 1 < config.cols:
-                self.graph.add_edge((r, c), (r, c + 1))
+                self._link((r, c), (r, c + 1))
             elif config.torus and config.cols > 2:
-                self.graph.add_edge((r, c), (r, 0))
+                self._link((r, c), (r, 0))
 
         # Capability map: every PE does the basic ops; heavy cores are
         # distributed evenly (stride placement keeps them spread out);
@@ -131,12 +150,16 @@ class CgraFabric:
             self.capabilities[pe] |= _HEAVY_OPS
         self.capabilities[config.io_pe] |= set(IO_OPS)
         self._heavy_pes = set(heavy)
-        self._distance = dict(nx.all_pairs_shortest_path_length(self.graph))
+        self._distance = _hop_distances(self._links)
+
+    def _link(self, a: tuple[int, int], b: tuple[int, int]) -> None:
+        self._links[a].add(b)
+        self._links[b].add(a)
 
     @property
     def pes(self) -> list[tuple[int, int]]:
         """All PE positions, row-major."""
-        return sorted(self.graph.nodes)
+        return sorted(self._links)
 
     @property
     def heavy_pes(self) -> set[tuple[int, int]]:
@@ -150,10 +173,14 @@ class CgraFabric:
 
     def add_link(self, a: tuple[int, int], b: tuple[int, int]) -> None:
         """Add an extra interconnect link (configurable interconnect)."""
-        if a not in self.graph or b not in self.graph:
+        try:
+            known = a in self._links and b in self._links
+        except TypeError:  # an unhashable endpoint is no PE either
+            known = False
+        if not known:
             raise ConfigurationError(f"link endpoints {a}, {b} must be PEs")
-        self.graph.add_edge(a, b)
-        self._distance = dict(nx.all_pairs_shortest_path_length(self.graph))
+        self._link(a, b)
+        self._distance = _hop_distances(self._links)
 
     def supports(self, pe: tuple[int, int], op: Op) -> bool:
         """Whether a PE can execute an operation."""

@@ -133,6 +133,11 @@ class BatchSensorBus:
     port and both shapes.  ``read_counts``/``write_counts`` count logical
     operations (one per op, not per lane), mirroring the scalar bus
     statistics.
+
+    Contract: a reader must return finite values for finite inputs.  The
+    compiled step checks no read (a per-read reduction would cost more
+    than the op), and registers are always finite, so a read is the only
+    way a NaN or ±inf can enter the step.
     """
 
     def __init__(self, batch: int) -> None:

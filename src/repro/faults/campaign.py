@@ -113,8 +113,8 @@ class CampaignConfig:
     chunk: int = CAMPAIGN_CHUNK
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise FaultSpecError(f"duration must be > 0, got {self.duration!r}")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise FaultSpecError(f"duration must be finite and > 0, got {self.duration!r}")
         if not self.onset_times:
             raise FaultSpecError("onset_times must not be empty")
         for onset in self.onset_times:
@@ -128,9 +128,9 @@ class CampaignConfig:
                 f"magnitudes_per_kind must be in [1, {ladder_depth}], "
                 f"got {self.magnitudes_per_kind}"
             )
-        if self.fault_duration <= 0.0:
+        if not (math.isfinite(self.fault_duration) and self.fault_duration > 0.0):
             raise FaultSpecError(
-                f"fault_duration must be > 0, got {self.fault_duration!r}"
+                f"fault_duration must be finite and > 0, got {self.fault_duration!r}"
             )
         if self.chunk < 1:
             raise FaultSpecError(f"chunk must be >= 1, got {self.chunk}")

@@ -416,8 +416,8 @@ class BatchedCavityInTheLoop:
         after the run, each one elementwise op that matches the per-turn
         expression bit for bit.
         """
-        if duration <= 0:
-            raise HilError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise HilError(f"duration must be finite and positive, got {duration!r}")
         n_turns = int(round(duration * self.f_rev))
         rec_every = self.config.record_every
         n_rec = n_turns // rec_every + 1

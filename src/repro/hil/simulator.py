@@ -483,8 +483,8 @@ class CavityInTheLoop:
 
     def run(self, duration: float) -> HilRunResult:
         """Run the bench for ``duration`` seconds of machine time."""
-        if duration <= 0:
-            raise HilError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise HilError(f"duration must be finite and positive, got {duration!r}")
         n_turns = int(round(duration * self.f_rev))
         # The revolution period is constant in this scenario: check the
         # real-time budget once per revolution via the monitor (cheap).

@@ -87,5 +87,7 @@ class TestRun:
         assert np.all(res.sigma_delta_t > 0)
 
     def test_duration_validation(self):
-        with pytest.raises(ConfigurationError):
-            emulator().run(0.0)
+        emu = emulator()
+        for duration in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="duration must be"):
+                emu.run(duration)

@@ -1,5 +1,7 @@
 """Tests for the PE fabric and interconnect."""
 
+import itertools
+
 import pytest
 
 from repro.cgra.fabric import CgraConfig, CgraFabric
@@ -78,5 +80,61 @@ class TestFabric:
 
     def test_bad_link(self):
         fab = CgraFabric(CgraConfig(rows=2, cols=2))
-        with pytest.raises(ConfigurationError):
-            fab.add_link((0, 0), (9, 9))
+        # Off the grid, negative, or unhashable: none of these is a PE.
+        for a, b in [((0, 0), (9, 9)), ((0, -1), (0, 0)), ([0, 0], (0, 1)), ((0, 0), [0, 1])]:
+            with pytest.raises(ConfigurationError, match="must be PEs"):
+                fab.add_link(a, b)
+
+
+def _oracle_hops(config, a, b):
+    """Closed-form hop count: Manhattan on a grid; on a torus each axis
+    longer than 2 wraps, so it takes the shorter way round."""
+
+    def axis(delta, n):
+        delta = abs(delta)
+        return min(delta, n - delta) if config.torus and n > 2 else delta
+
+    return axis(a[0] - b[0], config.rows) + axis(a[1] - b[1], config.cols)
+
+
+class TestRoutingDistances:
+    """``hop_distance`` against a closed form, independent of how the
+    fabric computes its shortest paths."""
+
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_every_pair_matches_closed_form(self, torus):
+        for rows, cols in itertools.product(range(1, 7), repeat=2):
+            config = CgraConfig(rows=rows, cols=cols, torus=torus)
+            fab = CgraFabric(config)
+            assert fab.pes == sorted(itertools.product(range(rows), range(cols)))
+            for a, b in itertools.product(fab.pes, repeat=2):
+                assert fab.hop_distance(a, b) == _oracle_hops(config, a, b), (rows, cols, a, b)
+
+    @pytest.mark.parametrize("torus", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (4, 5)])
+    def test_one_shortcut_matches_closed_form(self, shape, torus):
+        """With one extra link x–y a shortest path uses it at most once,
+        in one direction or the other."""
+        config = CgraConfig(rows=shape[0], cols=shape[1], torus=torus)
+        pes = CgraFabric(config).pes
+        d = {(a, b): _oracle_hops(config, a, b) for a in pes for b in pes}
+        for x, y in itertools.combinations(pes, 2):
+            fab = CgraFabric(config)
+            fab.add_link(x, y)
+            for a, b in itertools.product(pes, repeat=2):
+                expected = min(d[a, b], d[a, x] + 1 + d[y, b], d[a, y] + 1 + d[x, b])
+                assert fab.hop_distance(a, b) == expected, (x, y, a, b)
+
+    def test_self_link_changes_nothing(self):
+        config = CgraConfig(rows=3, cols=4)
+        fab = CgraFabric(config)
+        fab.add_link((1, 2), (1, 2))
+        for a, b in itertools.product(fab.pes, repeat=2):
+            assert fab.hop_distance(a, b) == _oracle_hops(config, a, b)
+
+    def test_unknown_pe_has_no_route(self):
+        fab = CgraFabric(CgraConfig(rows=2, cols=2))
+        with pytest.raises(ScheduleError, match="no route"):
+            fab.hop_distance((0, 0), (5, 5))
+        with pytest.raises(ScheduleError, match="no route"):
+            fab.routing_delay((5, 5), (0, 0))

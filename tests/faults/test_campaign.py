@@ -86,8 +86,11 @@ class TestGrid:
         assert all(a.seed != b.seed for a, b in zip(grid, other))
 
     def test_config_validation(self):
-        with pytest.raises(FaultSpecError, match="duration"):
-            CampaignConfig(duration=0.0)
+        for duration in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(FaultSpecError, match="^duration"):
+                CampaignConfig(duration=duration)
+            with pytest.raises(FaultSpecError, match="^fault_duration"):
+                CampaignConfig(fault_duration=duration)
         with pytest.raises(FaultSpecError, match="onset"):
             CampaignConfig(onset_times=(0.5,), duration=0.1)
         with pytest.raises(FaultSpecError, match="magnitudes_per_kind"):

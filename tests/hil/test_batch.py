@@ -19,6 +19,7 @@ import pytest
 
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
+from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil import BatchHilConfig, BatchedCavityInTheLoop, CavityInTheLoop, HilConfig
 from repro.hil.batch import _VectorControlLoop
 from repro.physics import KNOWN_IONS, SIS18
@@ -197,8 +198,10 @@ class TestBatchedHil:
             BatchedCavityInTheLoop(
                 _batch_config(control=ControlLoopConfig(sample_rate=1e6))
             )
-        with pytest.raises(HilError):
-            BatchedCavityInTheLoop(_batch_config()).run(0.0)
+        bench = BatchedCavityInTheLoop(_batch_config())
+        for duration in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(HilError, match="duration must be"):
+                bench.run(duration)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["revolution_frequency", "synchrotron_frequency",
@@ -216,6 +219,43 @@ class TestBatchedHil:
 
     def test_batch_property(self):
         assert _batch_config().batch == len(AMPS)
+
+
+class TestSensorHandlerContract:
+    """The compiled step checks no read for finiteness (docs/PERFORMANCE.md,
+    *Guard-free batched step*), so a bus handler must return finite values
+    for finite inputs.  The bench's reference and gap handlers keep that
+    contract for addresses from 0 up to ±1e300, faulted or not, under the
+    engine's own errstate."""
+
+    #: Every fault channel of the gap handler, one lane each: gain,
+    #: phase, clip and stuck bit (the sign bit of the 14-bit word).
+    FAULTS = (
+        FaultSpec(kind=FaultKind.CAVITY_FAILURE, magnitude=0.5, onset_time=0.0, target=0),
+        FaultSpec(kind=FaultKind.DDS_PHASE_GLITCH, magnitude=3.0, onset_time=0.0, target=1),
+        FaultSpec(kind=FaultKind.AMPLIFIER_SATURATION, magnitude=0.1, onset_time=0.0, target=2),
+        FaultSpec(kind=FaultKind.ADC_STUCK_BIT, magnitude=13, onset_time=0.0, target=0),
+    )
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("quantize_adc", [True, False])
+    def test_finite_addresses_give_finite_reads(self, quantize_adc, faulted):
+        bench = BatchedCavityInTheLoop(
+            _batch_config(quantize_adc=quantize_adc, faults=self.FAULTS if faulted else ())
+        )
+        if faulted:
+            bench._faults.update(0.0)
+            assert bench._faults.active and bench._faults.stuck_any
+        magnitudes = (0.0, 1.0, 12345.678, 1e9, 1e15, 1e100, 1e200, 1e300)
+        addresses = [sign * m for m in magnitudes for sign in (1.0, -1.0)]
+        handlers = (bench._ref_adc_voltage, bench._gap_adc_voltage)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for addr in addresses:
+                lanes = np.array([addr, -addr, addr / 3.0])
+                for handler in handlers:
+                    for samples in (np.float64(addr), lanes):
+                        read = handler(samples)
+                        assert np.all(np.isfinite(read)), (handler.__name__, samples, read)
 
 
 class TestVectorControlLoop:

@@ -135,8 +135,9 @@ class TestRunBehaviour:
 
     def test_duration_validation(self):
         sim = CavityInTheLoop(config())
-        with pytest.raises(HilError):
-            sim.run(0.0)
+        for duration in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(HilError, match="duration must be"):
+                sim.run(duration)
 
     def test_correction_trace_bounded(self):
         res = CavityInTheLoop(config()).run(0.02)
