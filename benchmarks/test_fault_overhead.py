@@ -3,8 +3,8 @@
 The fault design rule mirrors the obs layer's: "no-op by default, one
 comparison when armed-but-idle".  A bench built without faults must run
 the exact pre-fault code path (``self._faults is None`` is the only
-added work), and a bench with faults armed far in the future pays one
-float compare per revolution until the first onset.  Both claims are
+added work), and a bench with faults armed far in the future pays two
+float compares and a flag test per revolution until the first onset.  Both claims are
 pinned here — timing ratios *and* bit-identity of the produced traces.
 The measured numbers are quoted in docs/FAULTS.md.
 """

@@ -127,7 +127,7 @@ def run_sweep_shard(task: SweepTask) -> SweepShardResult:
         f_s=f_s,
         first_pp=first_pp,
         settled=settled,
-        n_turns=len(res.time) * task.record_every,
+        n_turns=res.n_turns,
         elapsed_s=elapsed,
         deadline_misses=res.deadline.misses,
         phase_deg=res.phase_deg if task.keep_trace else None,

@@ -88,8 +88,7 @@ def run_fault_lanes(
     )
     bench = BatchedCavityInTheLoop(config)
     res = bench.run(duration)
-    n_turns = len(res.time) * record_every
-    return res.time, res.phase_deg, n_turns, res.deadline.misses
+    return res.time, res.phase_deg, res.n_turns, res.deadline.misses
 
 
 def detect_context_corruption(spec: FaultSpec) -> tuple[bool, int]:

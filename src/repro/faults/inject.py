@@ -12,11 +12,13 @@ and cheap when armed:
   (:data:`~repro.faults.spec.FaultKind.CGRA_CONTEXT_CORRUPTION` never
   touches the loop physics — it corrupts the context-memory *images* and
   is caught by the PR-2 verifier, see :func:`corrupt_context_images`);
-* **per revolution** — :meth:`FaultProgram.update` re-evaluates the
-  active window of every spec and folds the active ones into four
-  channel values (gap gain, gap phase, gap clip level, stuck-bit
-  masks); before the first onset and after the last window has closed
-  it is a float compare that leaves the channels neutral;
+* **per revolution** — :meth:`FaultProgram.update` brings four channel
+  values (gap gain, gap phase, gap clip level, stuck-bit masks) to the
+  current time.  The set of active specs changes only at a window edge
+  (an onset or an ``onset + duration``), so the active ones are folded
+  into the channels only when the time crosses one; between two edges
+  ``update`` is a float compare, plus a re-sum of the gap phase while a
+  time-varying phase fault (microphonics, detuning transient) is on;
 * **per sensor read** — the bench applies those values inside its
   analytic handlers.  When no fault is active at the current time the
   handlers take their original branch, so an armed-but-not-yet-onset run
@@ -62,6 +64,7 @@ Fault transfer model (all on the ADC-volt signals of the Fig. 4 bench):
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -86,6 +89,15 @@ MICROPHONIC_BAND_HZ = (10.0, 300.0)
 #: substrate corruption, which only exists in the context images).
 LOOP_KINDS = frozenset(FaultKind) - {FaultKind.CGRA_CONTEXT_CORRUPTION}
 
+#: Loop faults that add to the gap phase, and those whose share moves
+#: with time inside their window.
+_PHASE_KINDS = frozenset({
+    FaultKind.MICROPHONIC_DETUNING,
+    FaultKind.DETUNING_TRANSIENT,
+    FaultKind.DDS_PHASE_GLITCH,
+})
+_TIME_VARYING_KINDS = _PHASE_KINDS - {FaultKind.DDS_PHASE_GLITCH}
+
 
 class _Microphonics:
     """One seeded spectrum realisation and its integrated phase."""
@@ -105,11 +117,13 @@ class _Microphonics:
         # zero at onset so the fault switches on continuously.
         self.amp_over_f = amp / self.freqs
         self._sin0 = np.sin(self.thetas)
+        # (2π)·f_k, the product 2.0 * math.pi * freqs * tau starts with.
+        self._omega = 2.0 * math.pi * self.freqs
         self.onset = spec.onset_time
 
     def phase_rad(self, t: float) -> float:
         tau = t - self.onset
-        s = np.sin(2.0 * math.pi * self.freqs * tau + self.thetas)
+        s = np.sin(self._omega * tau + self.thetas)
         return float(np.dot(self.amp_over_f, s - self._sin0))
 
 
@@ -176,17 +190,21 @@ class FaultProgram:
             for s in self.loop_specs
             if s.kind is FaultKind.MICROPHONIC_DETUNING
         }
-        #: Earliest onset and latest window end over the loop faults
-        #: (inf if any is open-ended): before the one and from the other
-        #: on, update() is a float compare per revolution.
-        self._first_onset = min(
-            (s.onset_time for s in self.loop_specs), default=math.inf
+        #: Sorted window edges of the loop faults.  ``active_at`` is the
+        #: same for every time in [lo, hi) between two consecutive edges,
+        #: so update() folds the channels only when it leaves [lo, hi);
+        #: they start neutral, the fold for any time before the first edge.
+        self._edges = sorted(
+            {s.onset_time for s in self.loop_specs}
+            | {s.onset_time + s.duration
+               for s in self.loop_specs if s.duration is not None}
         )
-        self._last_end = max(
-            (math.inf if s.duration is None else s.onset_time + s.duration
-             for s in self.loop_specs),
-            default=math.inf,
-        )
+        self._lo = -math.inf
+        self._hi = self._edges[0] if self._edges else math.inf
+        #: The phase faults active in [lo, hi), and whether one of them
+        #: moves with time (then update() re-sums the gap phase).
+        self._phase_specs: tuple[FaultSpec, ...] = ()
+        self._varying = False
 
         #: Whether any loop fault is active at the last update() time.
         self.active = False
@@ -212,36 +230,29 @@ class FaultProgram:
     # -- per-revolution evaluation ------------------------------------
 
     def update(self, t: float) -> None:
-        """Re-evaluate every loop fault's window at run time ``t``."""
-        if t < self._first_onset or t >= self._last_end:
-            # No window is open: every spec's active_at(t) is False.
-            if self.active:
-                self._reset_channels()
+        """Bring the fault channels to run time ``t``."""
+        if self._lo <= t < self._hi:
+            if self._varying:
+                self._sum_phase(t)
             return
+        k = bisect.bisect_right(self._edges, t)
+        self._lo = self._edges[k - 1] if k else -math.inf
+        self._hi = self._edges[k] if k < len(self._edges) else math.inf
         self._reset_channels()
         batched = self.batch is not None
+        phase_specs = []
         for s in self.loop_specs:
             if not s.active_at(t):
                 continue
             self.active = True
             kind = s.kind
-            if kind is FaultKind.CAVITY_FAILURE:
+            if kind in _PHASE_KINDS:
+                phase_specs.append(s)
+            elif kind is FaultKind.CAVITY_FAILURE:
                 if batched:
                     self.gap_gain[s.target] *= 1.0 - s.magnitude
                 else:
                     self.gap_gain *= 1.0 - s.magnitude
-            elif kind is FaultKind.MICROPHONIC_DETUNING:
-                phi = self._micro[id(s)].phase_rad(t)
-                if batched:
-                    self.gap_phase[s.target] += phi
-                else:
-                    self.gap_phase += phi
-            elif kind is FaultKind.DETUNING_TRANSIENT:
-                phi = 2.0 * math.pi * s.magnitude * (t - s.onset_time)
-                if batched:
-                    self.gap_phase[s.target] += phi
-                else:
-                    self.gap_phase += phi
             elif kind is FaultKind.AMPLIFIER_SATURATION:
                 if batched:
                     self.gap_clip[s.target] = min(self.gap_clip[s.target], s.magnitude)
@@ -253,11 +264,6 @@ class FaultProgram:
                     self.gap_clip[s.target] = min(self.gap_clip[s.target], level)
                 else:
                     self.gap_clip = min(self.gap_clip, level)
-            elif kind is FaultKind.DDS_PHASE_GLITCH:
-                if batched:
-                    self.gap_phase[s.target] += s.magnitude
-                else:
-                    self.gap_phase += s.magnitude
             elif kind is FaultKind.ADC_STUCK_BIT:
                 bit = 1 << int(s.magnitude)
                 if batched:
@@ -265,6 +271,30 @@ class FaultProgram:
                 else:
                     self.stuck_mask |= bit
                 self.stuck_any = True
+        self._phase_specs = tuple(phase_specs)
+        self._varying = any(s.kind in _TIME_VARYING_KINDS for s in phase_specs)
+        if phase_specs:
+            self._sum_phase(t)
+
+    def _sum_phase(self, t: float) -> None:
+        """Gap phase at ``t``: the active phase faults' shares summed
+        from 0.0 in spec order (per lane when batched)."""
+        if self.batch is None:
+            phase = 0.0
+            for s in self._phase_specs:
+                phase += self._phase_rad(s, t)
+            self.gap_phase = phase
+        else:
+            self.gap_phase.fill(0.0)
+            for s in self._phase_specs:
+                self.gap_phase[s.target] += self._phase_rad(s, t)
+
+    def _phase_rad(self, s: FaultSpec, t: float) -> float:
+        if s.kind is FaultKind.MICROPHONIC_DETUNING:
+            return self._micro[id(s)].phase_rad(t)
+        if s.kind is FaultKind.DETUNING_TRANSIENT:
+            return 2.0 * math.pi * s.magnitude * (t - s.onset_time)
+        return s.magnitude  # DDS_PHASE_GLITCH: a constant kick
 
     def _reset_channels(self) -> None:
         self.active = False

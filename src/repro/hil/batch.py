@@ -180,6 +180,9 @@ class BatchHilRunResult:
     deadline: JitterStats
     schedule_length: int
     batch: int
+    #: Revolutions the run stepped (the records also hold the initial
+    #: state, so ``len(time)`` is ``n_turns // record_every + 1``).
+    n_turns: int
 
 
 class _VectorControlLoop:
@@ -506,4 +509,5 @@ class BatchedCavityInTheLoop:
             deadline=stats,
             schedule_length=self.model.schedule_length,
             batch=B,
+            n_turns=n_turns,
         )

@@ -188,6 +188,8 @@ class SampleAccurateBench:
             span.end()
         # The run's per-revolution telemetry, once (no-ops while disabled).
         self.framework.deadline.publish()
+        self.framework.adc_ref.publish()
+        self.framework.adc_gap.publish()
         self.control.publish()
         if _OBS.enabled:
             record_hil_run(

@@ -23,8 +23,10 @@ A :class:`~repro.hil.softcore.ParameterInterface` exposes the runtime
 knobs (output scaling, monitor-source select, recording), and every
 iteration is checked against the revolution deadline by a
 :class:`~repro.hil.realtime.DeadlineMonitor`.  The monitor's slack
-record reaches the telemetry registry when whoever drives the framework
-calls ``framework.deadline.publish()`` at the end of its run
+record and the two ADCs' sample and clip counts reach the telemetry
+registry when whoever drives the framework calls
+``framework.deadline.publish()``, ``framework.adc_ref.publish()`` and
+``framework.adc_gap.publish()`` at the end of its run
 (:class:`~repro.hil.closed_loop.SampleAccurateBench` does).
 """
 

@@ -81,9 +81,16 @@ class ADC:
         self._lsb = self.vpp / (2**self.bits)
         self._code_min = -(2 ** (self.bits - 1))
         self._code_max = 2 ** (self.bits - 1) - 1
-        # Scalar-path samples and clips not yet published (see publish()).
-        self._scalar_samples = 0
-        self._scalar_clips = 0
+        # The same constants as 0-d arrays for the array path: a ufunc
+        # with a 0-d array operand costs what an array-array op does,
+        # whatever the input shape, and about half of the same op with a
+        # Python scalar operand at [8].  Same values, dtypes and IEEE ops.
+        self._lsb_0d = np.array(self._lsb)
+        self._code_min_0d = np.array(self._code_min, dtype=np.int64)
+        self._code_max_0d = np.array(self._code_max, dtype=np.int64)
+        # Samples and clips not yet published (see publish()).
+        self._pending_samples = 0
+        self._pending_clips = 0
 
     @property
     def full_scale(self) -> float:
@@ -106,22 +113,24 @@ class ADC:
         return self._code_max
 
     def convert(self, volts) -> np.ndarray:
-        """Convert voltages to integer codes (mid-tread, clipped at rails)."""
+        """Convert voltages to integer codes (mid-tread, clipped at rails).
+
+        Telemetry: while metrics are on, the sample and clip counts
+        accumulate on this ADC, like :meth:`convert_scalar`'s; the run
+        owner hands them to the registry through :meth:`publish`.
+        """
         v = np.asarray(volts, dtype=float)
         if self.noise_rms > 0.0:
             v = v + self._rng.normal(0.0, self.noise_rms, v.shape)
         # rint == round(decimals=0) bit-for-bit on floats (both are
         # round-half-even), without the decimals dispatch; the nested
         # minimum/maximum is np.clip minus its per-call broadcasting setup.
-        codes = np.rint(v / self._lsb).astype(np.int64)
+        codes = np.rint(v / self._lsb_0d).astype(np.int64)
+        clamped = np.minimum(np.maximum(codes, self._code_min_0d), self._code_max_0d)
         if _OBS.enabled:
-            _SAMPLES.inc(codes.size)
-            clipped = int(
-                np.count_nonzero((codes < self._code_min) | (codes > self._code_max))
-            )
-            if clipped:
-                _CLIPS.inc(clipped)
-        return np.minimum(np.maximum(codes, self._code_min), self._code_max)
+            self._pending_samples += codes.size
+            self._pending_clips += int(np.count_nonzero(clamped != codes))
+        return clamped
 
     def codes_to_volts(self, codes) -> np.ndarray:
         """Reconstruct voltages from codes (the value the FPGA works with)."""
@@ -136,7 +145,7 @@ class ADC:
         :meth:`codes_to_volts` without its ``asarray`` round trip.  The
         int64 cast inside ``convert`` is also what turns a NaN input
         into an error under ``np.errstate(invalid="raise")``."""
-        return self.convert(volts) * self._lsb
+        return self.convert(volts) * self._lsb_0d
 
     def apply_stuck_bit(self, codes, bit: int) -> np.ndarray:
         """Force ``bit`` of the two's-complement output word to 1.
@@ -171,35 +180,38 @@ class ADC:
         function without the ndarray round-trip (Python ``round`` and
         ``np.round`` are both round-half-even).
 
-        Telemetry: the sample and clip counts accumulate on this ADC;
-        the run owner hands them to the registry once per run through
-        :meth:`publish` (the array path :meth:`convert` still counts per
-        call, one registry write per block).
+        Telemetry: the sample and clip counts accumulate on this ADC,
+        as the array path's do; the run owner hands them to the registry
+        once per run through :meth:`publish`.
         """
         v = float(volts)
         if self.noise_rms > 0.0:
             v += self._rng.normal(0.0, self.noise_rms)
         code = round(v / self._lsb)
-        self._scalar_samples += 1
+        self._pending_samples += 1
         if code < self._code_min:
-            self._scalar_clips += 1
+            self._pending_clips += 1
             return self._code_min
         if code > self._code_max:
-            self._scalar_clips += 1
+            self._pending_clips += 1
             return self._code_max
         return code
 
     def publish(self) -> None:
-        """Add the scalar-path samples and clips counted since the last
-        call to ``signal_adc_samples_total`` / ``signal_adc_clips_total``
-        (no-ops while observability is disabled); publishing again adds
-        nothing."""
-        if self._scalar_samples:
-            _SAMPLES.inc(self._scalar_samples)
-            self._scalar_samples = 0
-        if self._scalar_clips:
-            _CLIPS.inc(self._scalar_clips)
-            self._scalar_clips = 0
+        """Add the samples and clips counted since the last call, by
+        either path, to ``signal_adc_samples_total`` /
+        ``signal_adc_clips_total`` (no-ops while observability is
+        disabled); publishing again adds nothing.
+
+        Whoever drives the ADC calls this at the end of its run: the
+        closed-loop benches do, and :class:`~repro.hil.closed_loop.
+        SampleAccurateBench` does for its framework's two channels."""
+        if self._pending_samples:
+            _SAMPLES.inc(self._pending_samples)
+            self._pending_samples = 0
+        if self._pending_clips:
+            _CLIPS.inc(self._pending_clips)
+            self._pending_clips = 0
 
     def quantize_scalar(self, volts: float) -> float:
         """Scalar fast path of :meth:`quantize` (identical transfer)."""

@@ -89,6 +89,18 @@ class TestSweepShardParity:
         assert offsets == [0, 8, 16]
 
 
+class TestShardTurnCounts:
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_shard_reports_the_revolutions_it_ran(self, record_every):
+        """0.001 s at 800 kHz is 800 revolutions, whatever the decimation
+        (the records include the initial one, so they cannot count)."""
+        from repro.experiments.sweep import SweepTask
+
+        task = SweepTask(offset=0, amps=(2.0, 6.0), duration=0.001,
+                         record_every=record_every)
+        assert run_sweep_shard(task).n_turns == 800
+
+
 class TestMergedTelemetry:
     def test_worker_metrics_reach_parent_export(self, tmp_path):
         out = tmp_path / "m"

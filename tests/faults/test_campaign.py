@@ -178,6 +178,17 @@ class TestEndToEndOutcomes:
         assert any("8 scenarios" in line for line in lines)
         assert any("worst excursion" in line for line in lines)
 
+    def test_quick_campaign_counts_its_revolutions(self, quick_result):
+        # 0.08 s at 800 kHz; the initial record is not a revolution.
+        assert quick_result.n_turns == 64000
+
+    def test_fault_lanes_report_the_revolutions_they_ran(self):
+        from repro.faults.engine import run_fault_lanes
+
+        times, _, n_turns, _ = run_fault_lanes((None,), 0.001, record_every=8)
+        assert len(times) == 101
+        assert n_turns == 800
+
     def test_csv_columns_match_header(self, quick_result):
         cols = quick_result.csv_columns()
         names = CampaignResult.CSV_HEADER.split(",")

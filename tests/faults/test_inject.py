@@ -27,7 +27,7 @@ from repro.faults.inject import (
     _Microphonics,
     corrupt_context_images,
 )
-from repro.faults.spec import FaultKind, FaultSpec
+from repro.faults.spec import MAGNITUDE_WINDOWS, FaultKind, FaultSpec
 from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
 from repro.hil.simulator import CavityInTheLoop
 from repro.signal.adc import ADC
@@ -169,6 +169,137 @@ class TestAfterLastWindow:
             assert p.active and not p.stuck_any
             np.testing.assert_array_equal(p.gap_phase, [0.0, 0.25, 0.0, 0.0])
             np.testing.assert_array_equal(p.stuck_mask, np.zeros(4, dtype=np.int64))
+
+
+def _oracle_fold(program: FaultProgram, t: float) -> dict:
+    """The channels at ``t``, folded from scratch: every loop spec's
+    ``active_at(t)`` in spec order, each transfer written out here."""
+    scalar = program.batch is None
+    gain = np.ones(program.batch or 1)
+    phase = np.zeros(program.batch or 1)
+    clip = np.full(program.batch or 1, math.inf)
+    mask = np.zeros(program.batch or 1, dtype=np.int64)
+    active = stuck = False
+    for s in program.loop_specs:
+        if not s.active_at(t):
+            continue
+        active = True
+        lane = s.target
+        if s.kind is FaultKind.CAVITY_FAILURE:
+            gain[lane] *= 1.0 - s.magnitude
+        elif s.kind is FaultKind.MICROPHONIC_DETUNING:
+            m = _Microphonics(s)
+            tau = t - s.onset_time
+            arg = 2.0 * math.pi * m.freqs * tau + m.thetas
+            phase[lane] += float(np.dot(m.amp_over_f, np.sin(arg) - np.sin(m.thetas)))
+        elif s.kind is FaultKind.DETUNING_TRANSIENT:
+            phase[lane] += 2.0 * math.pi * s.magnitude * (t - s.onset_time)
+        elif s.kind is FaultKind.DDS_PHASE_GLITCH:
+            phase[lane] += s.magnitude
+        elif s.kind is FaultKind.AMPLIFIER_SATURATION:
+            clip[lane] = min(clip[lane], s.magnitude)
+        elif s.kind is FaultKind.DAC_CLIPPING:
+            clip[lane] = min(clip[lane], s.magnitude * program.dac_full_scale)
+        elif s.kind is FaultKind.ADC_STUCK_BIT:
+            mask[lane] |= 1 << int(s.magnitude)
+            stuck = True
+    if scalar:
+        return dict(active=active, stuck_any=stuck, gap_gain=float(gain[0]),
+                    gap_phase=float(phase[0]), gap_clip=float(clip[0]),
+                    stuck_mask=int(mask[0]))
+    return dict(active=active, stuck_any=stuck, gap_gain=gain, gap_phase=phase,
+                gap_clip=clip, stuck_mask=mask)
+
+
+def _random_spec(rng, kind, target):
+    low, high, integral = MAGNITUDE_WINDOWS[kind]
+    if integral:
+        magnitude = float(rng.integers(int(low), int(min(high, 13.0)) + 1))
+    else:
+        magnitude = float(rng.uniform(max(low, -40.0), min(high, 40.0)))
+    duration = None if rng.random() < 0.3 else float(rng.uniform(1e-4, 0.01))
+    return FaultSpec(kind=kind, magnitude=magnitude,
+                     onset_time=float(rng.uniform(0.0, 0.02)), duration=duration,
+                     target=target, seed=int(rng.integers(0, 1000)))
+
+
+def _oracle_programs():
+    rng = np.random.default_rng(20)
+    kinds = sorted(LOOP_KINDS, key=lambda k: k.value)
+    programs = []
+    for batch in (None, 4):
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            specs = [
+                _random_spec(rng, kinds[int(rng.integers(len(kinds)))],
+                             0 if batch is None else int(rng.integers(batch)))
+                for _ in range(n)
+            ]
+            programs.append(FaultProgram(specs, batch=batch, dac_full_scale=0.8))
+    # One lane carrying a glitch, a microphonic and a transient together
+    # (pins the order of the phase sum), and two stuck bits on one lane.
+    shared = [
+        _spec(kind=FaultKind.DETUNING_TRANSIENT, magnitude=17.0, onset=0.004,
+              duration=0.01, target=1),
+        _spec(kind=FaultKind.DDS_PHASE_GLITCH, magnitude=0.3, onset=0.002,
+              target=1),
+        _spec(kind=FaultKind.MICROPHONIC_DETUNING, magnitude=25.0, onset=0.006,
+              duration=0.005, target=1, seed=11),
+        _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=4.0, onset=0.003,
+              duration=0.004, target=3),
+        _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=9.0, onset=0.005,
+              target=3),
+        _spec(kind=FaultKind.CAVITY_FAILURE, magnitude=0.25, onset=0.005,
+              duration=0.002, target=1),
+    ]
+    for batch in (None, 4):
+        specs = shared if batch else [dataclasses.replace(s, target=0) for s in shared]
+        programs.append(FaultProgram(specs, batch=batch, dac_full_scale=0.8))
+    return programs
+
+
+def _oracle_times(program: FaultProgram, rng) -> list[float]:
+    edges = set()
+    for s in program.loop_specs:
+        edges.add(s.onset_time)
+        if s.duration is not None:
+            edges.add(s.onset_time + s.duration)
+    times = [0.0, 1.0]
+    for e in sorted(edges):
+        times += [e, float(np.nextafter(e, -math.inf)), float(np.nextafter(e, math.inf))]
+    times += [float(x) for x in rng.uniform(0.0, 0.035, 40)]
+    return sorted(times)
+
+
+def _assert_same_channels(program: FaultProgram, want: dict, t: float) -> None:
+    for name, expected in want.items():
+        got = getattr(program, name)
+        assert type(got) is type(expected), (name, t)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype and got.shape == expected.shape, (name, t)
+            assert got.tobytes() == expected.tobytes(), (name, t, got, expected)
+        elif isinstance(expected, float):
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (
+                name, t, got, expected)
+        else:
+            assert got == expected, (name, t)
+
+
+class TestFoldOracle:
+    """After every ``update(t)`` the channels equal a from-scratch fold of
+    every spec's window at ``t``, bit for bit and type for type, however
+    the times are visited."""
+
+    @pytest.mark.parametrize("order", ["increasing", "shuffled"])
+    def test_channels_match_reference_fold(self, order):
+        rng = np.random.default_rng(7 if order == "shuffled" else 3)
+        for program in _oracle_programs():
+            times = _oracle_times(program, rng)
+            if order == "shuffled":
+                rng.shuffle(times)
+            for t in times:
+                program.update(t)
+                _assert_same_channels(program, _oracle_fold(program, t), t)
 
 
 class TestValidation:

@@ -1,14 +1,16 @@
 """Per-revolution telemetry is published once per run, by the run owner.
 
-The deadline monitor, the scalar ADC path and the beam-phase control
-loop write nothing to the registry per call; they count into state they
+The deadline monitor, both ADC paths and the beam-phase control loop
+write nothing to the registry per call; they count into state they
 own, and :meth:`publish` hands the counts over.  Publishing again adds
-nothing, and a deadline miss that raises still reaches
-``hil_deadline_misses_total``.
+nothing, a deadline miss that raises still reaches
+``hil_deadline_misses_total``, and the registry writes of a closed-loop
+run do not grow with its length.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -16,8 +18,11 @@ from repro.cgra.fabric import CgraConfig
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import RealTimeViolation
 from repro.experiments.mde import bench_config
+from repro.faults.spec import FaultKind, FaultSpec
+from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
 from repro.hil.realtime import DeadlineMonitor
 from repro.hil.simulator import CavityInTheLoop
+from repro.obs.registry import Counter, Gauge, Histogram
 from repro.signal.adc import ADC
 
 
@@ -91,6 +96,27 @@ class TestScalarAdc:
         assert _value("signal_adc_samples_total") == 5
         assert _value("signal_adc_clips_total") == 2
 
+    def test_array_counts_published_once(self, enabled):
+        adc = ADC()
+        adc.convert(np.array([0.1, 5.0, -5.0, 0.2]))
+        adc.quantize(np.array([[0.3, 1.5], [-0.2, 0.0]]))
+        adc.quantize(0.25)  # 0-d
+        adc.convert_scalar(-3.0)  # both paths share the pending counts
+        assert _value("signal_adc_samples_total") == 0
+        assert _value("signal_adc_clips_total") == 0
+        adc.publish()
+        adc.publish()
+        assert _value("signal_adc_samples_total") == 10
+        assert _value("signal_adc_clips_total") == 4
+
+    def test_array_path_counts_nothing_while_disabled(self):
+        adc = ADC()
+        adc.convert(np.array([0.1, 5.0]))
+        obs.enable()
+        adc.publish()
+        assert _value("signal_adc_samples_total") == 0
+        assert _value("signal_adc_clips_total") == 0
+
 
 class TestControlLoop:
     def test_published_once_with_last_values(self, enabled):
@@ -135,3 +161,80 @@ class TestRunOwner:
         assert _value("hil_slack_ticks") == n
         assert _value("control_updates_total") == n
         assert _value("signal_adc_samples_total") == 2 * n
+
+    def test_batched_bench_publishes_both_adc_legs(self, enabled):
+        base = bench_config()
+        lanes = 4
+        bench = BatchedCavityInTheLoop(BatchHilConfig(
+            ring=base.ring, ion=base.ion, jump_deg=(8.0,) * lanes,
+            record_every=8,
+        ))
+        res = bench.run(0.001)
+        assert res.n_turns == 800
+        # One lane-uniform reference read and one [B] gap read per turn.
+        assert _value("signal_adc_samples_total") == res.n_turns * (1 + lanes)
+        bench._adc.publish()
+        assert _value("signal_adc_samples_total") == res.n_turns * (1 + lanes)
+
+
+_REGISTRY_WRITES = (
+    (Counter, "inc"),
+    (Gauge, "set"),
+    (Gauge, "inc"),
+    (Histogram, "observe"),
+    (Histogram, "observe_many"),
+)
+
+
+@pytest.fixture()
+def registry_writes(monkeypatch):
+    """Names of the registry writes made while the fixture is live."""
+    calls: list[str] = []
+    for cls, name in _REGISTRY_WRITES:
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(f"{type(self).__name__}.{_name}")
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _batched(faults=()):
+    base = bench_config()
+    return BatchedCavityInTheLoop(BatchHilConfig(
+        ring=base.ring, ion=base.ion, jump_deg=(4.0, 8.0, 8.0, 12.0),
+        record_every=8, faults=faults,
+    ))
+
+
+def _faulted_batched():
+    # Windows open from 0.2 ms to past either run's end, on three lanes:
+    # the gain, phase and stuck-bit (array ADC) legs all run.
+    return _batched(faults=(
+        FaultSpec(kind=FaultKind.CAVITY_FAILURE, magnitude=0.3,
+                  onset_time=0.0002, target=0),
+        FaultSpec(kind=FaultKind.MICROPHONIC_DETUNING, magnitude=20.0,
+                  onset_time=0.0002, duration=0.01, target=1, seed=3),
+        FaultSpec(kind=FaultKind.ADC_STUCK_BIT, magnitude=6.0,
+                  onset_time=0.0002, target=2),
+    ))
+
+
+class TestWritesPerRun:
+    """A run's registry writes are per run, not per revolution."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: CavityInTheLoop(bench_config()),
+        _batched,
+        _faulted_batched,
+    ], ids=["scalar", "batched", "batched_faulted"])
+    def test_writes_do_not_grow_with_the_run(self, enabled, registry_writes, make):
+        writes = []
+        for duration in (0.001, 0.004):
+            bench = make()
+            registry_writes.clear()
+            bench.run(duration)
+            writes.append(sorted(registry_writes))
+        assert writes[0] and writes[0] == writes[1]
