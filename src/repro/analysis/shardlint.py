@@ -30,8 +30,8 @@ Rules
     Process-local CGRA/executor handle in a task payload: a dataclass
     field annotated with one of the handle types ``_guard_value``
     rejects at runtime (``CompiledModel``, ``Schedule``,
-    ``ModuloSchedule``, ``CgraExecutor``, ``PipelinedExecutor``,
-    ``BatchedCgraExecutor``, ``CompiledProgram``).
+    ``ModuloSchedule``, ``CgraExecutor``, ``BatchedCgraExecutor``,
+    ``CompiledProgram``).
 ``SHARD004`` (warning)
     Mutable default argument: a ``list``/``dict``/``set`` literal or
     zero-argument constructor as a function default or a dataclass field
@@ -82,7 +82,6 @@ HANDLE_TYPES = frozenset({
     "Schedule",
     "ModuloSchedule",
     "CgraExecutor",
-    "PipelinedExecutor",
     "BatchedCgraExecutor",
 })
 

@@ -4,10 +4,12 @@
   multi-particle reference (the class of tools the paper cites as "far
   from the real-time requirements"), doubling as the "real machine"
   stand-in for Fig. 5b;
-* :mod:`software_sim` — the rejected pure-software simulator with its
-  microarchitectural output jitter;
 * :mod:`fpga_direct` — the rejected direct-FPGA implementation's
   turnaround cost model (synthesis hours vs. CGRA seconds).
+
+The rejected pure-software simulator is represented by its output
+timing alone, :class:`repro.hil.jitter.SoftwareTimingModel`, which E7
+(:mod:`repro.experiments.jitter_study`) samples directly.
 """
 
 from repro.baselines.offline_tracker import (
@@ -15,14 +17,12 @@ from repro.baselines.offline_tracker import (
     MachineExperimentEmulator,
     MachineRunResult,
 )
-from repro.baselines.software_sim import SoftwareBeamSimulator
 from repro.baselines.fpga_direct import DirectFpgaFlow, turnaround_comparison
 
 __all__ = [
     "MachineExperimentConfig",
     "MachineExperimentEmulator",
     "MachineRunResult",
-    "SoftwareBeamSimulator",
     "DirectFpgaFlow",
     "turnaround_comparison",
 ]

@@ -67,6 +67,11 @@ class MachineExperimentConfig:
     record_every: int = 8
 
     def __post_init__(self) -> None:
+        # NaN passes every sign check below, so finiteness comes first.
+        for name in ("revolution_frequency", "synchrotron_frequency", "jump_deg",
+                     "jump_toggle_period", "jump_start_time", "sigma_delta_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_particles < 2:
             raise ConfigurationError("need at least 2 macro particles")
         if self.sigma_delta_t <= 0:

@@ -37,7 +37,6 @@ from repro.cgra.engine import (
     CompiledProgram,
     compile_program,
 )
-from repro.cgra.pipelined_executor import PipelinedExecutor
 from repro.cgra.reference import ReferenceInterpreter
 from repro.cgra.context import ContextImage, build_context_images
 from repro.cgra.executor import CgraExecutor
@@ -77,7 +76,6 @@ __all__ = [
     "BatchedCgraExecutor",
     "CompiledProgram",
     "compile_program",
-    "PipelinedExecutor",
     "ReferenceInterpreter",
     "ContextImage",
     "build_context_images",

@@ -1,12 +1,11 @@
 """The compiled engine: verified schedules lowered to NumPy lockstep code.
 
 The CGRA has two executions of one static schedule.  The cycle-accurate
-interpreter (:class:`~repro.cgra.executor.CgraExecutor`, and
-:class:`~repro.cgra.pipelined_executor.PipelinedExecutor` for modulo
-schedules) is the bit-exactness oracle.  This module is the compiled
-engine, :class:`BatchedCgraExecutor`, which advances B ≥ 1 independent
-scenarios per call and must match the interpreter's registers, actuator
-writes and fault text in every lane.
+interpreter (:class:`~repro.cgra.executor.CgraExecutor`) is the
+bit-exactness oracle.  This module is the compiled engine,
+:class:`BatchedCgraExecutor`, which advances B ≥ 1 independent scenarios
+per call and must match the interpreter's registers, actuator writes and
+fault text in every lane.
 
 The interpreter pays enum dispatch, dict register lookups and per-op
 ``float(f32(...))`` boxing for every operation.  This module lowers a

@@ -19,6 +19,11 @@ The executor also records the tick at which every actuator write issues.
 Because the schedule is static, that tick is the *same every iteration*:
 this determinism is the CGRA's core real-time property, and the jitter
 study (E7) reads it from :attr:`CgraExecutor.actuator_write_ticks`.
+
+Telemetry: an iteration writes nothing to the registry.  Every ``cgra_*``
+count follows from the iteration count (each iteration executes the whole
+program and switches context once per tick), so :meth:`CgraExecutor.publish`
+derives them once per run.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from repro.cgra.scheduler import Schedule
 from repro.cgra.sensor import SensorBus
 from repro.errors import ExecutionError, VerificationError
 from repro.obs import get_registry
-from repro.obs._state import STATE as _OBS
 
 __all__ = ["CgraExecutor"]
 
@@ -166,6 +170,8 @@ class CgraExecutor:
         self._program = entries
         #: Iteration count executed so far.
         self.iterations = 0
+        # Iterations already handed to the registry (see publish()).
+        self._published = 0
         #: Ticks (within the iteration) at which each actuator write
         #: issued during the most recent iteration: io_id → tick.
         self.actuator_write_ticks: dict[int, int] = {}
@@ -259,21 +265,32 @@ class CgraExecutor:
             regs[phi.node_id] = regs[phi.back_edge]
         self.actuator_write_ticks = write_ticks
         self.iterations += 1
-        if _OBS.enabled:
-            # Aggregated per iteration, never per op: one flag check is
-            # all the disabled cycle-accurate path pays.
-            _OPS_EXECUTED.inc(len(self._program), executor="sequential")
-            _CONTEXT_SWITCHES.inc(self.schedule.length, executor="sequential")
-            _TICKS_PER_ITER.set(self.schedule.length, executor="sequential")
-            _ITERATIONS.inc(executor="sequential")
-            _ENGINE_ITERATIONS.inc(engine="interpreted")
 
     def run(self, n_iterations: int) -> None:
-        """Execute ``n_iterations`` revolutions."""
+        """Execute ``n_iterations`` revolutions, then :meth:`publish`."""
         if n_iterations < 0:
             raise ExecutionError("n_iterations must be non-negative")
         for _ in range(n_iterations):
             self.run_iteration()
+        self.publish()
+
+    def publish(self) -> None:
+        """Add the iterations run since the last call to the ``cgra_*``
+        instruments (no-ops while observability is disabled); publishing
+        again adds nothing.
+
+        :meth:`run` calls this; a closed loop that steps
+        :meth:`run_iteration` once per revolution calls it at the end of
+        its run."""
+        n = self.iterations - self._published
+        self._published = self.iterations
+        if n:
+            length = self.schedule.length
+            _OPS_EXECUTED.inc(n * len(self._program), executor="sequential")
+            _CONTEXT_SWITCHES.inc(n * length, executor="sequential")
+            _TICKS_PER_ITER.set(length, executor="sequential")
+            _ITERATIONS.inc(n, executor="sequential")
+            _ENGINE_ITERATIONS.inc(n, engine="interpreted")
 
     def set_register(self, name: str, value: float) -> None:
         """Set a loop-carried register by name *between* iterations.

@@ -79,6 +79,7 @@ def fig2_signal_snapshot(
     beam_wf = pulses.render(0.0, n_samples)
     dac = DAC(bits=16, vpp=2.0, sample_rate=sample_rate)
     beam = dac.convert(beam_wf.samples)
+    dac.publish()
     return Fig2Data(
         time=ref_wf.time_axis(),
         reference=ref_wf.samples,

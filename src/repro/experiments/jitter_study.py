@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.software_sim import SoftwareBeamSimulator
 from repro.cgra.models import compile_beam_model
 from repro.cgra.sensor import ACTUATOR_DELTA_T
 from repro.errors import ConfigurationError
@@ -66,7 +65,11 @@ def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
     from the per-process cache in workers.
     """
     rng = np.random.default_rng(task.seed)
-    software = SoftwareBeamSimulator(task.software_timing)
+    software = (
+        task.software_timing
+        if task.software_timing is not None
+        else SoftwareTimingModel()
+    )
     model = compile_beam_model(n_bunches=1, pipelined=True)
     write_tick = None
     for placed in model.schedule.ops.values():
@@ -82,7 +85,7 @@ def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
     t_rev = 1.0 / f_rev
     rows: list[JitterRow] = []
     # Software implementation.
-    lat = software.timing.sample(n_samples, rng)
+    lat = software.sample(n_samples, rng)
     misses = float(np.count_nonzero(lat > t_rev)) / n_samples
     dev = lat - np.median(lat)
     phase_err = 360.0 * harmonic * f_rev * dev

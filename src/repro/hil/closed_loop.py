@@ -187,9 +187,7 @@ class SampleAccurateBench:
             t += n / self.config.sample_rate
             span.end()
         # The run's per-revolution telemetry, once (no-ops while disabled).
-        self.framework.deadline.publish()
-        self.framework.adc_ref.publish()
-        self.framework.adc_gap.publish()
+        self.framework.publish()
         self.control.publish()
         if _OBS.enabled:
             record_hil_run(

@@ -22,11 +22,11 @@ buffers "need to hold at least two full cycles of the reference voltage".
 A :class:`~repro.hil.softcore.ParameterInterface` exposes the runtime
 knobs (output scaling, monitor-source select, recording), and every
 iteration is checked against the revolution deadline by a
-:class:`~repro.hil.realtime.DeadlineMonitor`.  The monitor's slack
-record and the two ADCs' sample and clip counts reach the telemetry
-registry when whoever drives the framework calls
-``framework.deadline.publish()``, ``framework.adc_ref.publish()`` and
-``framework.adc_gap.publish()`` at the end of its run
+:class:`~repro.hil.realtime.DeadlineMonitor`.  Neither a block nor an
+iteration writes to the telemetry registry: the framework's own counts,
+the monitor's slack record, the ADCs', DACs' and CGRA executor's counts
+reach it when whoever drives the framework calls
+:meth:`FpgaFramework.publish` at the end of its run
 (:class:`~repro.hil.closed_loop.SampleAccurateBench` does).
 """
 
@@ -50,7 +50,6 @@ from repro.errors import ConfigurationError, HilError
 from repro.hil.realtime import DeadlineMonitor
 from repro.hil.softcore import DramRecorder, ParameterInterface
 from repro.obs import get_registry, get_tracer
-from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
 from repro.physics.ring import SynchrotronRing
 from repro.signal.adc import ADC
@@ -162,6 +161,11 @@ class FpgaFramework:
         self._last_iteration_crossing: float | None = None
         self._current_delta_t = np.zeros(config.n_bunches)
         self._samples_fed = 0
+        # Sample pairs fed and iterations run since the last publish(),
+        # and the period of the latest iteration.
+        self._pending_fed = 0
+        self._pending_iterations = 0
+        self._last_period_s = 0.0
         #: Most recent measured period (samples) cached per iteration.
         self._iteration_period_s: float | None = None
         self._iteration_base_index: float | None = None
@@ -258,9 +262,7 @@ class FpgaFramework:
         self.buffer_gap.write(gap_q)
         self.period_detector.feed(ref_q)
         self._samples_fed += n
-        if _OBS.enabled:
-            _SAMPLES_FED.inc(n)
-            _RB_FILL.set(self.buffer_ref.fill_fraction)
+        self._pending_fed += n
 
         if self.period_detector.ready:
             if self._executor is None:
@@ -288,14 +290,35 @@ class FpgaFramework:
         ):
             self.deadline.check_revolution(period_s)
             self.executor.run_iteration()
-        if _OBS.enabled:
-            _REV_PERIOD.set(period_s)
-            _FRAMEWORK_ITERATIONS.inc(engine="framework")
+        self._pending_iterations += 1
+        self._last_period_s = period_s
         self._iteration_base_index = None
         if self.params.read("record_enable") >= 1.0:
             self.recorder.record(
                 float(self.executor.iterations), period_s, *self._current_delta_t
             )
+
+    def publish(self) -> None:
+        """Hand the telemetry counted since the last call to the registry
+        (no-ops while observability is disabled); publishing again adds
+        nothing.
+
+        Covers the framework's sample, fill, period and iteration
+        instruments plus its deadline monitor, ADCs, DACs and CGRA
+        executor."""
+        if self._pending_fed:
+            _SAMPLES_FED.inc(self._pending_fed)
+            _RB_FILL.set(self.buffer_ref.fill_fraction)
+            self._pending_fed = 0
+        if self._pending_iterations:
+            _REV_PERIOD.set(self._last_period_s)
+            _FRAMEWORK_ITERATIONS.inc(self._pending_iterations, engine="framework")
+            self._pending_iterations = 0
+        self.deadline.publish()
+        for converter in (self.adc_ref, self.adc_gap, self.dac_beam, self.dac_monitor):
+            converter.publish()
+        if self._executor is not None:
+            self._executor.publish()
 
     def _monitor_block(self, beam_out: Waveform) -> Waveform:
         """Second DAC channel (paper: "either show the phase difference

@@ -531,6 +531,8 @@ class CavityInTheLoop:
         self.deadline.publish()
         self._adc.publish()
         self.control.publish()
+        if self._executor is not None:
+            self._executor.publish()
         # allow_empty guards the degenerate sub-revolution duration
         # (n_turns == 0): well-defined empty stats, not a crash.
         stats = self.deadline.stats(allow_empty=True)

@@ -166,7 +166,6 @@ def _guard_value(index: int, value: Any) -> None:
     from repro.cgra.executor import CgraExecutor
     from repro.cgra.models import CompiledModel
     from repro.cgra.modulo import ModuloSchedule
-    from repro.cgra.pipelined_executor import PipelinedExecutor
     from repro.cgra.scheduler import Schedule
 
     handles = (
@@ -174,7 +173,6 @@ def _guard_value(index: int, value: Any) -> None:
         Schedule,
         ModuloSchedule,
         CgraExecutor,
-        PipelinedExecutor,
         BatchedCgraExecutor,
     )
 

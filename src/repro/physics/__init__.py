@@ -32,13 +32,6 @@ from repro.physics.distributions import (
     parabolic_bunch,
     matched_rms_delta_gamma,
 )
-from repro.physics.phasespace import (
-    hamiltonian,
-    separatrix_delta_gamma,
-    bucket_half_height,
-    bucket_area,
-    small_amplitude_trajectory,
-)
 from repro.physics.oscillation import (
     estimate_oscillation_frequency,
     fit_damping_envelope,
@@ -50,7 +43,6 @@ from repro.physics.dual_harmonic import (
     dual_harmonic_synchrotron_frequency,
     synchrotron_frequency_vs_amplitude,
 )
-from repro.physics.collective import BeamLoadingCavity, SpaceChargeModel
 
 __all__ = [
     "beta_from_gamma",
@@ -78,11 +70,6 @@ __all__ = [
     "gaussian_bunch",
     "parabolic_bunch",
     "matched_rms_delta_gamma",
-    "hamiltonian",
-    "separatrix_delta_gamma",
-    "bucket_half_height",
-    "bucket_area",
-    "small_amplitude_trajectory",
     "estimate_oscillation_frequency",
     "fit_damping_envelope",
     "dipole_moment_trace",
@@ -90,6 +77,4 @@ __all__ = [
     "DualHarmonicRF",
     "dual_harmonic_synchrotron_frequency",
     "synchrotron_frequency_vs_amplitude",
-    "BeamLoadingCavity",
-    "SpaceChargeModel",
 ]

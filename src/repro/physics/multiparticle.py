@@ -108,6 +108,8 @@ class MultiParticleTracker:
             )
         if delta_t.size == 0:
             raise PhysicsError("need at least one macro particle")
+        if not math.isfinite(gamma_ref):
+            raise PhysicsError(f"gamma_ref must be finite, got {gamma_ref}")
         if gamma_ref < 1.0:
             raise PhysicsError(f"gamma_ref must be >= 1, got {gamma_ref}")
         self.ring = ring
@@ -127,17 +129,6 @@ class MultiParticleTracker:
         # and control corrections act on the bunches, not on it).
         self._v_ref = rf.voltage * math.sin(rf.synchronous_phase)
         self._gain = ion.gamma_gain_per_volt()
-        #: Collective-effect hooks: objects with
-        #: ``voltages(delta_t, f_rev, turn) -> volts_array`` applied as
-        #: additional per-particle kicks each turn (space charge, beam
-        #: loading — see :mod:`repro.physics.collective`).
-        self._collective: list = []
-
-    def add_collective_effect(self, effect) -> None:
-        """Register a collective-effect kick (applied in add order)."""
-        if not hasattr(effect, "voltages"):
-            raise PhysicsError("collective effect needs a voltages() method")
-        self._collective.append(effect)
 
     @property
     def n_particles(self) -> int:
@@ -197,10 +188,6 @@ class MultiParticleTracker:
             v_async = self._gap_voltage(self.delta_t, f_rev, self.turn)
         else:
             v_async = self.rf.gap_voltage_at(self.delta_t, f_rev)
-        if self._collective:
-            v_async = np.asarray(v_async, dtype=float).copy()
-            for effect in self._collective:
-                v_async += effect.voltages(self.delta_t, f_rev, self.turn)
 
         gamma_ref = reference_gamma_update(self.gamma_ref, self._v_ref, self.ion)
         self.gamma_ref = gamma_ref

@@ -16,8 +16,6 @@ from repro.signal.ringbuffer import RingBuffer
 from repro.signal.zerocrossing import ZeroCrossingDetector, PeriodLengthDetector
 from repro.signal.interpolation import linear_fetch
 from repro.signal.gauss_pulse import GaussPulseGenerator, gaussian_pulse_table
-from repro.signal.parametric_pulse import ParametricPulseGenerator
-from repro.signal.bunch_monitor import PulseMeasurement, detect_pulses
 from repro.signal.fir import (
     PhaseControlFilter,
     design_lowpass_fir,
@@ -41,9 +39,6 @@ __all__ = [
     "linear_fetch",
     "GaussPulseGenerator",
     "gaussian_pulse_table",
-    "ParametricPulseGenerator",
-    "PulseMeasurement",
-    "detect_pulses",
     "PhaseControlFilter",
     "design_lowpass_fir",
     "design_bandpass_fir",

@@ -5,6 +5,10 @@ amplitudes limited to **2 V peak-to-peak**.  The model converts code
 streams to voltages with clipping and zero-order-hold reconstruction; a
 runtime-programmable output scaling mirrors the SpartanMC parameter
 interface's ability to "adjust the scaling of output voltages".
+
+Telemetry: a conversion writes nothing to the registry.  Sample and clip
+counts accumulate on the DAC, as the ADC's do, and whoever drives it
+hands them over once per run through :meth:`DAC.publish`.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ class DAC:
         self.vpp = float(vpp)
         self.sample_rate = float(sample_rate)
         self.scale = float(scale)
+        # Samples and clips not yet published (see publish()).
+        self._pending_samples = 0
+        self._pending_clips = 0
 
     @property
     def full_scale(self) -> float:
@@ -101,12 +108,10 @@ class DAC:
         v = np.asarray(volts, dtype=float) * self.scale
         codes = np.round(v / self.lsb).astype(np.int64)
         if _OBS.enabled:
-            _SAMPLES.inc(codes.size)
-            clipped = int(
+            self._pending_samples += codes.size
+            self._pending_clips += int(
                 np.count_nonzero((codes < self.code_min) | (codes > self.code_max))
             )
-            if clipped:
-                _CLIPS.inc(clipped)
         return np.clip(codes, self.code_min, self.code_max)
 
     def convert(self, volts) -> np.ndarray:
@@ -118,15 +123,25 @@ class DAC:
         transfer: ``round`` and ``np.round`` are both half-even)."""
         code = round(float(volts) * self.scale / self.lsb)
         lo, hi = self.code_min, self.code_max
-        if _OBS.enabled:
-            _SAMPLES.inc()
-            if code < lo or code > hi:
-                _CLIPS.inc()
+        self._pending_samples += 1
         if code < lo:
+            self._pending_clips += 1
             return lo
         if code > hi:
+            self._pending_clips += 1
             return hi
         return code
+
+    def publish(self) -> None:
+        """Add the samples and clips counted since the last call to
+        ``signal_dac_samples_total`` / ``signal_dac_clips_total`` (no-ops
+        while observability is disabled); publishing again adds nothing."""
+        if self._pending_samples:
+            _SAMPLES.inc(self._pending_samples)
+            self._pending_samples = 0
+        if self._pending_clips:
+            _CLIPS.inc(self._pending_clips)
+            self._pending_clips = 0
 
     def convert_scalar(self, volts: float) -> float:
         """Scalar fast path of :meth:`convert` (identical transfer)."""

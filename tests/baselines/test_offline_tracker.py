@@ -1,5 +1,7 @@
 """Tests for the machine-experiment emulator (Fig. 5b stand-in)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ class TestConfig:
             MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], n_particles=1)
         with pytest.raises(ConfigurationError):
             MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], sigma_delta_t=0.0)
+        # Non-finite fields are named before any sign check (NaN passes
+        # `sigma_delta_t <= 0` and would run to a NaN phase trace).
+        for name in ("revolution_frequency", "synchrotron_frequency", "jump_deg",
+                     "jump_toggle_period", "jump_start_time", "sigma_delta_t"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                    MachineExperimentConfig(
+                        ring=SIS18, ion=KNOWN_IONS["14N7+"], **{name: bad}
+                    )
 
     def test_control_rate_must_match_revolution(self):
         """An 800 kHz loop filter cannot run once per 400 kHz revolution."""

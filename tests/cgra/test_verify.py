@@ -10,7 +10,6 @@ from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
 from repro.cgra.models import compile_beam_model
 from repro.cgra.modulo import ModuloScheduler
-from repro.cgra.pipelined_executor import PipelinedExecutor
 from repro.cgra.scheduler import ListScheduler
 from repro.cgra.sensor import SensorBus
 from repro.cgra.verify import (
@@ -58,8 +57,9 @@ class TestCleanKernels:
     def test_small_kernel_verifies_clean(self):
         assert verify_schedule(make_schedule()).ok
 
-    def test_modulo_schedule_verifies_clean(self):
-        model = compile_beam_model(n_bunches=4)
+    @pytest.mark.parametrize("n_bunches", [1, 4])
+    def test_modulo_schedule_verifies_clean(self, n_bunches):
+        model = compile_beam_model(n_bunches=n_bunches)
         ms = ModuloScheduler(model.schedule.fabric).schedule(model.graph)
         report = verify_modulo_schedule(ms)
         assert report.ok
@@ -269,20 +269,6 @@ class TestExecutorVerifyOnLoad:
         with pytest.raises(VerificationError) as exc:
             CgraExecutor(sched, bus, {}, verify=True)
         assert "operand-not-ready" in str(exc.value) or "pe-overlap" in str(exc.value)
-
-    def test_pipelined_executor_verify_on_load(self):
-        model = compile_beam_model(n_bunches=1)
-        ms = ModuloScheduler(model.schedule.fabric).schedule(model.graph)
-        bus = SensorBus()
-        for node in model.graph.io_nodes():
-            if node.op.value == "actuator_write":
-                bus.register_writer(node.sensor_id, lambda v: None)
-            elif node.op.value == "sensor_read_addr":
-                bus.register_addr_reader(node.sensor_id, lambda a: 0.0)
-            else:
-                bus.register_reader(node.sensor_id, lambda: 0.0)
-        params = dict.fromkeys(model.graph.params, 1.0)
-        PipelinedExecutor(ms, bus, params, verify=True)
 
     def test_severity_ordering(self):
         assert Severity.ERROR > Severity.WARNING > Severity.INFO

@@ -1,11 +1,11 @@
 """Per-revolution telemetry is published once per run, by the run owner.
 
-The deadline monitor, both ADC paths and the beam-phase control loop
-write nothing to the registry per call; they count into state they
-own, and :meth:`publish` hands the counts over.  Publishing again adds
-nothing, a deadline miss that raises still reaches
-``hil_deadline_misses_total``, and the registry writes of a closed-loop
-run do not grow with its length.
+The deadline monitor, both ADC paths, the DAC, the CGRA interpreter, the
+FPGA framework and the beam-phase control loop write nothing to the
+registry per call; they count into state they own, and :meth:`publish`
+hands the counts over.  Publishing again adds nothing, a deadline miss
+that raises still reaches ``hil_deadline_misses_total``, and the
+registry writes of a closed-loop run do not grow with its length.
 """
 
 from __future__ import annotations
@@ -14,16 +14,24 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cgra.fabric import CgraConfig
+from repro.cgra.context import build_context_images
+from repro.cgra.executor import CgraExecutor
+from repro.cgra.fabric import CgraConfig, CgraFabric
+from repro.cgra.frontend import compile_c_to_dfg
+from repro.cgra.scheduler import ListScheduler
+from repro.cgra.sensor import SensorBus
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import RealTimeViolation
 from repro.experiments.mde import bench_config
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
+from repro.hil.closed_loop import SampleAccurateBench, SampleAccurateBenchConfig
 from repro.hil.realtime import DeadlineMonitor
 from repro.hil.simulator import CavityInTheLoop
 from repro.obs.registry import Counter, Gauge, Histogram
+from repro.physics import KNOWN_IONS, SIS18
 from repro.signal.adc import ADC
+from repro.signal.dac import DAC
 
 
 def _value(name: str, **labels):
@@ -116,6 +124,60 @@ class TestScalarAdc:
         adc.publish()
         assert _value("signal_adc_samples_total") == 0
         assert _value("signal_adc_clips_total") == 0
+
+
+class TestDac:
+    def test_counts_published_once(self, enabled):
+        dac = DAC()
+        dac.convert(np.array([0.1, 3.0, -3.0]))
+        dac.convert_scalar(0.2)
+        dac.convert_scalar(5.0)
+        assert _value("signal_dac_samples_total") == 0
+        dac.publish()
+        dac.publish()
+        assert _value("signal_dac_samples_total") == 5
+        assert _value("signal_dac_clips_total") == 3
+
+
+class TestInterpreter:
+    SOURCE = """
+    void k() {
+        float s = 0.0;
+        while (1) {
+            float v = read_sensor(0);
+            write_actuator(16, s);
+            s = s + v * 2.0;
+        }
+    }
+    """
+
+    def _executor(self):
+        graph = compile_c_to_dfg(self.SOURCE)
+        schedule = ListScheduler(CgraFabric(CgraConfig(rows=2, cols=2))).schedule(graph)
+        bus = SensorBus()
+        bus.register_reader(0, lambda: 1.0)
+        bus.register_writer(16, lambda v: None)
+        return CgraExecutor(schedule, bus, {})
+
+    def test_iterations_published_once(self, enabled):
+        ex = self._executor()
+        for _ in range(3):
+            ex.run_iteration()
+        assert _value("cgra_iterations_total", executor="sequential") == 0
+        ex.publish()
+        ex.publish()
+        length = ex.schedule_length
+        ops = sum(len(image.entries) for image in build_context_images(ex.schedule).values())
+        assert _value("cgra_iterations_total", executor="sequential") == 3
+        assert _value("cgra_engine_iterations_total", engine="interpreted") == 3
+        assert _value("cgra_ticks_per_iteration", executor="sequential") == length
+        assert _value("cgra_context_switches_total", executor="sequential") == 3 * length
+        assert _value("cgra_ops_executed_total", executor="sequential") == 3 * ops
+
+    def test_run_publishes(self, enabled):
+        ex = self._executor()
+        ex.run(2)
+        assert _value("cgra_iterations_total", executor="sequential") == 2
 
 
 class TestControlLoop:
@@ -227,14 +289,26 @@ class TestWritesPerRun:
 
     @pytest.mark.parametrize("make", [
         lambda: CavityInTheLoop(bench_config()),
+        lambda: CavityInTheLoop(bench_config(engine="cgra")),
         _batched,
         _faulted_batched,
-    ], ids=["scalar", "batched", "batched_faulted"])
+    ], ids=["scalar", "scalar_cgra", "batched", "batched_faulted"])
     def test_writes_do_not_grow_with_the_run(self, enabled, registry_writes, make):
         writes = []
         for duration in (0.001, 0.004):
             bench = make()
             registry_writes.clear()
             bench.run(duration)
+            writes.append(sorted(registry_writes))
+        assert writes[0] and writes[0] == writes[1]
+
+    def test_sample_accurate_writes_do_not_grow(self, enabled, registry_writes):
+        writes = []
+        for n_revolutions in (20, 40):
+            bench = SampleAccurateBench(SampleAccurateBenchConfig(
+                ring=SIS18, ion=KNOWN_IONS["14N7+"], jump_start_time=0.0,
+            ))
+            registry_writes.clear()
+            bench.run_revolutions(n_revolutions)
             writes.append(sorted(registry_writes))
         assert writes[0] and writes[0] == writes[1]

@@ -27,6 +27,10 @@ class TestConstruction:
     def test_invalid_gamma(self, ring, ion, rf):
         with pytest.raises(PhysicsError):
             MultiParticleTracker(ring, ion, rf, np.zeros(2), np.zeros(2), 0.5)
+        # NaN passes `gamma_ref < 1`; one step would turn every Δt to NaN.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(PhysicsError, match="gamma_ref must be finite"):
+                MultiParticleTracker(ring, ion, rf, np.zeros(2), np.zeros(2), bad)
 
 
 class TestAgainstSingleParticle:

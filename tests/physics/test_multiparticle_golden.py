@@ -5,14 +5,13 @@ short 5000-particle :class:`MachineExperimentEmulator` runs at the
 default configuration (loop closed, loop open; the first 10-degree jump
 lands at 5 ms), and of the final ``delta_t``, ``delta_gamma`` and
 ``gamma_ref`` plus every recorded moment of
-:meth:`MultiParticleTracker.track` for three 2000-particle runs: the
-analytic stationary bucket, an accelerating bucket (φ_s = 0.3, so the
-reference particle gains energy and γ_R changes every turn) and a
-space-charge collective kick.  The digests were recorded before the
-per-turn step moved to in-place buffers and hoisted constants, so they
-prove that move bit-exact.  They were taken on x86-64 with NumPy 2.4:
-a platform whose ``np.sin`` rounds differently will disagree here first
-(as in ``test_batch_golden.py``).  A deliberate model change needs new
+:meth:`MultiParticleTracker.track` for two 2000-particle runs: the
+analytic stationary bucket and an accelerating bucket (φ_s = 0.3, so the
+reference particle gains energy and γ_R changes every turn).  The
+digests were recorded before the per-turn step moved to in-place buffers
+and hoisted constants, so they prove that move bit-exact.  They were
+taken on x86-64 with NumPy 2.4: a platform whose ``np.sin`` rounds
+differently will disagree here first (as in ``test_batch_golden.py``).  A deliberate model change needs new
 digests and a line in CHANGES.md saying why.
 """
 
@@ -25,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.offline_tracker import MachineExperimentConfig, MachineExperimentEmulator
-from repro.physics.collective import SpaceChargeModel
 from repro.physics.distributions import gaussian_bunch
 from repro.physics.multiparticle import MultiParticleTracker
 
@@ -36,11 +34,10 @@ N_PARTICLES = 2000
 
 EMULATOR_RUNS = {"closed_loop": {}, "open_loop": dict(control_enabled=False)}
 
-#: Tracker runs: (RF overrides, fixed f_rev or None to follow γ_R, space charge?).
+#: Tracker runs: (RF overrides, fixed f_rev or None to follow γ_R).
 TRACKER_RUNS = {
-    "stationary": ({}, 800e3, False),
-    "accelerating": (dict(synchronous_phase=0.3), None, False),
-    "space_charge": ({}, 800e3, True),
+    "stationary": ({}, 800e3),
+    "accelerating": (dict(synchronous_phase=0.3), None),
 }
 
 #: sha256 of each array, recorded before the in-place step.
@@ -165,44 +162,6 @@ GOLDEN = {
             "a015772e1358ea615c8498749e0ecc1dc35b3985fb794fe08adda8edde8ee1ad",
         ),
     },
-    "space_charge": {
-        "delta_gamma": (
-            (2000,),
-            "9194fd00e3acbf4fb0d7b8eb4a13f49fbeb3cb406ca25a7fbf0bc3e49edfc6d6",
-        ),
-        "delta_t": (
-            (2000,),
-            "19fcc2d7fadb92efb1b7d264380e673cb3cd2149da070d18b3dd7dce8e099679",
-        ),
-        "gamma_ref": (
-            (),
-            "9cc7a5e82ffb2530e95edd0366430fc5545d2e47c53681bd70443a7c75d80029",
-        ),
-        "mean_delta_gamma": (
-            (401,),
-            "1b23a96cf5ed2dab11f822e652f5304a586f5700f331c63829a5cdef9817077a",
-        ),
-        "mean_delta_t": (
-            (401,),
-            "e5ed911274ae28f4c519b98d2e5df100f80e2e28199b7c4e2fe059dc4f0cb56c",
-        ),
-        "std_delta_gamma": (
-            (401,),
-            "3ce99d0e76ee82c826e2d5d6df378c02b143879c6485792d741aced54f3643d7",
-        ),
-        "std_delta_t": (
-            (401,),
-            "b971b0f42a4a388c730a172796a151ac28a2550cb27ed72f195ccc6bb1895012",
-        ),
-        "time": (
-            (401,),
-            "029e49553b5276ec0bb6118c42671483eb596a34fc258c23998e92c603e77094",
-        ),
-        "turns": (
-            (401,),
-            "a015772e1358ea615c8498749e0ecc1dc35b3985fb794fe08adda8edde8ee1ad",
-        ),
-    },
 }
 
 
@@ -228,7 +187,7 @@ def test_emulator_digests(run, ring, ion):
 
 @pytest.mark.parametrize("run", sorted(TRACKER_RUNS))
 def test_tracker_digests(run, ring, ion, rf, gamma0):
-    rf_overrides, f_rev, space_charge = TRACKER_RUNS[run]
+    rf_overrides, f_rev = TRACKER_RUNS[run]
     delta_t, delta_gamma = gaussian_bunch(
         ring, ion, rf, gamma0, 12e-9, N_PARTICLES, np.random.default_rng(1234),
         centre_delta_t=10e-9,
@@ -236,8 +195,6 @@ def test_tracker_digests(run, ring, ion, rf, gamma0):
     tracker = MultiParticleTracker(
         ring, ion, replace(rf, **rf_overrides), delta_t, delta_gamma, gamma0
     )
-    if space_charge:
-        tracker.add_collective_effect(SpaceChargeModel(500.0, reference_sigma=12e-9))
     record = tracker.track(N_TURNS, f_rev=f_rev)
     fields = ("turns", "time", "mean_delta_t", "std_delta_t", "mean_delta_gamma",
               "std_delta_gamma")

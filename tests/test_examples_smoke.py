@@ -3,6 +3,9 @@
 The examples are executed in full by hand / CI timers; here we pin the
 cheap invariants that catch bit-rot immediately: valid syntax, valid
 imports, a ``main()`` entry point, and the shebang/docstring conventions.
+The ``benchmarks/test_*.py`` files get the import check too: tier-1 does
+not collect them, so a renamed or deleted ``repro`` name they import
+would otherwise go unnoticed.
 """
 
 import ast
@@ -14,6 +17,20 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCHMARKS = sorted((Path(__file__).parent.parent / "benchmarks").glob("test_*.py"))
+
+
+def assert_imports_resolve(path: Path) -> None:
+    """Every ``from repro... import name`` in ``path`` resolves."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (
+                        f"{path.name}: {node.module}.{alias.name} missing"
+                    )
 
 
 def test_expected_examples_present():
@@ -41,12 +58,13 @@ class TestEachExample:
         assert "main" in names
 
     def test_imports_resolve(self, path):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.startswith("repro"):
-                    module = importlib.import_module(node.module)
-                    for alias in node.names:
-                        assert hasattr(module, alias.name), (
-                            f"{path.name}: {node.module}.{alias.name} missing"
-                        )
+        assert_imports_resolve(path)
+
+
+def test_benchmarks_present():
+    assert BENCHMARKS, "no benchmarks/test_*.py found"
+
+
+@pytest.mark.parametrize("path", BENCHMARKS, ids=lambda p: p.name)
+def test_benchmark_imports_resolve(path):
+    assert_imports_resolve(path)
