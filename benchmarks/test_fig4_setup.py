@@ -20,8 +20,7 @@ def test_fig4_closed_loop_step(benchmark, report):
     assert len(toggles) == 20
 
     def steps():
-        for _ in range(1000):
-            sim.step_revolution()
+        sim.run(1000 / sim.f_rev)
 
     benchmark.pedantic(steps, rounds=3, iterations=1)
     per_rev = benchmark.stats["mean"] / 1000

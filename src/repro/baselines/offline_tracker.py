@@ -22,14 +22,14 @@ Plays two roles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError
-from repro.hil.realtime import JitterStats
+from repro.hil.scenario import check_scenario
 from repro.physics.distributions import gaussian_bunch
 from repro.physics.ion import IonSpecies
 from repro.physics.multiparticle import MultiParticleTracker
@@ -67,17 +67,14 @@ class MachineExperimentConfig:
     record_every: int = 8
 
     def __post_init__(self) -> None:
-        # NaN passes every sign check below, so finiteness comes first.
-        for name in ("revolution_frequency", "synchrotron_frequency", "jump_deg",
-                     "jump_toggle_period", "jump_start_time", "sigma_delta_t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_scenario(self)
+        # NaN passes the sign check below, so finiteness comes first.
+        if not math.isfinite(self.sigma_delta_t):
+            raise ConfigurationError(f"sigma_delta_t must be finite, got {self.sigma_delta_t!r}")
         if self.n_particles < 2:
             raise ConfigurationError("need at least 2 macro particles")
         if self.sigma_delta_t <= 0:
             raise ConfigurationError("sigma_delta_t must be positive")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
         if self.control is not None:
             self.control.check_revolution_frequency(self.revolution_frequency)
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.cgra.dfg import DataflowGraph
-from repro.cgra.ops import Op
 from repro.cgra.scheduler import Schedule
 from repro.errors import CgraError
 

@@ -45,10 +45,19 @@ the loop can reach (every op that makes a non-finite value raises first,
 and :class:`BatchedCgraExecutor` rejects non-finite host values).
 :meth:`CompiledProgram.fault_error` maps such a fault back to the
 interpreter's exact guard text.
+
+Given a scalar :class:`~repro.cgra.sensor.SensorBus`, the executor runs
+one scenario on host scalars: the step of
+:class:`~repro.hil.simulator.CavityInTheLoop` (``engine="python"``), on
+Python floats at ``"double"`` and float32 NumPy scalars at ``"single"``
+(:meth:`CompiledProgram.scalar_steps`).  On Python floats a zero divisor
+raises ``ZeroDivisionError`` and a negative radicand ``ValueError``,
+mapped to the same guard text; an overflow runs on as ±inf or NaN.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -57,6 +66,7 @@ from repro.cgra.context import build_context_images
 from repro.cgra.dfg import DataflowGraph
 from repro.cgra.ops import Op
 from repro.cgra.scheduler import Schedule
+from repro.cgra.sensor import SensorBus
 from repro.errors import ExecutionError
 from repro.obs import get_registry
 from repro.obs._state import STATE as _OBS
@@ -77,6 +87,19 @@ _ENGINE_ITERATIONS = get_registry().counter(
 _ITERS_PER_SECOND = get_registry().gauge(
     "cgra_iterations_per_second", "most recent bulk-run iteration throughput"
 )
+
+
+#: The step namespace of one scenario on Python floats (binary64).
+_HOST_NAMESPACE = {
+    "_ft": float,
+    "_sqrt": math.sqrt,
+    "_ZERO": 0.0,
+    "_ONE": 1.0,
+    "_where": lambda condition, a, b: a if condition else b,
+    "_minimum": min,
+    "_maximum": max,
+}
+
 
 def _merged_entries(schedule: Schedule) -> list:
     """All context-image entries merged into one tick-ordered program.
@@ -198,7 +221,7 @@ class _CodeEmitter:
 
 
 class CompiledProgram:
-    """One schedule lowered to the two compiled step functions.
+    """One schedule lowered to its compiled step functions.
 
     The program is stateless: the register file is a list of ``[B]``
     arrays and lane-uniform scalars, owned by the executor and passed
@@ -220,25 +243,8 @@ class CompiledProgram:
             if op is Op.ACTUATOR_WRITE
         }
         emitter = _CodeEmitter(self.graph, self.entries)
-        #: The step that stores every computed node (the last step of a run).
-        self.source_batched = emitter.emit(traced=True)
-        self.step_batched = self._compile(self.source_batched, "batched")
-        #: The step that stores only the PHI latches.  Loads only ever
-        #: come from CONST/PARAM/PHI slots, so running ``(n−1)·fast +
-        #: 1·traced`` leaves the register file identical to tracing
-        #: every step.
-        self.source_batched_fast = emitter.emit(traced=False)
-        self.step_batched_fast = self._compile(self.source_batched_fast, "batched-fast")
-        #: Source line → (op, node id, guarded operand local) of the
-        #: steps' unguarded FDIV/FSQRT ops (both variants share their
-        #: body lines; the fast one only drops trailing stores).
-        self.batched_fault_sites: dict[int, tuple[Op, int, str]] = emitter.fault_sites
-        self._step_codes = {self.step_batched.__code__, self.step_batched_fast.__code__}
-        if _OBS.enabled:
-            _PROGRAMS_COMPILED.inc(precision=precision)
-
-    def _compile(self, source: str, variant: str):
-        ns = {
+        self._step_codes: set = set()
+        lanes = {
             "_ft": self.ftype,
             "_sqrt": np.sqrt,
             "_ZERO": self.ftype(0.0),
@@ -247,22 +253,66 @@ class CompiledProgram:
             "_minimum": np.minimum,
             "_maximum": np.maximum,
         }
+        #: The step that stores every computed node (the last step of a run).
+        self.source_batched = emitter.emit(traced=True)
+        self.step_batched = self._compile(self.source_batched, "batched", lanes)
+        #: The step that stores only the PHI latches.  Loads only ever
+        #: come from CONST/PARAM/PHI slots, so running ``(n−1)·fast +
+        #: 1·traced`` leaves the register file identical to tracing
+        #: every step.
+        self.source_batched_fast = emitter.emit(traced=False)
+        self.step_batched_fast = self._compile(
+            self.source_batched_fast, "batched-fast", lanes
+        )
+        #: Source line → (op, node id, guarded operand local) of the
+        #: steps' unguarded FDIV/FSQRT ops (both variants share their
+        #: body lines; the fast one only drops trailing stores).
+        self.batched_fault_sites: dict[int, tuple[Op, int, str]] = emitter.fault_sites
+        self._host_steps: tuple | None = None
+        if _OBS.enabled:
+            _PROGRAMS_COMPILED.inc(precision=precision)
+
+    def _compile(self, source: str, variant: str, namespace: dict):
+        ns = dict(namespace)
         code = compile(source, f"<cgra-engine:{self.graph.name}:{variant}>", "exec")
         exec(code, ns)
-        return ns["step"]
+        step = ns["step"]
+        self._step_codes.add(step.__code__)
+        return step
+
+    def scalar_steps(self) -> tuple:
+        """``(register type, fast step, traced step)`` of one scenario
+        on host scalars.  At ``"double"`` the emitted source is compiled
+        on first use against Python floats, whose ops are the
+        interpreter's binary64 ops and cheaper than NumPy scalars; at
+        ``"single"`` these are the batched steps on ``numpy.float32``.
+        """
+        if self.precision == "single":
+            return self.ftype, self.step_batched_fast, self.step_batched
+        if self._host_steps is None:
+            self._host_steps = (
+                float,
+                self._compile(self.source_batched_fast, "host-fast", _HOST_NAMESPACE),
+                self._compile(self.source_batched, "host", _HOST_NAMESPACE),
+            )
+        return self._host_steps
 
     def fault_error(
-        self, exc: FloatingPointError, iteration: int, kernel: str
-    ) -> ExecutionError:
-        """The :class:`ExecutionError` for a ``FloatingPointError`` that a
-        step raised under ``errstate(raise)`` in ``iteration``.
+        self, exc: ArithmeticError | ValueError, iteration: int, kernel: str
+    ) -> ExecutionError | None:
+        """The :class:`ExecutionError` for an arithmetic fault raised in
+        ``iteration``: a ``FloatingPointError`` under ``errstate(raise)``,
+        or on host floats the ``ZeroDivisionError`` of a division and the
+        ``ValueError`` of ``math.sqrt``.
 
         When the innermost frame is a step stopped on one of its
         unguarded FDIV/FSQRT lines, and that op's divisor has a zero lane
         (or its radicand a negative lane) in the frame's locals, this is
-        the interpreter's exact guard text.  Every other fault — overflow,
-        or a fault inside a bus handler — gets the generic non-finite
-        message naming the iteration and ``kernel``.
+        the interpreter's exact guard text.  Every other
+        ``FloatingPointError`` — overflow, or a fault inside a bus
+        handler — gets the generic non-finite message naming the
+        iteration and ``kernel``; any other exception is not the step's
+        fault, and this returns None.
         """
         tb = exc.__traceback__
         while tb is not None and tb.tb_next is not None:
@@ -276,6 +326,8 @@ class CompiledProgram:
                     return ExecutionError(f"division by zero in node {nid}")
                 if op is Op.FSQRT and np.any(value < 0.0):
                     return ExecutionError(f"sqrt of negative value in node {nid}")
+        if not isinstance(exc, FloatingPointError):
+            return None
         return ExecutionError(
             f"non-finite value produced in iteration {iteration} "
             f"of the {kernel} kernel: {exc}"
@@ -339,6 +391,11 @@ class BatchedCgraExecutor:
     whole batch (lockstep semantics), with the interpreter's error text
     for division by zero and sqrt of a negative
     (:meth:`CompiledProgram.fault_error`).
+
+    A scalar :class:`~repro.cgra.sensor.SensorBus` makes it run one
+    scenario (B = 1) on host scalars (:meth:`CompiledProgram.scalar_steps`);
+    its bench counts the iterations, so :meth:`run_driven` publishes no
+    ``cgra_*`` telemetry for it.
     """
 
     def __init__(
@@ -351,10 +408,15 @@ class BatchedCgraExecutor:
         self.schedule = schedule
         self.graph = schedule.graph
         self.bus = bus
-        self.batch = int(bus.batch)
+        self._scalar = isinstance(bus, SensorBus)
+        self.batch = 1 if self._scalar else int(bus.batch)
         self.precision = precision
         self._program = compile_program(schedule, precision)
-        self._ftype = self._program.ftype
+        if self._scalar:
+            self._ftype, *self._steps = self._program.scalar_steps()
+        else:
+            self._ftype = self._program.ftype
+            self._steps = (self._program.step_batched_fast, self._program.step_batched)
         params = dict(params or {})
         missing = [p for p in self.graph.params if p not in params]
         if missing:
@@ -485,12 +547,11 @@ class BatchedCgraExecutor:
             raise ExecutionError("n_iterations must be non-negative")
         if n_iterations == 0:
             return
-        step_fast = self._program.step_batched_fast
-        step_traced = self._program.step_batched
+        step_fast, step_traced = self._steps
         R = self._slots
         read, read_addr, write = self.bus.read, self.bus.read_addr, self.bus.write
         done = 0
-        obs = _OBS.enabled
+        obs = _OBS.enabled and not self._scalar
         if obs:
             import time as _time
 
@@ -508,8 +569,12 @@ class BatchedCgraExecutor:
                     done += 1
                     if post is not None:
                         post(i)
-        except FloatingPointError as exc:
-            raise self._program.fault_error(exc, self.iterations + done, "batched") from exc
+        except (FloatingPointError, ZeroDivisionError, ValueError) as exc:
+            kernel = "scalar" if self._scalar else "batched"
+            error = self._program.fault_error(exc, self.iterations + done, kernel)
+            if error is None:
+                raise
+            raise error from exc
         finally:
             self.iterations += done
             if done:

@@ -14,7 +14,7 @@ schedule lengths they produce next to the paper's 128/111/99/93 ticks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 

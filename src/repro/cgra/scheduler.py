@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cgra.dfg import DataflowGraph, DFGNode
+from repro.cgra.dfg import DataflowGraph
 from repro.cgra.fabric import CgraFabric
 from repro.cgra.ops import Op
 from repro.errors import ScheduleError

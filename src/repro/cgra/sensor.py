@@ -8,8 +8,9 @@ pulse."
 :class:`SensorBus` maps integer sensor/actuator ids to Python callables;
 the HIL framework registers the period-length detector, the two ring
 buffers and the Gauss-pulse actuator here, and the cycle-accurate
-executor performs all its IO through this single port (which is also the
-serialisation point the scheduler models).
+executor — like the compiled engine running one scenario on host
+scalars — performs all its IO through this single port (which is also
+the serialisation point the scheduler models).
 
 :class:`BatchSensorBus` is the same port for the batched lockstep
 engine: one logical IO operation per op for all lanes, with

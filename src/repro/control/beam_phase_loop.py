@@ -22,7 +22,7 @@ metrics once per run through :meth:`BeamPhaseControlLoop.publish`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError

@@ -65,7 +65,12 @@ def bench_config(
     record_every: int = 8,
     **overrides,
 ) -> HilConfig:
-    """The Fig. 5a bench configuration (8° jumps, f_s = 1.28 kHz)."""
+    """The Fig. 5a bench configuration (8° jumps, f_s = 1.28 kHz).
+
+    It computes in binary64: Fig. 5a and its golden traces always have,
+    and ablation A3 bounds the single-precision overlay's deviation from
+    it at 0.0008°, far inside the figure's ±0.01° bands.
+    """
     kwargs = dict(
         ring=MDE_RING,
         ion=MDE_ION,
@@ -76,6 +81,7 @@ def bench_config(
         jump_toggle_period=MDE_TOGGLE_PERIOD,
         control=control_config(),
         engine=engine,
+        precision="double",
         record_every=record_every,
     )
     kwargs.update(overrides)

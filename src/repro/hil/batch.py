@@ -48,6 +48,7 @@ from repro.control import ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
+from repro.hil.scenario import check_scenario
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
@@ -105,45 +106,12 @@ class BatchHilConfig:
     def __post_init__(self) -> None:
         if len(self.jump_deg) < 1:
             raise ConfigurationError("jump_deg needs at least one lane")
-        # NaN passes every sign check below, so finiteness comes first.
-        for name in ("revolution_frequency", "synchrotron_frequency",
-                     "jump_toggle_period", "jump_start_time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("jump_deg", "initial_delta_t"):
-            for lane, value in enumerate(getattr(self, name) or ()):
-                if not math.isfinite(value):
-                    raise ConfigurationError(
-                        f"{name} of lane {lane} must be finite, got {value!r}"
-                    )
-        if self.harmonic < 1:
-            raise ConfigurationError("harmonic must be >= 1")
-        if self.n_bunches < 1 or self.n_bunches > self.harmonic:
-            raise ConfigurationError("n_bunches must be in [1, harmonic]")
-        if self.revolution_frequency <= 0:
-            raise ConfigurationError("revolution_frequency must be positive")
-        if self.synchrotron_frequency <= 0:
-            raise ConfigurationError("synchrotron_frequency must be positive")
-        if not 0 < self.adc_amplitude <= 1.0:
-            raise ConfigurationError("adc_amplitude must be in (0, 1] volts")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
-        if self.jump_toggle_period <= 0:
-            raise ConfigurationError("jump_toggle_period must be positive")
+        check_scenario(self, entry="lane")
         if self.initial_delta_t is not None and len(self.initial_delta_t) != len(self.jump_deg):
             raise ConfigurationError(
                 f"initial_delta_t needs {len(self.jump_deg)} entries, "
                 f"got {len(self.initial_delta_t)}"
             )
-        if self.control_source not in ("bunch0", "mean"):
-            raise ConfigurationError(
-                f"control_source must be 'bunch0' or 'mean', got {self.control_source!r}"
-            )
-        for s in self.faults:
-            if not isinstance(s, FaultSpec):
-                raise ConfigurationError(
-                    f"faults must be FaultSpec instances, got {type(s).__name__}"
-                )
 
     @property
     def batch(self) -> int:

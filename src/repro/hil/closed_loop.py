@@ -30,6 +30,7 @@ from repro.constants import deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError
 from repro.hil.framework import FpgaFramework, FrameworkConfig
+from repro.hil.scenario import check_scenario
 from repro.obs import get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
@@ -62,10 +63,9 @@ class SampleAccurateBenchConfig:
     detector_window_revolutions: int = 2
 
     def __post_init__(self) -> None:
+        check_scenario(self)
         if self.detector_window_revolutions < 1:
             raise ConfigurationError("detector window must be >= 1 revolution")
-        if self.harmonic < 1:
-            raise ConfigurationError("harmonic must be >= 1")
         if self.control is not None:
             self.control.check_revolution_frequency(self.revolution_frequency)
 

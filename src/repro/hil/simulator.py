@@ -2,22 +2,22 @@
 
 :class:`CavityInTheLoop` assembles the whole experiment: synchronised
 DDS signals (reference at f_R, gap at h·f_R), the AWG phase-jump drive,
-the beam simulator (CGRA model or its bit-identical Python fast path),
-the DSP phase detector and the beam-phase control loop closing the loop
-on the gap phase.
+the beam model compiled onto the CGRA, the DSP phase detector and the
+beam-phase control loop closing the loop on the gap phase.
 
-Two engines share identical physics and calibration:
+The model exists once, as the C source of
+:func:`~repro.cgra.models.beam_model_source`; both engines execute its
+schedule, one iteration per revolution, against the same analytic
+(optionally ADC-quantised) sensor handlers, at ``HilConfig.precision``:
 
-* ``engine="cgra"`` — every revolution runs one iteration of the
-  compiled CGRA contexts on the cycle-accurate interpreter
-  (:class:`~repro.cgra.executor.CgraExecutor`, the bit-exactness oracle)
-  against analytic (optionally ADC-quantised) sensor handlers.  This is
-  the reference implementation and validates the real hardware path, at
-  interpreter speed; the compiled engine runs it through
-  :class:`~repro.hil.batch.BatchedCavityInTheLoop`.
-* ``engine="python"`` — the same model equations inlined in Python
-  floats, ~100× faster; used for second-scale Fig.-5 runs.  A dedicated
-  test pins both engines against each other turn by turn.
+* ``engine="cgra"`` — the cycle-accurate interpreter
+  (:class:`~repro.cgra.executor.CgraExecutor`, the bit-exactness oracle),
+  at interpreter speed.
+* ``engine="python"`` — the step the compiled engine generates from the
+  schedule (:class:`~repro.cgra.engine.BatchedCgraExecutor` on a scalar
+  bus): Python floats at ``"double"``, float32 NumPy scalars at
+  ``"single"``; used for second-scale Fig.-5 runs.  A property test pins
+  it to the interpreter bit for bit at both precisions.
 
 Real-time accounting: the CGRA model is compiled either way, its
 schedule length is checked against the revolution period once per run
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cgra.engine import BatchedCgraExecutor
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -43,11 +44,12 @@ from repro.cgra.sensor import (
     SENSOR_REF_BUFFER,
     SensorBus,
 )
-from repro.constants import SPEED_OF_LIGHT, TWO_PI, deg_to_rad
+from repro.constants import TWO_PI, deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
+from repro.hil.scenario import check_scenario
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
@@ -91,7 +93,12 @@ class HilConfig:
     jump_start_time: float = 0.005
     control: ControlLoopConfig | None = None
     n_bunches: int = 1
+    #: ``"python"``: the step generated from the compiled schedule;
+    #: ``"cgra"``: the cycle-accurate interpreter.  At one precision the
+    #: two are bit-identical.
     engine: str = "python"
+    #: Arithmetic of every model op: ``"single"`` rounds each to binary32
+    #: like the overlay's FP cores, ``"double"`` computes in binary64.
     precision: str = "single"
     pipelined: bool = True
     cgra_config: CgraConfig = field(default_factory=CgraConfig)
@@ -124,30 +131,7 @@ class HilConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("python", "cgra"):
             raise ConfigurationError(f"engine must be 'python' or 'cgra', got {self.engine!r}")
-        # NaN passes every sign check below, so finiteness comes first.
-        for name in ("revolution_frequency", "synchrotron_frequency", "jump_deg",
-                     "jump_toggle_period", "jump_start_time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for bunch, value in enumerate(self.initial_delta_t or ()):
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"initial_delta_t of bunch {bunch} must be finite, got {value!r}"
-                )
-        if self.harmonic < 1:
-            raise ConfigurationError("harmonic must be >= 1")
-        if self.n_bunches < 1 or self.n_bunches > self.harmonic:
-            raise ConfigurationError("n_bunches must be in [1, harmonic]")
-        if self.revolution_frequency <= 0:
-            raise ConfigurationError("revolution_frequency must be positive")
-        if self.synchrotron_frequency <= 0:
-            raise ConfigurationError("synchrotron_frequency must be positive")
-        if not 0 < self.adc_amplitude <= 1.0:
-            raise ConfigurationError("adc_amplitude must be in (0, 1] volts")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
-        if self.jump_toggle_period <= 0:
-            raise ConfigurationError("jump_toggle_period must be positive")
+        check_scenario(self)
         if not 0.0 <= self.dual_harmonic_ratio < 0.5:
             raise ConfigurationError(
                 "dual_harmonic_ratio must be in [0, 0.5); the flat bucket "
@@ -158,15 +142,6 @@ class HilConfig:
                 f"initial_delta_t needs {self.n_bunches} entries, "
                 f"got {len(self.initial_delta_t)}"
             )
-        if self.control_source not in ("bunch0", "mean"):
-            raise ConfigurationError(
-                f"control_source must be 'bunch0' or 'mean', got {self.control_source!r}"
-            )
-        for s in self.faults:
-            if not isinstance(s, FaultSpec):
-                raise ConfigurationError(
-                    f"faults must be FaultSpec instances, got {type(s).__name__}"
-                )
 
 
 @dataclass
@@ -203,6 +178,88 @@ class HilRunResult:
         return -360.0 * harmonic * f_rev * self.delta_t_all[:, bunch]
 
 
+class _SignalChain:
+    """The bench's DDS reference and gap signals as the 14-bit ADC
+    digitises them: the addressed sensor handlers both engines read.
+
+    Kept apart from the bench so the sensor bus holds no reference back
+    to it: a bench → executor → bus → bench cycle would keep every
+    finished bench, and its per-revolution deadline record, alive until
+    the cyclic garbage collector ran.
+    """
+
+    def __init__(self, config: HilConfig, f_rev: float, adc: ADC, faults) -> None:
+        self.quantize_adc = config.quantize_adc
+        self.adc_amplitude = config.adc_amplitude
+        self.dh_ratio = config.dual_harmonic_ratio
+        self.dh_headroom = 1.0 + self.dh_ratio
+        # Angular frequencies of the reference and gap DDS signals.
+        self.w_ref = TWO_PI * f_rev
+        self.w_gap = TWO_PI * config.harmonic * f_rev
+        self.adc = adc
+        self.faults = faults
+        #: Commanded gap phase of the current revolution, radians.
+        self.gap_phase_rad = 0.0
+
+    def _maybe_quantize(self, adc_volts: float) -> float:
+        if not self.quantize_adc:
+            return adc_volts
+        return self.adc.quantize_scalar(adc_volts)
+
+    def ref_adc_voltage(self, addr_samples: float) -> float:
+        """Reference-buffer read: undisturbed sine at f_R, ADC volts.
+
+        Deliberately fault-free: the reference leg doubles as the
+        synchronous-energy bookkeeping (``gamma_r += q/mc² · v_r``), so
+        all signal-chain faults act on the gap leg (see
+        :mod:`repro.faults.inject`).
+        """
+        t = addr_samples / 250e6
+        v = self.adc_amplitude * math.sin(self.w_ref * t)
+        return self._maybe_quantize(v)
+
+    def gap_adc_voltage(self, addr_samples: float) -> float:
+        """Gap-buffer read: (dual-)harmonic signal with the commanded phase."""
+        t = addr_samples / 250e6
+        base = self.w_gap * t + self.gap_phase_rad
+        f = self.faults
+        if f is not None and f.active:
+            return self._faulted_gap_voltage(base, f)
+        if self.dh_ratio:
+            v = (self.adc_amplitude / self.dh_headroom) * (
+                math.sin(base) - self.dh_ratio * math.sin(2.0 * base)
+            )
+        else:
+            v = self.adc_amplitude * math.sin(base)
+        return self._maybe_quantize(v)
+
+    def _faulted_gap_voltage(self, base: float, f) -> float:
+        """Gap transfer with the active fault channels folded in.
+
+        Same physics as the clean branch plus phase offset, gradient
+        loss, clip level and stuck ADC bits; a stuck bit acts on output
+        *codes*, so it forces the conversion even with ``quantize_adc``
+        off (the fault is defined in the code domain).
+        """
+        base += f.gap_phase
+        if self.dh_ratio:
+            v = (self.adc_amplitude / self.dh_headroom) * (
+                math.sin(base) - self.dh_ratio * math.sin(2.0 * base)
+            )
+        else:
+            v = self.adc_amplitude * math.sin(base)
+        v *= f.gap_gain
+        clip = f.gap_clip
+        if v > clip:
+            v = clip
+        elif v < -clip:
+            v = -clip
+        if f.stuck_any:
+            code = self.adc.apply_stuck_mask_scalar(self.adc.convert_scalar(v), f.stuck_mask)
+            return code * self.adc.lsb
+        return self._maybe_quantize(v)
+
+
 class CavityInTheLoop:
     """The closed-loop HIL bench.
 
@@ -223,8 +280,8 @@ class CavityInTheLoop:
         )
         # Dual-harmonic: the effective centre slope is (1 - 2r)·V̂₁ω, so
         # the fundamental is raised to keep the calibrated f_s.
-        self._dh_ratio = config.dual_harmonic_ratio
-        self.gap_voltage_amplitude = single_equivalent / (1.0 - 2.0 * self._dh_ratio)
+        dh_ratio = config.dual_harmonic_ratio
+        self.gap_voltage_amplitude = single_equivalent / (1.0 - 2.0 * dh_ratio)
         self.rf = probe.with_voltage(self.gap_voltage_amplitude)
         self.jump = PhaseJumpPattern(
             jump_deg=config.jump_deg,
@@ -239,12 +296,11 @@ class CavityInTheLoop:
         #: gap voltages into the 2 Vpp ADC range).  The dual-harmonic sum
         #: peaks at up to (1 + r)·V̂₁, so the ADC-side signal is shrunk by
         #: (1 + r) to stay inside the rails and the scale grows to match.
-        self._dh_headroom = 1.0 + self._dh_ratio
         self.gap_scale = (
-            self.gap_voltage_amplitude * self._dh_headroom / config.adc_amplitude
+            self.gap_voltage_amplitude * (1.0 + dh_ratio) / config.adc_amplitude
         )
         self.ref_scale = config.harmonic * self.gap_voltage_amplitude * (
-            1.0 - 2.0 * self._dh_ratio
+            1.0 - 2.0 * dh_ratio
         ) / config.adc_amplitude
         self._adc = ADC(bits=14, vpp=2.0, sample_rate=250e6)
 
@@ -268,6 +324,7 @@ class CavityInTheLoop:
             )
         else:
             self._faults = None
+        self._signals = _SignalChain(config, self.f_rev, self._adc, self._faults)
 
         self.model: CompiledModel = compile_beam_model(
             n_bunches=config.n_bunches,
@@ -279,117 +336,30 @@ class CavityInTheLoop:
             cgra_clock_hz=config.cgra_config.clock_mhz * 1e6,
         )
 
-        # Run constants of the per-revolution model equations.
         self._t_rev = 1.0 / self.f_rev
-        self._spacing = self._t_rev / config.harmonic
-        self._qmc2 = ion.gamma_gain_per_volt()
-        self._circumference = ring.circumference
-        self._alpha_c = ring.alpha_c
         #: Phase-detector scale: degrees at h·f_R per second of Δt.
         self._deg_per_s = -360.0 * config.harmonic * self.f_rev
-        # Angular frequencies of the reference and gap DDS signals.
-        self._w_ref = TWO_PI * self.f_rev
-        self._w_gap = TWO_PI * config.harmonic * self.f_rev
 
         # Mutable run state:
-        self._gap_phase_rad = 0.0
         self._time = 0.0
         self._turn = 0
         self._delta_t = np.zeros(config.n_bunches)
-        self._executor: CgraExecutor | None = None
-        initial = (
-            np.asarray(config.initial_delta_t, dtype=float)
-            if config.initial_delta_t is not None
-            else np.zeros(config.n_bunches)
-        )
-        if config.engine == "cgra":
-            self._executor = self._build_executor()
-            for i, value in enumerate(initial):
-                if value != 0.0:
-                    self._executor.set_register(f"dt[{i}]", float(value))
-        else:
-            # Per-bunch state in Python floats: every operation below is
-            # the same IEEE-754 double operation NumPy scalars would do.
-            self._py_gamma_r = self.gamma0
-            self._py_dgamma = [0.0] * config.n_bunches
-            self._py_dt = initial.tolist()
-            # Pipelined semantics: stage 2 consumes the voltages sensed in
-            # the *previous* iteration (the pipeline_barrier() registers).
-            self._py_prev_v_r = 0.0
-            self._py_prev_v_a = [0.0] * config.n_bunches
-        self._delta_t[:] = initial
+        self._executor = self._build_executor()
+        for i, value in enumerate(config.initial_delta_t or ()):
+            self._executor.set_register(f"dt[{i}]", value)
+            self._delta_t[i] = value
 
     # -- engine plumbing -------------------------------------------------
 
-    def _maybe_quantize(self, adc_volts: float) -> float:
-        if not self.config.quantize_adc:
-            return adc_volts
-        return self._adc.quantize_scalar(adc_volts)
-
-    def _ref_adc_voltage(self, addr_samples: float) -> float:
-        """Reference-buffer read: undisturbed sine at f_R, ADC volts.
-
-        Deliberately fault-free: the reference leg doubles as the
-        synchronous-energy bookkeeping (``gamma_r += q/mc² · v_r``), so
-        all signal-chain faults act on the gap leg (see
-        :mod:`repro.faults.inject`).
-        """
-        t = addr_samples / 250e6
-        v = self.config.adc_amplitude * math.sin(self._w_ref * t)
-        return self._maybe_quantize(v)
-
-    def _gap_adc_voltage(self, addr_samples: float) -> float:
-        """Gap-buffer read: (dual-)harmonic signal with the commanded phase."""
-        t = addr_samples / 250e6
-        base = self._w_gap * t + self._gap_phase_rad
-        f = self._faults
-        if f is not None and f.active:
-            return self._faulted_gap_voltage(base, f)
-        if self._dh_ratio:
-            v = (self.config.adc_amplitude / self._dh_headroom) * (
-                math.sin(base) - self._dh_ratio * math.sin(2.0 * base)
-            )
-        else:
-            v = self.config.adc_amplitude * math.sin(base)
-        return self._maybe_quantize(v)
-
-    def _faulted_gap_voltage(self, base: float, f) -> float:
-        """Gap transfer with the active fault channels folded in.
-
-        Same physics as the clean branch plus phase offset, gradient
-        loss, clip level and stuck ADC bits; a stuck bit acts on output
-        *codes*, so it forces the conversion even with ``quantize_adc``
-        off (the fault is defined in the code domain).
-        """
-        base += f.gap_phase
-        if self._dh_ratio:
-            v = (self.config.adc_amplitude / self._dh_headroom) * (
-                math.sin(base) - self._dh_ratio * math.sin(2.0 * base)
-            )
-        else:
-            v = self.config.adc_amplitude * math.sin(base)
-        v *= f.gap_gain
-        clip = f.gap_clip
-        if v > clip:
-            v = clip
-        elif v < -clip:
-            v = -clip
-        if f.stuck_any:
-            code = self._adc.apply_stuck_mask_scalar(
-                self._adc.convert_scalar(v), f.stuck_mask
-            )
-            return code * self._adc.lsb
-        return self._maybe_quantize(v)
-
-    def _build_executor(self) -> CgraExecutor:
+    def _build_executor(self) -> CgraExecutor | BatchedCgraExecutor:
         bus = SensorBus()
         t_rev = self._t_rev
         bus.register_reader(SENSOR_PERIOD, lambda: t_rev)
-        bus.register_addr_reader(SENSOR_REF_BUFFER, self._ref_adc_voltage)
-        bus.register_addr_reader(SENSOR_GAP_BUFFER, self._gap_adc_voltage)
+        bus.register_addr_reader(SENSOR_REF_BUFFER, self._signals.ref_adc_voltage)
+        bus.register_addr_reader(SENSOR_GAP_BUFFER, self._signals.gap_adc_voltage)
         for i in range(self.config.n_bunches):
-            def writer(value: float, i: int = i) -> None:
-                self._delta_t[i] = value
+            def writer(value: float, i: int = i, delta_t: np.ndarray = self._delta_t) -> None:
+                delta_t[i] = value
             bus.register_writer(ACTUATOR_DELTA_T + i, writer)
         params = self.model.default_params(
             gamma_r0=self.gamma0,
@@ -401,51 +371,8 @@ class CavityInTheLoop:
             f_sample=250e6,
             harmonic=self.config.harmonic,
         )
-        return CgraExecutor(
-            self.model.schedule,
-            bus,
-            params,
-            precision=self.config.precision,
-        )
-
-    def _python_step(self) -> None:
-        """One revolution of the model equations, mirroring the C model.
-
-        The Δt outputs are latched *before* the update (stage-1 IO), so
-        the visible output matches the CGRA's by construction.
-        """
-        dt = self._py_dt
-        n = len(dt)
-        self._delta_t[:] = dt
-        gamma_r = self._py_gamma_r
-        inv_g2 = 1.0 / (gamma_r * gamma_r)
-        beta_r = math.sqrt(1.0 - inv_g2)
-        t_ref = self._circumference / (beta_r * SPEED_OF_LIGHT)
-        d_t = t_ref - self._t_rev
-        v_r = self._ref_adc_voltage(d_t * 250e6) * self.ref_scale
-        spacing, gap_scale = self._spacing, self.gap_scale
-        v_a = [
-            self._gap_adc_voltage((d_t + spacing * i + dt[i]) * 250e6) * gap_scale
-            for i in range(n)
-        ]
-        if self.config.pipelined:
-            # Swap in the previous iteration's voltages (pipeline registers).
-            v_r, self._py_prev_v_r = self._py_prev_v_r, v_r
-            v_a, self._py_prev_v_a = self._py_prev_v_a, v_a
-        qmc2 = self._qmc2
-        gamma_r = gamma_r + qmc2 * v_r
-        inv_g2n = 1.0 / (gamma_r * gamma_r)
-        eta = self._alpha_c - inv_g2n
-        beta_r2 = 1.0 - inv_g2n
-        k_dt = self._circumference * eta / (beta_r2 * SPEED_OF_LIGHT * gamma_r)
-        dgamma = self._py_dgamma
-        for i in range(n):
-            dg = dgamma[i] + qmc2 * (v_a[i] - v_r)
-            dgamma[i] = dg
-            gamma_a = gamma_r + dg
-            beta_a = math.sqrt(1.0 - 1.0 / (gamma_a * gamma_a))
-            dt[i] += k_dt * dg / beta_a
-        self._py_gamma_r = gamma_r
+        engine = CgraExecutor if self.config.engine == "cgra" else BatchedCgraExecutor
+        return engine(self.model.schedule, bus, params, precision=self.config.precision)
 
     # -- the loop ---------------------------------------------------------
 
@@ -463,31 +390,20 @@ class CavityInTheLoop:
             dt = float(self._delta_t[0])
         return self._deg_per_s * dt
 
-    def step_revolution(self) -> None:
-        """Advance the closed loop by one revolution."""
-        f = self._faults
-        if f is not None:
-            f.update(self._time)
-        # 1. gap phase for this revolution: AWG drive + control correction.
-        jump_rad = float(self.jump.phase_rad_at(self._time))
-        self._gap_phase_rad = jump_rad + deg_to_rad(self.control.last_output_deg)
-        # 2. beam model iteration (emits Δt of this revolution).
-        if self._executor is not None:
-            self._executor.run_iteration()
-        else:
-            self._python_step()
-        # 3. DSP measurement + control update.
-        self.control.update(self.measured_phase_deg())
-        self._turn += 1
-        self._time += self._t_rev
-
     def run(self, duration: float) -> HilRunResult:
-        """Run the bench for ``duration`` seconds of machine time."""
+        """Run the bench for ``duration`` seconds of machine time.
+
+        Per revolution, ``pre`` checks the deadline and sets the gap
+        phase, the beam model iterates once (emitting this revolution's
+        Δt), and ``post`` runs the DSP measurement and control update and
+        records.  The generated step runs them inside the compiled
+        engine's callback loop (:meth:`BatchedCgraExecutor.run_driven`),
+        under one errstate envelope; the interpreter is stepped one
+        iteration at a time.
+        """
         if not (math.isfinite(duration) and duration > 0):
             raise HilError(f"duration must be finite and positive, got {duration!r}")
         n_turns = int(round(duration * self.f_rev))
-        # The revolution period is constant in this scenario: check the
-        # real-time budget once per revolution via the monitor (cheap).
         rec_every = self.config.record_every
         n_rec = n_turns // rec_every + 1
         time = np.empty(n_rec)
@@ -498,6 +414,9 @@ class CavityInTheLoop:
         dts_all = np.empty((n_rec, self.config.n_bunches))
         gam = np.empty(n_rec)
         idx = 0
+        executor = self._executor
+        interpreted = isinstance(executor, CgraExecutor)
+        gamma_r = executor.register_of if interpreted else executor.register_view
 
         def record() -> None:
             nonlocal idx
@@ -507,32 +426,48 @@ class CavityInTheLoop:
             jump[idx] = float(self.jump.phase_deg_at(self._time))
             dts[idx] = float(self._delta_t[0])
             dts_all[idx] = self._delta_t
-            gam[idx] = (
-                self._executor.register_of("gamma_r")
-                if self._executor is not None
-                else self._py_gamma_r
-            )
+            gam[idx] = gamma_r("gamma_r")
             idx += 1
 
-        record()
+        check_revolution = self.deadline.check_revolution
         t_rev = self._t_rev
+        signals, control, faults = self._signals, self.control, self._faults
+
+        def pre(i: int) -> None:
+            check_revolution(t_rev)
+            if faults is not None:
+                faults.update(self._time)
+            # Gap phase for this revolution: AWG drive + control correction.
+            jump_rad = float(self.jump.phase_rad_at(self._time))
+            signals.gap_phase_rad = jump_rad + deg_to_rad(control.last_output_deg)
+
+        def post(i: int) -> None:
+            control.update(self.measured_phase_deg())
+            self._turn += 1
+            self._time += t_rev
+            if (i + 1) % rec_every == 0:
+                record()
+
+        record()
         span_attrs = dict(
             engine=self.config.engine, duration_s=duration, n_turns=n_turns
         )
         if self._faults is not None:
             span_attrs["fault"] = self._faults.label
         with get_tracer().span("hil.run", **span_attrs):
-            for n in range(n_turns):
-                self.deadline.check_revolution(t_rev)
-                self.step_revolution()
-                if (n + 1) % rec_every == 0:
-                    record()
+            if interpreted:
+                for i in range(n_turns):
+                    pre(i)
+                    executor.run_iteration()
+                    post(i)
+            else:
+                executor.run_driven(n_turns, pre=pre, post=post)
         # The run's per-revolution telemetry, once (no-ops while disabled).
         self.deadline.publish()
         self._adc.publish()
         self.control.publish()
-        if self._executor is not None:
-            self._executor.publish()
+        if interpreted:
+            executor.publish()
         # allow_empty guards the degenerate sub-revolution duration
         # (n_turns == 0): well-defined empty stats, not a crash.
         stats = self.deadline.stats(allow_empty=True)

@@ -22,7 +22,7 @@ the CGRA by :mod:`repro.cgra`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -118,20 +118,6 @@ class DAC:
         """Requested voltages → actual analogue output voltages."""
         return self.volts_to_codes(volts) * self.lsb
 
-    def volts_to_codes_scalar(self, volts: float) -> int:
-        """Scalar fast path of :meth:`volts_to_codes` (identical
-        transfer: ``round`` and ``np.round`` are both half-even)."""
-        code = round(float(volts) * self.scale / self.lsb)
-        lo, hi = self.code_min, self.code_max
-        self._pending_samples += 1
-        if code < lo:
-            self._pending_clips += 1
-            return lo
-        if code > hi:
-            self._pending_clips += 1
-            return hi
-        return code
-
     def publish(self) -> None:
         """Add the samples and clips counted since the last call to
         ``signal_dac_samples_total`` / ``signal_dac_clips_total`` (no-ops
@@ -142,10 +128,6 @@ class DAC:
         if self._pending_clips:
             _CLIPS.inc(self._pending_clips)
             self._pending_clips = 0
-
-    def convert_scalar(self, volts: float) -> float:
-        """Scalar fast path of :meth:`convert` (identical transfer)."""
-        return self.volts_to_codes_scalar(volts) * self.lsb
 
     def render_waveform(self, volts: np.ndarray, t0: float = 0.0) -> Waveform:
         """Produce the analogue output waveform for a code-rate sample block."""

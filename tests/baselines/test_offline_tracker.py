@@ -49,6 +49,19 @@ class TestConfig:
                         ring=SIS18, ion=KNOWN_IONS["14N7+"], **{name: bad}
                     )
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("revolution_frequency", 0.0, "positive"),
+        ("revolution_frequency", -800e3, "positive"),
+        ("synchrotron_frequency", 0.0, "positive"),
+        ("jump_toggle_period", -0.05, "positive"),
+        ("harmonic", 0, ">= 1"),
+    ])
+    def test_scenario_fields_checked_at_construction(self, field, value, rule):
+        # These used to fail only when the emulator was built, as
+        # PhysicsError or SignalError.
+        with pytest.raises(ConfigurationError, match=f"{field} must be {rule}"):
+            MachineExperimentConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], **{field: value})
+
     def test_control_rate_must_match_revolution(self):
         """An 800 kHz loop filter cannot run once per 400 kHz revolution."""
         with pytest.raises(ConfigurationError, match="sample_rate must equal"):

@@ -212,6 +212,28 @@ class TestFaultParity:
             assert str(err_b.value) == str(err_i.value)
             assert ex_b.iterations == ex_i.iterations
 
+    # On a scalar bus the step runs on host scalars: at double a Python
+    # float division raises ZeroDivisionError and math.sqrt ValueError,
+    # at single float32 NumPy scalars raise under errstate.
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_scalar_step_division_by_zero(self, precision):
+        self._assert_scalar_step_fault(self.COUNTDOWN, 1.0, precision, "division by zero in node")
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_scalar_step_sqrt_of_negative(self, precision):
+        self._assert_scalar_step_fault(self.SQRT, -1.0, precision, "sqrt of negative value in node")
+
+    def _assert_scalar_step_fault(self, source, p, precision, text):
+        p = {"p": p}
+        ex_i = CgraExecutor(self._schedule(source), SensorBus(), p, precision=precision)
+        with pytest.raises(ExecutionError, match=text) as err_i:
+            ex_i.run(10)
+        ex_s = BatchedCgraExecutor(self._schedule(source), SensorBus(), p, precision=precision)
+        with pytest.raises(ExecutionError) as err_s:
+            ex_s.run(10)
+        assert str(err_s.value) == str(err_i.value)
+        assert ex_s.iterations == ex_i.iterations
+
     def test_batched_other_faults_keep_generic_text(self):
         """Overflow, and faults raised inside a bus handler, are not
         mistaken for a guarded division or square root."""

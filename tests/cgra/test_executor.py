@@ -1,8 +1,5 @@
 """Tests for cycle-accurate context execution."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.cgra.fabric import CgraConfig, CgraFabric

@@ -6,7 +6,6 @@ from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
 from repro.cgra.models import compile_beam_model
 from repro.cgra.modulo import ModuloScheduler
-from repro.cgra.scheduler import ListScheduler
 from repro.errors import ScheduleError
 
 

@@ -1,14 +1,11 @@
 """Tests for the resource-constrained list scheduler."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cgra.dfg import DataflowGraph
 from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
-from repro.cgra.ops import Op, OperatorLatencies
+from repro.cgra.ops import Op
 from repro.cgra.scheduler import ListScheduler
-from repro.errors import ScheduleError
 
 
 def schedule_source(source, **cfg):

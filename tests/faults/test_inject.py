@@ -429,7 +429,8 @@ class TestEngineParityUnderFault:
             _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=6.0, onset=0.001),
         )
         scalar = CavityInTheLoop(
-            mde.bench_config(engine="cgra", record_every=1, faults=specs)
+            mde.bench_config(engine="cgra", precision="single", record_every=1,
+                             faults=specs)
         ).run(0.003)
         batched = BatchedCavityInTheLoop(
             _batch_config(1, faults=specs, record_every=1)

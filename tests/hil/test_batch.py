@@ -217,6 +217,11 @@ class TestBatchedHil:
         with pytest.raises(ConfigurationError, match=match):
             _batch_config(quantize_adc=False, **overrides)
 
+    def test_precision_names(self):
+        with pytest.raises(ConfigurationError,
+                           match="precision must be 'single' or 'double'"):
+            _batch_config(precision="half")
+
     def test_batch_property(self):
         assert _batch_config().batch == len(AMPS)
 

@@ -62,7 +62,8 @@ class TestIndependentBunches:
 class TestMultiBunchEngines:
     def test_cgra_python_equivalence_four_bunches(self):
         assert_engines_identical(
-            0.003, n_bunches=4, initial_delta_t=(0.0, 3e-9, 6e-9, 9e-9)
+            0.003, precision="double", n_bunches=4,
+            initial_delta_t=(0.0, 3e-9, 6e-9, 9e-9),
         )
 
 

@@ -1,9 +1,15 @@
 """Tests for the closed-loop cavity-in-the-loop simulator (Fig. 4)."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, HilError
+from repro.faults.inject import LOOP_KINDS
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.physics import SIS18, KNOWN_IONS
@@ -17,14 +23,14 @@ def config(**overrides):
     return HilConfig(**kwargs)
 
 
-def assert_engines_identical(duration=0.004, **overrides):
-    """Run the interpreter at double precision and the Python step on
-    the same bench; every recorded array must match bit for bit."""
+def assert_engines_identical(duration=0.004, *, precision, **overrides):
+    """Run the interpreter and the generated step on the same bench at
+    ``precision``; every recorded array must match bit for bit."""
     r_cgra = CavityInTheLoop(
-        config(engine="cgra", precision="double", record_every=1, **overrides)
+        config(engine="cgra", precision=precision, record_every=1, **overrides)
     ).run(duration)
     r_py = CavityInTheLoop(
-        config(engine="python", record_every=1, **overrides)
+        config(engine="python", precision=precision, record_every=1, **overrides)
     ).run(duration)
     for name in ("time", "phase_deg", "correction_deg", "jump_deg",
                  "delta_t", "delta_t_all", "gamma_ref"):
@@ -33,10 +39,55 @@ def assert_engines_identical(duration=0.004, **overrides):
         )
 
 
+#: A magnitude inside each loop fault's window, in the kind's unit.
+_MAGNITUDES = {
+    FaultKind.CAVITY_FAILURE: st.floats(0.0, 1.0),
+    FaultKind.MICROPHONIC_DETUNING: st.floats(0.0, 200.0),
+    FaultKind.AMPLIFIER_SATURATION: st.floats(0.05, 1.0),
+    FaultKind.DETUNING_TRANSIENT: st.floats(-500.0, 500.0),
+    FaultKind.ADC_STUCK_BIT: st.integers(0, 13).map(float),
+    FaultKind.DAC_CLIPPING: st.floats(0.05, 1.0),
+    FaultKind.DDS_PHASE_GLITCH: st.floats(-math.pi, math.pi),
+}
+
+
+@st.composite
+def bench_overrides(draw):
+    """Bench settings that change the model or its sensor path."""
+    pipelined = draw(st.booleans())
+    # Unpipelined, only one bunch fits the 138-tick revolution budget.
+    n_bunches = draw(st.integers(1, 4 if pipelined else 1))
+    kind = draw(st.sampled_from(sorted(LOOP_KINDS, key=lambda k: k.value)))
+    fault = FaultSpec(
+        kind=kind, magnitude=draw(_MAGNITUDES[kind]),
+        onset_time=draw(st.floats(0.0, 0.001)),
+        duration=draw(st.none() | st.floats(0.0002, 0.001)), seed=7,
+    )
+    offsets = st.floats(-20e-9, 20e-9)
+    return dict(
+        pipelined=pipelined,
+        n_bunches=n_bunches,
+        control_source=draw(st.sampled_from(["bunch0", "mean"])),
+        dual_harmonic_ratio=draw(st.floats(0.0, 0.45)),
+        quantize_adc=draw(st.booleans()),
+        initial_delta_t=tuple(draw(st.lists(offsets, min_size=n_bunches,
+                                            max_size=n_bunches))),
+        faults=(fault,),
+        jump_start_time=0.0002,
+    )
+
+
 class TestConfigValidation:
     def test_engine_names(self):
         with pytest.raises(ConfigurationError, match="engine must be 'python' or 'cgra'"):
             config(engine="verilog")
+
+    @pytest.mark.parametrize("engine", ["python", "cgra"])
+    def test_precision_names(self, engine):
+        # Checked here, not first when the bench builds its engine.
+        with pytest.raises(ConfigurationError,
+                           match="precision must be 'single' or 'double'"):
+            config(engine=engine, precision="half")
 
     def test_bunch_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -143,6 +194,23 @@ class TestRunBehaviour:
         res = CavityInTheLoop(config()).run(0.02)
         assert np.abs(res.correction_deg).max() < 60.0
 
+    @pytest.mark.parametrize("engine", ["python", "cgra"])
+    def test_finished_bench_needs_no_cycle_collector(self, engine):
+        """The sensor bus holds no reference back to the bench: a cycle
+        would keep every finished bench, and its per-revolution deadline
+        record, alive until the cyclic collector ran."""
+        sim = CavityInTheLoop(config(engine=engine))
+        sim.run(0.0005)
+        ref = weakref.ref(sim)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_jump_trace_records_toggles(self):
         res = CavityInTheLoop(config(jump_start_time=0.001)).run(0.06)
         assert set(np.unique(res.jump_deg)) == {0.0, 8.0}
@@ -153,15 +221,22 @@ class TestEngines:
     def test_cgra_python_equivalence(self, pipelined):
         """The headline invariant: both engines produce identical traces
         at double precision."""
-        assert_engines_identical(pipelined=pipelined)
+        assert_engines_identical(precision="double", pipelined=pipelined)
 
     def test_cgra_python_equivalence_dual_harmonic(self):
-        assert_engines_identical(dual_harmonic_ratio=0.2)
+        assert_engines_identical(precision="double", dual_harmonic_ratio=0.2)
 
     def test_cgra_python_equivalence_adc_stuck_bit(self):
-        assert_engines_identical(faults=(FaultSpec(
+        assert_engines_identical(precision="double", faults=(FaultSpec(
             kind=FaultKind.ADC_STUCK_BIT, magnitude=9.0, onset_time=0.001,
             duration=0.002),))
+
+    @settings(max_examples=12, deadline=None)
+    @given(overrides=bench_overrides(), precision=st.sampled_from(["single", "double"]))
+    def test_generated_step_matches_interpreter(self, overrides, precision):
+        """The step generated from the schedule rounds every op as the
+        interpreter does, at either precision, whatever the bench runs."""
+        assert_engines_identical(0.0015, precision=precision, **overrides)
 
     def test_single_precision_close_to_double(self):
         r32 = CavityInTheLoop(config(engine="cgra", precision="single",

@@ -73,6 +73,26 @@ class TestValidation:
                 detector_window_revolutions=0,
             )
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("revolution_frequency", float("nan"), "finite"),
+        ("synchrotron_frequency", float("inf"), "finite"),
+        ("jump_deg", float("nan"), "finite"),
+        ("jump_toggle_period", float("nan"), "finite"),
+        ("jump_start_time", float("-inf"), "finite"),
+        ("revolution_frequency", 0.0, "positive"),
+        ("synchrotron_frequency", -1.28e3, "positive"),
+        ("jump_toggle_period", 0.0, "positive"),
+        ("adc_amplitude", 2.0, r"in \(0, 1\] volts"),
+        ("adc_amplitude", 0.0, r"in \(0, 1\] volts"),
+        ("n_bunches", 0, r"in \[1, harmonic\]"),
+        ("n_bunches", 5, r"in \[1, harmonic\]"),
+    ])
+    def test_scenario_fields_validated(self, field, value, rule):
+        # Checked as in HilConfig; a NaN jump used to run to phase 0.0
+        # and a 2 V amplitude past the ADC's 2 Vpp rails.
+        with pytest.raises(ConfigurationError, match=f"{field} must be {rule}"):
+            SampleAccurateBenchConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], **{field: value})
+
     def test_control_rate_must_match_revolution(self):
         control = ControlLoopConfig(sample_rate=800e3)
         with pytest.raises(ConfigurationError, match="revolution frequency"):

@@ -130,8 +130,8 @@ class TestDac:
     def test_counts_published_once(self, enabled):
         dac = DAC()
         dac.convert(np.array([0.1, 3.0, -3.0]))
-        dac.convert_scalar(0.2)
-        dac.convert_scalar(5.0)
+        dac.convert(0.2)
+        dac.convert(5.0)
         assert _value("signal_dac_samples_total") == 0
         dac.publish()
         dac.publish()

@@ -1,7 +1,5 @@
 """Unit and property tests for the relativistic kinematics (Eq. 1)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

@@ -1,7 +1,5 @@
 """Tests for the synchrotron ring and phase-slip relations (Eqs. 4–5)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

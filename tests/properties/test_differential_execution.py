@@ -17,7 +17,6 @@ writes and a pipeline barrier at a random position.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cgra.executor import CgraExecutor

@@ -137,8 +137,8 @@ class TestDAC:
 
 
 class TestScalarFastPaths:
-    """The scalar ADC/DAC entry points used by the per-revolution HIL
-    loop must agree exactly with the array implementations."""
+    """The scalar ADC entry points used by the per-revolution HIL loop
+    must agree exactly with the array implementations."""
 
     def test_adc_convert_scalar_matches_array(self):
         adc = ADC()
@@ -153,12 +153,6 @@ class TestScalarFastPaths:
         got = [a.convert_scalar(v) for v in vs]
         want = [int(b.convert(v)) for v in vs]
         assert got == want
-
-    def test_dac_scalar_matches_array(self):
-        dac = DAC()
-        for v in (-3.0, -1.0, -0.2, 0.0, 0.5, 1.0, 3.0):
-            assert dac.volts_to_codes_scalar(v) == int(dac.volts_to_codes(v))
-            assert dac.convert_scalar(v) == float(dac.convert(v))
 
     def test_scalar_clipping(self):
         adc = ADC()
