@@ -23,7 +23,6 @@ metrics once per run through :meth:`BeamPhaseControlLoop.publish`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.obs import get_registry, get_tracer
@@ -114,16 +113,6 @@ class BeamPhaseControlLoop:
         # Executed updates and saturations not yet published.
         self._updates = 0
         self._saturations = 0
-        self._observers: list[Callable[[int, float, float], None]] = []
-
-    def add_observer(self, fn: Callable[[int, float, float], None]) -> None:
-        """Register a time-series hook ``fn(tick, phase_deg, correction_deg)``.
-
-        Called on every *executed* update (after decimation), regardless
-        of the global observability switch — this is the API for
-        experiment-side recording, not background telemetry.
-        """
-        self._observers.append(fn)
 
     @property
     def last_output_deg(self) -> float:
@@ -166,9 +155,6 @@ class BeamPhaseControlLoop:
                 )
         self._last_input = measured_phase_deg
         self._last_output = u
-        if self._observers:
-            for fn in self._observers:
-                fn(self._tick - 1, float(measured_phase_deg), u)
         return u
 
     def publish(self) -> None:

@@ -9,32 +9,42 @@ without touching Python:
     python -m repro.experiments.runner --list
     python -m repro.experiments.runner fig5a --out results/ --quick
     python -m repro.experiments.runner all --out results/
-    python -m repro.experiments.runner fig5a --quick --metrics --trace
+    python -m repro.experiments.runner fig5a --quick --telemetry trace
     python -m repro.experiments.runner sweep --batch 32 --jobs 4
+    python -m repro.experiments.runner fig5a --faults burst.json
 
 ``--quick`` shrinks durations/ensembles for smoke runs; the defaults
-match EXPERIMENTS.md.  ``--metrics``/``--trace`` switch on the
-:mod:`repro.obs` telemetry and write its artefacts
-(``<name>_metrics.json``/``.csv``, ``<name>_trace.jsonl``,
-``<name>_report.json``) next to the CSVs — see docs/OBSERVABILITY.md.
-``--trace-out PATH`` (implies ``--trace``) additionally accumulates
-every experiment's spans across the whole invocation and writes one
-Chrome/Perfetto trace file at the end — each experiment runs under a
-root span ``experiment.<name>``, so a ``--jobs N`` run still exports a
-single coherent span tree.  Inspect it with
-``python -m repro.obs.view PATH`` or at https://ui.perfetto.dev.
+match EXPERIMENTS.md.  ``--telemetry metrics`` switches on the
+:mod:`repro.obs` telemetry and writes its artefacts
+(``<name>_metrics.json``/``.csv``, ``<name>_report.json``) next to the
+CSVs — see docs/OBSERVABILITY.md.  ``--telemetry trace`` also records
+spans: it writes ``<name>_trace.jsonl`` per experiment and one
+Chrome/Perfetto file, ``<out>/trace.json``, covering the whole
+invocation — each experiment runs under a root span
+``experiment.<name>``, so a ``--jobs N`` run still exports a single
+coherent span tree.  Inspect it with ``python -m repro.obs.view`` or at
+https://ui.perfetto.dev.
 
 ``--jobs N`` shards experiment fan-out (frequency points, scenario
 lanes, configurations) across ``N`` worker processes through one warm
-:class:`repro.parallel.WorkerPool` held for the whole session.  The
+:class:`repro.parallel.WorkerPool` held for the whole invocation
+(``--jobs 1`` runs every shard inline and starts no process).  The
 shard plan and every random seed are independent of ``N``, so the CSVs
 are byte-identical between ``--jobs 1`` and ``--jobs N`` (sole
 exception: ``reconfig``, whose columns are measured wall-clock
 durations); worker telemetry merges back into the parent before export.
 
+``--faults PATH`` runs ``fig5a``'s bench with the faults PATH lists (a
+JSON list of :meth:`~repro.faults.spec.FaultSpec.to_dict` payloads); they
+travel in its shard item, and no other experiment takes them.
+
+Every option is checked before telemetry is switched on, a worker
+starts or a file is written; a bad one exits 2 with one ``ERROR`` line.
 Progress/diagnostics go to **stderr** through :mod:`logging`
 (``--verbose`` raises the level to DEBUG); only the ``--list`` catalogue
-prints to stdout, so it stays pipeable.
+prints to stdout, so it stays pipeable.  The module keeps no state
+between calls: :func:`main` hands every option to the experiments as
+arguments.
 """
 
 from __future__ import annotations
@@ -44,38 +54,32 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultSpecError
+
+if TYPE_CHECKING:
+    from repro.faults.spec import FaultSpec
+    from repro.parallel import WorkerPool
 
 __all__ = ["main", "EXPERIMENTS", "run_experiment"]
 
 logger = logging.getLogger(__name__)
 
-#: Runtime options set by CLI flags and read by individual experiments
-#: (the runner signature is fixed at ``fn(out, quick)``); ``pool`` holds
-#: the session :class:`repro.parallel.WorkerPool` when ``--jobs > 1``.
-_RUNNER_OPTIONS = {"batch": 8, "jobs": 1, "pool": None}
 
-
-def _dispatch(fn, items, what: str) -> list:
-    """Run one experiment's shard items, inline or across the pool.
+def _dispatch(pool: WorkerPool, fn, items, what: str) -> list:
+    """Run one experiment's shard items on ``pool`` (inline at one job).
 
     Returns the per-item values in item order; a failed shard raises
     :class:`repro.errors.ParallelExecutionError` with the worker-side
     context (failure containment keeps the pool and sibling shards
     alive, so all outcomes are known before the raise).
     """
-    from repro.parallel import raise_on_failures, run_sharded
+    from repro.parallel import raise_on_failures
 
-    pool = _RUNNER_OPTIONS.get("pool")
-    if pool is not None:
-        results = pool.map_sharded(fn, items)
-    else:
-        results = run_sharded(fn, items, jobs=1)
-    return raise_on_failures(results, what)
+    return raise_on_failures(pool.map_sharded(fn, items), what)
 
 
 def _configure_logging(verbose: bool) -> None:
@@ -92,7 +96,7 @@ def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
     np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _fig1(out: Path, quick: bool) -> list[str]:
+def _fig1(out: Path, quick: bool, **_) -> list[str]:
     from repro.experiments.fig1 import fig1_forces_data
     from repro.physics import SIS18, KNOWN_IONS, RFSystem
 
@@ -107,7 +111,7 @@ def _fig1(out: Path, quick: bool) -> list[str]:
             f"kicks (early/ref/late): {data.particle_delta_gamma_kick}"]
 
 
-def _fig2(out: Path, quick: bool) -> list[str]:
+def _fig2(out: Path, quick: bool, **_) -> list[str]:
     from repro.experiments.fig2 import fig2_signal_snapshot
 
     d = fig2_signal_snapshot()
@@ -119,11 +123,12 @@ def _fig2(out: Path, quick: bool) -> list[str]:
     return [f"{len(d.time)} samples over {d.time[-1] * 1e6:.2f} us (h = 2)"]
 
 
-def _fig5a_run(duration: float):
+def _fig5a_run(task: tuple):
     """Module-level fig5a work item (pickles into pool workers)."""
     from repro.experiments.fig5 import fig5_run_bench
 
-    return fig5_run_bench(duration=duration)
+    duration, faults = task
+    return fig5_run_bench(duration=duration, faults=faults)
 
 
 def _fig5b_run(task: tuple):
@@ -134,11 +139,13 @@ def _fig5b_run(task: tuple):
     return fig5_run_machine(duration=duration, n_particles=n_particles)
 
 
-def _fig5a(out: Path, quick: bool) -> list[str]:
+def _fig5a(
+    out: Path, quick: bool, pool: WorkerPool, faults: tuple[FaultSpec, ...], **_
+) -> list[str]:
     from repro.experiments.fig5 import fig5_metrics
 
     duration = 0.12 if quick else 0.30
-    (res,) = _dispatch(_fig5a_run, [duration], "fig5a")
+    (res,) = _dispatch(pool, _fig5a_run, [(duration, faults)], "fig5a")
     smoothed = res.phase_deg_smoothed(5)
     _write_csv(
         out / "fig5a_phase.csv",
@@ -153,12 +160,12 @@ def _fig5a(out: Path, quick: bool) -> list[str]:
     ]
 
 
-def _fig5b(out: Path, quick: bool) -> list[str]:
+def _fig5b(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.fig5 import fig5_metrics
 
     duration = 0.12 if quick else 0.30
     n_particles = 1200 if quick else 5000
-    (res,) = _dispatch(_fig5b_run, [(duration, n_particles)], "fig5b")
+    (res,) = _dispatch(pool, _fig5b_run, [(duration, n_particles)], "fig5b")
     _write_csv(
         out / "fig5b_phase.csv",
         "time_s,phase_deg,sigma_delta_t_s,jump_deg,correction_deg",
@@ -172,7 +179,7 @@ def _fig5b(out: Path, quick: bool) -> list[str]:
     ]
 
 
-def _schedule(out: Path, quick: bool) -> list[str]:
+def _schedule(out: Path, quick: bool, **_) -> list[str]:
     from repro.experiments.schedule_table import schedule_length_table
 
     rows = schedule_length_table()
@@ -194,11 +201,11 @@ def _schedule(out: Path, quick: bool) -> list[str]:
     ]
 
 
-def _jitter(out: Path, quick: bool) -> list[str]:
+def _jitter(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.jitter_study import jitter_rows_for, jitter_tasks
 
     tasks = jitter_tasks(n_samples=50_000 if quick else 200_000)
-    rows = [row for pair in _dispatch(jitter_rows_for, tasks, "jitter") for row in pair]
+    rows = [row for pair in _dispatch(pool, jitter_rows_for, tasks, "jitter") for row in pair]
     _write_csv(
         out / "jitter.csv",
         "is_cgra,f_rev_hz,p50_s,p999_s,miss_rate,false_phase_rms_deg",
@@ -215,10 +222,10 @@ def _jitter(out: Path, quick: bool) -> list[str]:
             f"false phase rms {r.false_phase_rms_deg:.2f} deg" for r in rows]
 
 
-def _reconfig(out: Path, quick: bool) -> list[str]:
+def _reconfig(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.reconfig import reconfig_row, reconfig_tasks
 
-    rows = _dispatch(reconfig_row, reconfig_tasks(), "reconfig")
+    rows = _dispatch(pool, reconfig_row, reconfig_tasks(), "reconfig")
     _write_csv(
         out / "reconfig.csv",
         "n_bunches,pipelined,cgra_seconds,fpga_seconds",
@@ -233,7 +240,7 @@ def _reconfig(out: Path, quick: bool) -> list[str]:
             f"vs FPGA {r.fpga_seconds / 3600:.2f} h" for r in rows]
 
 
-def _rampup(out: Path, quick: bool) -> list[str]:
+def _rampup(out: Path, quick: bool, **_) -> list[str]:
     from repro.experiments.rampup import RampUpScenario, rampup_run
     from repro.physics import SIS18, KNOWN_IONS
 
@@ -253,11 +260,11 @@ def _rampup(out: Path, quick: bool) -> list[str]:
             f"deadline met {res.deadline.met}"]
 
 
-def _landau(out: Path, quick: bool) -> list[str]:
+def _landau(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.landau import landau_row, landau_tasks
 
     tasks = landau_tasks(n_particles=1200 if quick else 4000)
-    rows = _dispatch(landau_row, tasks, "landau")
+    rows = _dispatch(pool, landau_row, tasks, "landau")
     _write_csv(
         out / "landau.csv",
         "control_enabled,damping_rate_per_s,time_constant_s,bunch_length_growth",
@@ -272,7 +279,7 @@ def _landau(out: Path, quick: bool) -> list[str]:
             f"{r.damping_rate:.1f}/s" for r in rows]
 
 
-def _dual(out: Path, quick: bool) -> list[str]:
+def _dual(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.dual_harmonic_study import (
         dual_harmonic_row,
         dual_harmonic_tasks,
@@ -284,7 +291,7 @@ def _dual(out: Path, quick: bool) -> list[str]:
         n_particles=1000 if quick else 2500,
         n_turns=24000 if quick else 48000,
     )
-    rows = _dispatch(dual_harmonic_row, tasks, "dual")
+    rows = _dispatch(pool, dual_harmonic_row, tasks, "dual")
     _write_csv(
         out / "dual_harmonic.csv",
         "ratio,f_s_linear_hz,f_s_small_hz,f_s_large_hz,amplitude_retention",
@@ -300,15 +307,14 @@ def _dual(out: Path, quick: bool) -> list[str]:
             f"retention {r.amplitude_retention * 100:.1f} %" for r in rows]
 
 
-def _sweep(out: Path, quick: bool) -> list[str]:
+def _sweep(out: Path, quick: bool, pool: WorkerPool, batch: int, **_) -> list[str]:
     from repro.experiments.sweep import SWEEP_CHUNK, plan_sweep, run_sweep_shard
 
-    batch = int(_RUNNER_OPTIONS["batch"])
     amps = np.linspace(2.0, 12.0, batch)
     duration = 0.06 if quick else 0.20
     tasks = plan_sweep(amps, duration)
     t0 = time.perf_counter()
-    shards = _dispatch(run_sweep_shard, tasks, "sweep")
+    shards = _dispatch(pool, run_sweep_shard, tasks, "sweep")
     elapsed = time.perf_counter() - t0
     # Shards come back in offset order (the merge is order-stable), so
     # concatenation reassembles the full scan.
@@ -326,7 +332,7 @@ def _sweep(out: Path, quick: bool) -> list[str]:
         f"{batch} lanes x {n_turns} turns in {elapsed:.1f}s "
         f"({rate / 1e3:.0f}k lane-iterations/s, "
         f"{len(shards)} shard(s) of {SWEEP_CHUNK} lanes, "
-        f"jobs={_RUNNER_OPTIONS['jobs']})",
+        f"jobs={pool.jobs})",
     ]
     if np.isfinite(f_s).any():
         lines += [
@@ -341,11 +347,11 @@ def _sweep(out: Path, quick: bool) -> list[str]:
     return lines
 
 
-def _faults(out: Path, quick: bool) -> list[str]:
+def _faults(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.faults.campaign import CampaignConfig, CampaignResult, run_campaign
 
     config = CampaignConfig.quick() if quick else CampaignConfig()
-    result = run_campaign(config, pool=_RUNNER_OPTIONS.get("pool"))
+    result = run_campaign(config, pool=pool)
     _write_csv(
         out / "faults_campaign.csv",
         CampaignResult.CSV_HEADER,
@@ -354,8 +360,10 @@ def _faults(out: Path, quick: bool) -> list[str]:
     return result.summary_lines()
 
 
-#: Experiment id → (description, runner).
-EXPERIMENTS: dict[str, tuple[str, Callable[[Path, bool], list[str]]]] = {
+#: Experiment id → (description, runner).  :func:`run_experiment` calls
+#: a runner as ``fn(out, quick=, pool=, batch=, faults=)``; each names
+#: the options it reads and takes the rest as ``**_``.
+EXPERIMENTS: dict[str, tuple[str, Callable[..., list[str]]]] = {
     "fig1": ("Fig. 1 — forces on a bunch", _fig1),
     "fig2": ("Fig. 2 — bench signals (h = 2)", _fig2),
     "fig5a": ("Fig. 5a — simulator phase oscillation", _fig5a),
@@ -371,65 +379,100 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[Path, bool], list[str]]]] = {
 }
 
 
-def _check_experiment(name: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``name`` is an experiment id."""
-    if name not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        )
+def _check_options(names: list[str], batch: int, faults: tuple) -> None:
+    """Raise for the first option an experiment run cannot take.
 
-
-def run_experiment(name: str, out_dir: Path, quick: bool = False) -> list[str]:
-    """Run one experiment by id; returns its summary lines."""
-    _check_experiment(name)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, fn = EXPERIMENTS[name]
-    return fn(out_dir, quick)
-
-
-class _TraceSession:
-    """Accumulates spans across experiments for ``--trace-out``.
-
-    ``_export_telemetry`` resets the global tracer after every
-    experiment (per-experiment artefacts stay scoped); this object takes
-    custody of the records first so the end-of-run Perfetto export sees
-    the whole invocation.  It reuses a private :class:`~repro.obs.Tracer`
-    as the accumulator, which the exporter accepts directly.
+    :class:`ConfigurationError` for an unknown experiment id, a batch
+    below one, or faults given to an experiment other than ``fig5a``;
+    the :class:`FaultSpecError` or :class:`ConfigurationError` of
+    ``fig5a``'s own bench config when it cannot arm ``faults``.
     """
+    for name in names:
+        if name not in EXPERIMENTS:
+            raise ConfigurationError(
+                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
+            )
+    if batch < 1:
+        raise ConfigurationError(f"--batch must be >= 1, got {batch}")
+    if faults:
+        others = [name for name in names if name != "fig5a"]
+        if others:
+            raise ConfigurationError(
+                f"--faults applies to fig5a only, not {', '.join(others)}"
+            )
+        from repro.experiments.mde import bench_config
 
-    def __init__(self) -> None:
-        from repro import obs
-
-        self.tracer = obs.Tracer()
-
-    def absorb(self) -> None:
-        """Take the global tracer's records (call before reset)."""
-        from repro import obs
-
-        live = obs.get_tracer()
-        self.tracer.records.extend(live.records)
-        self.tracer.dropped += live.dropped
-
-    def export(self, path: Path) -> Path:
-        from repro import obs
-
-        return obs.export.export_trace_perfetto(path, tracer=self.tracer)
+        bench_config(faults=faults)
 
 
-def _export_telemetry(
+def _load_faults(path: str) -> tuple[FaultSpec, ...]:
+    """The specs of a ``--faults`` file: a JSON list of
+    :meth:`~repro.faults.spec.FaultSpec.to_dict` payloads.
+
+    Raises :class:`ConfigurationError` naming ``path`` when the file
+    cannot be read or is not a list of valid spec dicts.
+    """
+    import json
+
+    from repro.faults.spec import FaultSpec
+
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, list):
+            raise FaultSpecError(
+                f"fault payload must be a list of FaultSpec dicts, "
+                f"got {type(payload).__name__}"
+            )
+        for entry in payload:
+            if not isinstance(entry, dict):
+                raise FaultSpecError(
+                    f"fault payload entries must be dicts, got {type(entry).__name__}"
+                )
+        return tuple(FaultSpec.from_dict(d) for d in payload)
+    except (OSError, ValueError, TypeError, FaultSpecError) as exc:
+        raise ConfigurationError(f"--faults {path}: {exc}") from exc
+
+
+def run_experiment(
     name: str,
     out_dir: Path,
-    want_trace: bool,
-    session: _TraceSession | None = None,
-) -> None:
-    """Write the obs artefacts for one experiment and reset for the next."""
+    quick: bool = False,
+    *,
+    pool: WorkerPool | None = None,
+    batch: int = 8,
+    faults: tuple[FaultSpec, ...] = (),
+) -> list[str]:
+    """Run one experiment by id; returns its summary lines.
+
+    ``pool`` runs the experiment's shards (None: inline, in this
+    process); ``batch`` is the lane count of ``sweep``; ``faults`` arms
+    ``fig5a``'s bench and is refused for any other experiment.  Options
+    are checked before ``out_dir`` is created.
+    """
+    _check_options([name], batch, faults)
+    if pool is None:
+        from repro.parallel import WorkerPool
+
+        pool = WorkerPool(jobs=1)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _, fn = EXPERIMENTS[name]
+    return fn(out_dir, quick=quick, pool=pool, batch=batch, faults=faults)
+
+
+def _export_telemetry(name: str, out_dir: Path, spans) -> None:
+    """Write the obs artefacts for one experiment and reset for the next.
+
+    ``spans`` is the :class:`~repro.obs.Tracer` the invocation's
+    Perfetto file is exported from (None without tracing); it takes the
+    experiment's spans before the reset drops them.
+    """
     from repro import obs
 
     paths = [
         obs.export.export_metrics_json(out_dir / f"{name}_metrics.json"),
         obs.export.export_metrics_csv(out_dir / f"{name}_metrics.csv"),
     ]
-    if want_trace:
+    if spans is not None:
         paths.append(obs.export.export_trace_jsonl(out_dir / f"{name}_trace.jsonl"))
     reports = obs.run_reports()
     if reports:
@@ -443,8 +486,10 @@ def _export_telemetry(
                 report.slack_p50, report.slack_p99,
             )
     logger.info("telemetry -> %s", ", ".join(p.name for p in paths))
-    if session is not None:
-        session.absorb()
+    if spans is not None:
+        live = obs.get_tracer()
+        spans.records.extend(live.records)
+        spans.dropped += live.dropped
     obs.reset()
 
 
@@ -462,22 +507,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="shrink durations/ensembles for a smoke run")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="DEBUG-level progress on stderr")
-    parser.add_argument("--metrics", action="store_true",
-                        help="collect telemetry; write <name>_metrics.json/.csv "
-                             "and <name>_report.json next to the CSVs")
-    parser.add_argument("--trace", action="store_true",
-                        help="also record spans; write <name>_trace.jsonl "
-                             "(implies --metrics)")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write one Chrome/Perfetto trace file covering "
-                             "the whole run (implies --trace); inspect with "
-                             "python -m repro.obs.view PATH")
+    parser.add_argument("--telemetry", choices=("metrics", "trace"), default=None,
+                        help="metrics: write <name>_metrics.json/.csv and "
+                             "<name>_report.json next to the CSVs; trace: "
+                             "also <name>_trace.jsonl, and one Perfetto file "
+                             "of the whole run, <out>/trace.json (inspect "
+                             "with python -m repro.obs.view)")
     parser.add_argument("--faults", metavar="PATH", default=None,
-                        help="arm ad-hoc fault injection for this run: PATH "
-                             "is a JSON list of FaultSpec dicts (see "
-                             "docs/FAULTS.md); every HIL bench the "
-                             "experiments build — in-process or in pool "
-                             "workers — runs with these faults armed")
+                        help="run fig5a's bench with the faults PATH lists, "
+                             "a JSON list of FaultSpec dicts (see "
+                             "docs/FAULTS.md); fig5a only")
     parser.add_argument("--batch", type=int, default=8,
                         help="number of lockstep lanes for batched "
                              "experiments such as 'sweep' (default 8)")
@@ -487,79 +526,41 @@ def main(argv: list[str] | None = None) -> int:
                              "CSVs are byte-identical across job counts")
     args = parser.parse_args(argv)
     _configure_logging(args.verbose)
-    if args.batch < 1:
-        logger.error("--batch must be >= 1, got %d", args.batch)
-        return 2
-    if args.jobs < 1:
-        logger.error("--jobs must be >= 1, got %d", args.jobs)
-        return 2
-    _RUNNER_OPTIONS["batch"] = args.batch
-    _RUNNER_OPTIONS["jobs"] = args.jobs
 
-    # --list and an unknown id return before anything process-wide
-    # (session faults, telemetry) is switched on.
     if args.list or args.experiment is None:
         for name, (description, _) in EXPERIMENTS.items():
             print(f"{name:10s} {description}")
         return 0
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    # Every option is checked here, before telemetry, a worker or a file.
     try:
-        for name in names:
-            _check_experiment(name)
-    except ConfigurationError as exc:
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+        faults = () if args.faults is None else _load_faults(args.faults)
+        _check_options(names, args.batch, faults)
+    except (ConfigurationError, FaultSpecError) as exc:
         logger.error("%s", exc)
         return 2
-
-    fault_payload = None
-    if args.faults is not None:
-        import json
-
-        from repro.errors import FaultSpecError
-        from repro.faults.session import arm_from_payload
-
-        try:
-            fault_payload = json.loads(Path(args.faults).read_text())
-            specs = arm_from_payload(fault_payload)
-        except (OSError, ValueError, FaultSpecError) as exc:
-            logger.error("--faults %s: %s", args.faults, exc)
-            return 2
+    if faults:
         logger.info(
-            "armed %d ad-hoc fault(s): %s",
-            len(specs),
-            ", ".join(s.label or s.kind.value for s in specs),
+            "fig5a runs with %d fault(s): %s",
+            len(faults),
+            ", ".join(s.label or s.kind.value for s in faults),
         )
 
-    want_trace = args.trace or args.trace_out is not None
-    telemetry = args.metrics or want_trace
-    session: _TraceSession | None = None
-    if telemetry:
-        from repro import obs
+    from repro import obs
+    from repro.parallel import WorkerPool
 
+    want_trace = args.telemetry == "trace"
+    spans = obs.Tracer() if want_trace else None
+    if args.telemetry is not None:
         obs.enable(trace=want_trace)
         obs.reset()
-        if args.trace_out is not None:
-            session = _TraceSession()
-
-    # The pool outlives individual experiments: workers stay warm (and
-    # their compile caches primed) across every experiment of the run.
-    # Created after obs.enable() so the workers inherit the telemetry
-    # switches.
-    if args.jobs > 1:
-        import functools
-
-        from repro.parallel import DEFAULT_PRIMERS, WorkerPool
-
-        primers = DEFAULT_PRIMERS
-        if fault_payload is not None:
-            # Session faults are process-wide state; re-arm them in every
-            # worker so pooled shards inject identically to inline runs.
-            from repro.faults.session import arm_from_payload
-
-            primers = primers + (
-                functools.partial(arm_from_payload, fault_payload),
-            )
-        _RUNNER_OPTIONS["pool"] = WorkerPool(jobs=args.jobs, primers=primers)
-
+    # One pool for the whole invocation: workers stay warm (and their
+    # compile caches primed) across every experiment.  They start at the
+    # first pooled dispatch and inherit the telemetry switches set above;
+    # at one job the pool runs shards inline and starts no process.
+    pool = WorkerPool(jobs=args.jobs)
     out_dir = Path(args.out)
     try:
         for name in names:
@@ -569,16 +570,16 @@ def main(argv: list[str] | None = None) -> int:
             # shards dispatched to pool workers, whose context is frozen
             # from here — parents under experiment.<name>, so the
             # exported tree has a single root per experiment.
+            root = None
             if want_trace:
-                from repro import obs
-
                 root = obs.get_tracer().span(
                     f"experiment.{name}", quick=bool(args.quick), jobs=args.jobs
                 )
-            else:
-                root = None
             try:
-                summary = run_experiment(name, out_dir, quick=args.quick)
+                summary = run_experiment(
+                    name, out_dir, quick=args.quick, pool=pool,
+                    batch=args.batch, faults=faults,
+                )
             except ConfigurationError as exc:
                 logger.error("%s", exc)
                 return 2
@@ -589,29 +590,20 @@ def main(argv: list[str] | None = None) -> int:
             logger.info("[%s] done in %.1fs -> %s/", name, elapsed, out_dir)
             for line in summary:
                 logger.info("  %s", line)
-            if telemetry:
-                _export_telemetry(
-                    name, out_dir, want_trace=want_trace, session=session
-                )
-        if session is not None:
-            trace_path = session.export(Path(args.trace_out))
+            if args.telemetry is not None:
+                _export_telemetry(name, out_dir, spans)
+        if spans is not None:
+            trace_path = obs.export.export_trace_perfetto(
+                out_dir / "trace.json", tracer=spans
+            )
             logger.info(
                 "perfetto trace -> %s (%d spans/events; "
                 "python -m repro.obs.view %s)",
-                trace_path, len(session.tracer), trace_path,
+                trace_path, len(spans), trace_path,
             )
     finally:
-        pool = _RUNNER_OPTIONS["pool"]
-        if pool is not None:
-            pool.close()
-            _RUNNER_OPTIONS["pool"] = None
-        if fault_payload is not None:
-            from repro.faults.session import clear_session_faults
-
-            clear_session_faults()
-        if telemetry:
-            from repro import obs
-
+        pool.close()
+        if args.telemetry is not None:
             obs.disable()
     return 0
 

@@ -13,12 +13,11 @@ reporting loop stability margins (see ROADMAP.md and docs/FAULTS.md).
 ``inject``
     The injectors: :class:`FaultProgram` compiles specs into
     time-indexed perturbation channels the HIL benches consult once per
-    revolution (zero overhead when nothing is armed), plus the context-
-    image corruptor for substrate faults.
-``session``
-    Process-wide fault arming for ad-hoc injection on any experiment
-    (the runner's ``--faults`` flag); propagates into pool workers as a
-    primer.
+    revolution (zero overhead when nothing is armed), the lane and ADC-
+    bit bounds every bench config checks at construction, plus the
+    context-image corruptor for substrate faults.  A bench runs the
+    faults its config names and no others: the runner's ``--faults``
+    hands them to ``fig5a``'s bench config, nothing else.
 ``engine``
     Scenario execution: loop faults run as lockstep lanes of a batched
     bench; context corruption runs as a detection experiment against
@@ -46,11 +45,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.inject import FaultProgram, corrupt_context_images
 from repro.faults.report import Outcome, StabilityReport, classify_trace
-from repro.faults.session import (
-    arm_session_faults,
-    clear_session_faults,
-    session_faults,
-)
 from repro.faults.spec import MAGNITUDE_WINDOWS, FaultKind, FaultSpec
 
 __all__ = [
@@ -66,7 +60,4 @@ __all__ = [
     "CampaignResult",
     "campaign_grid",
     "run_campaign",
-    "arm_session_faults",
-    "clear_session_faults",
-    "session_faults",
 ]

@@ -76,6 +76,7 @@ __all__ = [
     "FaultProgram",
     "MICROPHONIC_LINES",
     "MICROPHONIC_BAND_HZ",
+    "check_fault_bounds",
     "corrupt_context_images",
 ]
 
@@ -97,6 +98,38 @@ _PHASE_KINDS = frozenset({
     FaultKind.DDS_PHASE_GLITCH,
 })
 _TIME_VARYING_KINDS = _PHASE_KINDS - {FaultKind.DDS_PHASE_GLITCH}
+
+
+def check_fault_bounds(
+    specs: tuple[FaultSpec, ...], *, batch: int | None = None, adc_bits: int = 14
+) -> None:
+    """Raise :class:`FaultSpecError` for the first loop fault in ``specs``
+    that targets a lane the bench lacks or sticks a bit outside its
+    ``adc_bits``-bit ADC word.
+
+    ``batch`` is the lane count of a batched bench, or None for the
+    scalar bench, whose only lane is 0.  The spec window only knows the
+    widest supported converter, so the bit index is checked here.
+    """
+    lanes = 1 if batch is None else int(batch)
+    for s in specs:
+        if s.kind not in LOOP_KINDS:
+            continue
+        if batch is None and s.target != 0:
+            raise FaultSpecError(
+                f"{s.kind.value} targets lane {s.target} on a scalar bench "
+                "(only lane 0 exists)"
+            )
+        if s.target >= lanes:
+            raise FaultSpecError(
+                f"{s.kind.value} targets lane {s.target}, batch has "
+                f"{lanes} lanes"
+            )
+        if s.kind is FaultKind.ADC_STUCK_BIT and s.magnitude >= adc_bits:
+            raise FaultSpecError(
+                f"adc_stuck_bit index {int(s.magnitude)} out of range for "
+                f"the {adc_bits}-bit ADC"
+            )
 
 
 class _Microphonics:
@@ -139,8 +172,7 @@ class FaultProgram:
         Number of lockstep lanes, or None for the scalar bench.
     adc_bits:
         Resolution of the gap ADC; stuck-bit indices are validated
-        against it here, at injection time (the spec window only knows
-        the widest supported converter).
+        against it (:func:`check_fault_bounds`).
     dac_full_scale:
         Positive rail of the gap drive DAC in ADC-input volts;
         ``DAC_CLIPPING`` magnitudes (fractions) scale it.
@@ -160,6 +192,7 @@ class FaultProgram:
                 raise FaultSpecError(
                     f"faults must be FaultSpec instances, got {type(s).__name__}"
                 )
+        check_fault_bounds(specs, batch=batch, adc_bits=adc_bits)
         self.specs = specs
         self.batch = batch
         self.adc_bits = int(adc_bits)
@@ -169,22 +202,6 @@ class FaultProgram:
             s for s in specs if s.kind is FaultKind.CGRA_CONTEXT_CORRUPTION
         )
         lanes = 1 if batch is None else int(batch)
-        for s in self.loop_specs:
-            if batch is None and s.target != 0:
-                raise FaultSpecError(
-                    f"{s.kind.value} targets lane {s.target} on a scalar bench "
-                    "(only lane 0 exists)"
-                )
-            if s.target >= lanes:
-                raise FaultSpecError(
-                    f"{s.kind.value} targets lane {s.target}, batch has "
-                    f"{lanes} lanes"
-                )
-            if s.kind is FaultKind.ADC_STUCK_BIT and s.magnitude >= self.adc_bits:
-                raise FaultSpecError(
-                    f"adc_stuck_bit index {int(s.magnitude)} out of range for "
-                    f"the {self.adc_bits}-bit ADC"
-                )
         self._micro = {
             id(s): _Microphonics(s)
             for s in self.loop_specs

@@ -155,9 +155,12 @@ class FaultSpec:
         unknown = set(data) - known
         if unknown:
             raise FaultSpecError(f"unknown FaultSpec fields: {sorted(unknown)}")
+        missing = {"kind", "magnitude", "onset_time"} - set(data)
+        if missing:
+            raise FaultSpecError(f"missing FaultSpec fields: {sorted(missing)}")
         try:
             kind = FaultKind(data["kind"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise FaultSpecError(f"invalid fault kind: {exc}") from exc
         duration = data.get("duration")
         seed = data.get("seed")

@@ -48,7 +48,7 @@ from repro.control import ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
-from repro.hil.scenario import check_scenario
+from repro.hil.scenario import BENCH_ADC_BITS, check_scenario
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
@@ -98,9 +98,8 @@ class BatchHilConfig:
     initial_delta_t: tuple[float, ...] | None = None
     control_source: str = "bunch0"
     #: Faults to arm; each spec's ``target`` selects the lane it acts
-    #: on (see :mod:`repro.faults.inject`).  The empty default also
-    #: consults the session faults armed by the runner's ``--faults``
-    #: flag.
+    #: on and must be below the batch size (see
+    #: :mod:`repro.faults.inject`).  The empty default arms nothing.
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -239,7 +238,7 @@ class BatchedCavityInTheLoop:
 
         self.gap_scale = self.gap_voltage_amplitude / config.adc_amplitude
         self.ref_scale = config.harmonic * self.gap_voltage_amplitude / config.adc_amplitude
-        self._adc = ADC(bits=14, vpp=2.0, sample_rate=250e6)
+        self._adc = ADC(bits=BENCH_ADC_BITS, vpp=2.0, sample_rate=250e6)
 
         # Per-run scalars that meet a lane array every turn, as [B]
         # arrays: at B = 8 an array-array ufunc is ~40 % cheaper than the
@@ -255,17 +254,12 @@ class BatchedCavityInTheLoop:
 
         # Fault injection (same contract as the scalar bench): per-lane
         # faults via each spec's target index, None when disarmed.
-        faults = config.faults
-        if not faults:
-            from repro.faults.session import session_faults
-
-            faults = session_faults()
-        if faults:
+        if config.faults:
             from repro.faults.inject import FaultProgram
             from repro.signal.dac import DAC
 
             self._faults = FaultProgram(
-                faults,
+                config.faults,
                 batch=self.batch,
                 adc_bits=self._adc.bits,
                 dac_full_scale=DAC(bits=16, vpp=2.0).full_scale,

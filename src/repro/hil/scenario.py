@@ -8,6 +8,9 @@ one MDE scenario — revolution and synchrotron frequencies, harmonic, the
 phase-jump drive, the ADC range, the model's precision — so each rejects
 a bad value of it at construction, with the same
 :class:`~repro.errors.ConfigurationError`, through :func:`check_scenario`.
+A fault aimed at a lane the bench lacks, or at a bit outside its ADC
+word, raises the :class:`~repro.errors.FaultSpecError` the bench itself
+would (:func:`~repro.faults.inject.check_fault_bounds`).
 """
 
 from __future__ import annotations
@@ -15,9 +18,13 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigurationError
+from repro.faults.inject import check_fault_bounds
 from repro.faults.spec import FaultSpec
 
-__all__ = ["check_scenario"]
+__all__ = ["BENCH_ADC_BITS", "check_scenario"]
+
+#: Resolution of the revolution-level benches' ADC.
+BENCH_ADC_BITS = 14
 
 #: Fields that must be finite; a tuple field is checked entry by entry.
 _FINITE = ("revolution_frequency", "synchrotron_frequency", "jump_deg",
@@ -28,7 +35,8 @@ _POSITIVE = ("revolution_frequency", "synchrotron_frequency", "jump_toggle_perio
 def check_scenario(config, entry: str = "bunch") -> None:
     """Raise :class:`ConfigurationError` for the first shared field of
     ``config`` out of its range; a field ``config`` does not have is
-    skipped.
+    skipped.  Faults the bench cannot arm raise
+    :class:`~repro.errors.FaultSpecError`.
 
     ``entry`` names what the entries of a tuple field stand for in the
     message: bunches on the scalar benches, lanes on the batched one.
@@ -66,8 +74,13 @@ def check_scenario(config, entry: str = "bunch") -> None:
         raise ConfigurationError(
             f"control_source must be 'bunch0' or 'mean', got {control_source!r}"
         )
-    for s in getattr(config, "faults", ()):
+    faults = getattr(config, "faults", ())
+    for s in faults:
         if not isinstance(s, FaultSpec):
             raise ConfigurationError(
                 f"faults must be FaultSpec instances, got {type(s).__name__}"
             )
+    # A batched config has one lane per jump amplitude, a scalar one lane.
+    check_fault_bounds(
+        faults, batch=getattr(config, "batch", None), adc_bits=BENCH_ADC_BITS
+    )

@@ -49,7 +49,7 @@ from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
-from repro.hil.scenario import check_scenario
+from repro.hil.scenario import BENCH_ADC_BITS, check_scenario
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
 from repro.physics.ion import IonSpecies
@@ -122,10 +122,9 @@ class HilConfig:
     #: simulated: the first bunch ("bunch0") or the average dipole phase
     #: across all bunches ("mean") — the multi-bunch LLRF behaviour.
     control_source: str = "bunch0"
-    #: Faults to arm for this run (see :mod:`repro.faults.inject`).  The
-    #: empty default also consults the session faults armed by the
-    #: runner's ``--faults`` flag; benches with no faults armed carry no
-    #: injection state at all.
+    #: Faults to arm for this run (see :mod:`repro.faults.inject`); each
+    #: loop fault must target lane 0.  The empty default arms nothing,
+    #: and the bench then carries no injection state at all.
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -302,23 +301,16 @@ class CavityInTheLoop:
         self.ref_scale = config.harmonic * self.gap_voltage_amplitude * (
             1.0 - 2.0 * dh_ratio
         ) / config.adc_amplitude
-        self._adc = ADC(bits=14, vpp=2.0, sample_rate=250e6)
+        self._adc = ADC(bits=BENCH_ADC_BITS, vpp=2.0, sample_rate=250e6)
 
-        # Fault injection: explicit config faults win; an empty config
-        # consults the session faults armed by the runner's --faults
-        # flag.  Unfaulted benches keep self._faults is None, so the hot
-        # path pays exactly one None check per revolution.
-        faults = config.faults
-        if not faults:
-            from repro.faults.session import session_faults
-
-            faults = session_faults()
-        if faults:
+        # Fault injection: unfaulted benches keep self._faults is None,
+        # so the hot path pays exactly one None check per revolution.
+        if config.faults:
             from repro.faults.inject import FaultProgram
             from repro.signal.dac import DAC
 
             self._faults = FaultProgram(
-                faults,
+                config.faults,
                 adc_bits=self._adc.bits,
                 dac_full_scale=DAC(bits=16, vpp=2.0).full_scale,
             )

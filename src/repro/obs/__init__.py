@@ -15,7 +15,7 @@ Usage::
 
     from repro import obs
 
-    obs.enable(trace=True)          # or: --metrics / --trace on the runner
+    obs.enable(trace=True)          # or: --telemetry trace on the runner
     ...run a bench...
     obs.export.export_metrics_json("metrics.json")
     obs.export.export_trace_jsonl("trace.jsonl")

@@ -2,13 +2,14 @@
 
 .. code-block:: bash
 
-    python -m repro.experiments.runner sweep --quick --jobs 2 --trace-out t.json
-    python -m repro.obs.view t.json
-    python -m repro.obs.view results/fig5a_trace.jsonl --max-depth 3
+    python -m repro.experiments.runner sweep --quick --jobs 2 --telemetry trace --out results
+    python -m repro.obs.view results/trace.json
+    python -m repro.obs.view results/sweep_trace.jsonl --max-depth 3
 
-Reads either export format — the Chrome/Perfetto JSON written by
-``--trace-out`` / :func:`repro.obs.export.export_trace_perfetto`, or the
-JSONL written by ``--trace`` / ``export_trace_jsonl`` — and prints the
+Reads either export format — the Chrome/Perfetto JSON the runner's
+``--telemetry trace`` writes to ``<out>/trace.json``
+(:func:`repro.obs.export.export_trace_perfetto`), or the per-experiment
+JSONL it writes beside it (``export_trace_jsonl``) — and prints the
 **span tree**, rebuilt from ``span_id``/``parent_id`` links, with
 sibling spans of the same name aggregated into one line
 (``hil.iteration ×8000``) so repetitive hot loops stay readable.
@@ -176,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.view",
         description="Print the span tree of a trace artefact (Perfetto "
-        "JSON from --trace-out, or JSONL from --trace).",
+        "JSON, or an experiment's JSONL, from the runner's --telemetry trace).",
     )
     parser.add_argument("trace", help="trace file (.json or .jsonl)")
     parser.add_argument("--max-depth", type=int, default=12,

@@ -91,18 +91,6 @@ class DAC:
         """Program the runtime output scaling (parameter interface)."""
         self.scale = float(scale)
 
-    def saturation_level(self, fraction: float) -> float:
-        """Output level (volts) at ``fraction`` of full scale.
-
-        The :mod:`repro.faults` DAC-clipping model: a degraded output
-        stage saturates at this level instead of the rail.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise SignalError(
-                f"saturation fraction must be in [0, 1], got {fraction!r}"
-            )
-        return fraction * self.full_scale
-
     def volts_to_codes(self, volts) -> np.ndarray:
         """Convert requested voltages (after scaling) to clipped codes."""
         v = np.asarray(volts, dtype=float) * self.scale

@@ -8,11 +8,12 @@ writes are the *same bytes* a serial run writes (sole exception:
 
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import _RUNNER_OPTIONS, main
+from repro.experiments.runner import main, run_experiment
 from repro.experiments.sweep import SWEEP_CHUNK, plan_sweep, run_sweep_shard
 from repro.parallel import raise_on_failures, run_sharded
 
@@ -26,12 +27,23 @@ class TestJobsFlag:
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_pool_closed_after_run(self, tmp_path):
-        assert main(["fig1", "--out", str(tmp_path), "--quick", "--jobs", "2"]) == 0
-        assert _RUNNER_OPTIONS["pool"] is None
+        # jitter dispatches its shards to the workers (fig1 dispatches none).
+        assert main(["jitter", "--out", str(tmp_path), "--quick", "--jobs", "2"]) == 0
+        assert multiprocessing.active_children() == []
 
     def test_pool_closed_after_failure(self, tmp_path):
         assert main(["bogus", "--out", str(tmp_path), "--jobs", "2"]) == 2
-        assert _RUNNER_OPTIONS["pool"] is None
+        assert multiprocessing.active_children() == []
+
+    def test_options_do_not_outlive_main(self, tmp_path):
+        """An invocation's --batch does not leak into a later call: the
+        runner keeps no state between calls."""
+        assert main(["sweep", "--out", str(tmp_path / "cli"), "--quick",
+                     "--batch", "3"]) == 0
+        run_experiment("sweep", tmp_path / "api", quick=True)
+        rows = np.loadtxt(tmp_path / "api" / "sweep_jump_amplitude.csv",
+                          delimiter=",", skiprows=1)
+        assert rows.shape == (8, 4)
 
 
 class TestCsvBytePinning:
@@ -105,7 +117,7 @@ class TestMergedTelemetry:
     def test_worker_metrics_reach_parent_export(self, tmp_path):
         out = tmp_path / "m"
         assert main(["jitter", "--out", str(out), "--quick", "--jobs", "2",
-                     "--metrics"]) == 0
+                     "--telemetry", "metrics"]) == 0
         snapshot = json.loads((out / "jitter_metrics.json").read_text())
         # Worker-side compile-cache traffic aggregated into the parent.
         cache_hits = snapshot["cgra_compile_cache_hits_total"]["series"]
@@ -117,14 +129,6 @@ class TestMergedTelemetry:
 
     def test_serial_dispatch_also_counts_shards(self, tmp_path):
         out = tmp_path / "s"
-        assert main(["jitter", "--out", str(out), "--quick", "--metrics"]) == 0
+        assert main(["jitter", "--out", str(out), "--quick", "--telemetry", "metrics"]) == 0
         snapshot = json.loads((out / "jitter_metrics.json").read_text())
         assert snapshot["parallel_shards_total"]["series"]["outcome=ok"] == 2.0
-
-
-@pytest.fixture(autouse=True)
-def _reset_runner_options():
-    yield
-    _RUNNER_OPTIONS["batch"] = 8
-    _RUNNER_OPTIONS["jobs"] = 1
-    _RUNNER_OPTIONS["pool"] = None

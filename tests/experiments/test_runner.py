@@ -98,7 +98,8 @@ class TestCli:
 
 class TestTelemetryFlags:
     def test_metrics_writes_snapshot_and_report(self, tmp_path, capsys):
-        assert main(["fig5a", "--out", str(tmp_path), "--quick", "--metrics"]) == 0
+        assert main(["fig5a", "--out", str(tmp_path), "--quick",
+                     "--telemetry", "metrics"]) == 0
         assert (tmp_path / "fig5a_metrics.json").exists()
         assert (tmp_path / "fig5a_metrics.csv").exists()
         assert (tmp_path / "fig5a_report.json").exists()
@@ -107,7 +108,8 @@ class TestTelemetryFlags:
     def test_trace_writes_jsonl_and_report_has_percentiles(self, tmp_path):
         import json
 
-        assert main(["fig5a", "--out", str(tmp_path), "--quick", "--trace"]) == 0
+        assert main(["fig5a", "--out", str(tmp_path), "--quick",
+                     "--telemetry", "trace"]) == 0
         assert (tmp_path / "fig5a_trace.jsonl").exists()
         (report,) = json.loads((tmp_path / "fig5a_report.json").read_text())
         assert report["deadline_misses"] == 0
@@ -116,10 +118,18 @@ class TestTelemetryFlags:
         snapshot = json.loads((tmp_path / "fig5a_metrics.json").read_text())
         assert snapshot["hil_slack_ticks"]["series"][""]["count"] > 0
 
+    def test_unknown_telemetry_mode_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--out", str(tmp_path / "o"), "--telemetry", "profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_telemetry_disabled_after_run(self, tmp_path):
         from repro import obs
 
-        assert main(["fig1", "--out", str(tmp_path), "--quick", "--metrics"]) == 0
+        assert main(["fig1", "--out", str(tmp_path), "--quick",
+                     "--telemetry", "metrics"]) == 0
         assert not obs.enabled()
 
 
@@ -127,26 +137,26 @@ class TestProfileAndTraceOut:
     def test_trace_out_writes_single_span_tree(self, tmp_path, capsys):
         from repro.obs.view import load_trace
 
-        trace_path = tmp_path / "session_trace.json"
+        trace_path = tmp_path / "trace.json"
         assert main(["fig1", "--out", str(tmp_path), "--quick",
-                     "--trace-out", str(trace_path)]) == 0
+                     "--telemetry", "trace"]) == 0
         assert "perfetto trace" in capsys.readouterr().err
         spans = load_trace(trace_path)
         roots = [s for s in spans if s["parent_id"] is None]
         assert [r["name"] for r in roots] == ["experiment.fig1"]
         assert len({s["trace_id"] for s in spans}) == 1
-        # --trace-out implies --trace: per-experiment JSONL also written.
+        # The per-experiment JSONL is written too.
         assert (tmp_path / "fig1_trace.jsonl").exists()
 
     def test_trace_out_is_fresh_per_invocation(self, tmp_path):
         from repro.obs.view import load_trace
 
-        trace_path = tmp_path / "t.json"
+        trace_path = tmp_path / "trace.json"
         assert main(["fig1", "--out", str(tmp_path), "--quick",
-                     "--trace-out", str(trace_path)]) == 0
-        # A later invocation overwrites: the file covers one session.
+                     "--telemetry", "trace"]) == 0
+        # A later invocation overwrites: the file covers one invocation.
         assert main(["schedule", "--out", str(tmp_path), "--quick",
-                     "--trace-out", str(trace_path)]) == 0
+                     "--telemetry", "trace"]) == 0
         spans = load_trace(trace_path)
         assert {s["name"] for s in spans if s["parent_id"] is None} == {
             "experiment.schedule"
@@ -155,9 +165,9 @@ class TestProfileAndTraceOut:
     def test_view_cli_reads_runner_output(self, tmp_path, capsys):
         from repro.obs.view import main as view_main
 
-        trace_path = tmp_path / "t.json"
+        trace_path = tmp_path / "trace.json"
         assert main(["fig1", "--out", str(tmp_path), "--quick",
-                     "--trace-out", str(trace_path)]) == 0
+                     "--telemetry", "trace"]) == 0
         capsys.readouterr()
         assert view_main([str(trace_path)]) == 0
         assert "experiment.fig1" in capsys.readouterr().out

@@ -25,15 +25,7 @@ from repro.faults.campaign import (
 from repro.faults.inject import LOOP_KINDS
 from repro.faults.report import Outcome
 from repro.faults.spec import MAGNITUDE_WINDOWS, FaultKind, FaultSpec
-from repro.experiments.runner import _RUNNER_OPTIONS, main
-
-
-@pytest.fixture(autouse=True)
-def _reset_runner_options():
-    yield
-    _RUNNER_OPTIONS["batch"] = 8
-    _RUNNER_OPTIONS["jobs"] = 1
-    _RUNNER_OPTIONS["pool"] = None
+from repro.experiments.runner import main
 
 
 @pytest.fixture(scope="module")
@@ -305,17 +297,19 @@ class TestByteIdentity:
 
 
 class TestRunnerFaultsFlag:
-    """Satellite: ``--faults path.json`` arms ad-hoc faults on any
-    existing experiment."""
+    """``--faults path.json`` arms ad-hoc faults on fig5a's bench, which
+    gets them in its shard item; every other experiment refuses them
+    before anything runs."""
 
-    def _payload(self, tmp_path):
+    def _payload(self, tmp_path, target=0):
         spec = FaultSpec(
             kind=FaultKind.CAVITY_FAILURE,
             magnitude=0.6,
             onset_time=0.001,
+            target=target,
             label="adhoc",
         )
-        path = tmp_path / "faults.json"
+        path = tmp_path / f"faults{target}.json"
         path.write_text(json.dumps([spec.to_dict()]))
         return path
 
@@ -334,37 +328,53 @@ class TestRunnerFaultsFlag:
         faulted = (faulted_out / "fig5a_phase.csv").read_bytes()
         assert clean != faulted
 
-    def test_session_faults_cleared_after_run(self, tmp_path):
-        from repro.faults.session import session_faults
+    def test_faulted_fig5a_identical_across_job_counts(self, tmp_path):
+        """The faults travel in the shard item, so a worker's bench runs
+        the same faults as the inline one."""
+        payload = str(self._payload(tmp_path))
+        for jobs in ("1", "2"):
+            assert main(["fig5a", "--out", str(tmp_path / jobs), "--quick",
+                         "--jobs", jobs, "--faults", payload]) == 0
+        assert (tmp_path / "1" / "fig5a_phase.csv").read_bytes() == (
+            tmp_path / "2" / "fig5a_phase.csv"
+        ).read_bytes()
 
-        assert main(
-            [
-                "fig5a",
-                "--out", str(tmp_path / "o"),
-                "--quick",
-                "--faults", str(self._payload(tmp_path)),
-            ]
-        ) == 0
-        assert session_faults() == ()
+    @pytest.mark.parametrize("experiment", ["faults", "sweep", "all"])
+    def test_faults_refused_for_other_experiments(self, tmp_path, capsys, experiment):
+        """The campaign runs its own faults against a clean baseline, and
+        no other experiment builds fig5a's bench: each refuses --faults
+        before it writes anything."""
+        out = tmp_path / "o"
+        assert main([experiment, "--out", str(out), "--quick",
+                     "--faults", str(self._payload(tmp_path))]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ERROR") and "fig5a" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bench_rejects_fault_before_run(self, tmp_path, capsys, jobs):
+        """fig5a's bench has one lane; a fault aimed at lane 1 fails the
+        bench config's own check up front, not in a shard."""
+        out = tmp_path / "o"
+        assert main(["fig5a", "--out", str(out), "--quick", "--jobs", jobs,
+                     "--faults", str(self._payload(tmp_path, target=1))]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ERROR")
+        assert "cavity_failure targets lane 1 on a scalar bench" in line
+        assert not out.exists()
 
     def test_list_does_not_arm_faults(self, tmp_path, capsys):
-        from repro.faults.session import session_faults
-
         assert main(["--list", "--faults", str(self._payload(tmp_path))]) == 0
         assert "fig5a" in capsys.readouterr().out
-        assert session_faults() == ()
 
     def test_unknown_experiment_exits_before_arming(self, tmp_path, capsys):
-        from repro.faults.session import session_faults
-
         assert main(
             ["bogus", "--out", str(tmp_path / "o"),
              "--faults", str(self._payload(tmp_path))]
         ) == 2
         err = capsys.readouterr().err
         assert "unknown experiment 'bogus'" in err
-        assert "armed" not in err
-        assert session_faults() == ()
+        assert "fault(s)" not in err
 
     def test_bad_payload_is_a_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -383,6 +393,15 @@ class TestRunnerFaultsFlag:
              "--faults", str(tmp_path / "missing.json")]
         ) == 2
 
+    def test_payload_missing_fields_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps([{"kind": "cavity_failure"}]))
+        assert main(["fig5a", "--out", str(tmp_path / "o"), "--quick",
+                     "--faults", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "missing FaultSpec fields: ['magnitude', 'onset_time']" in line
+        assert not (tmp_path / "o").exists()
+
 
 class TestLintGate:
     def test_shardlint_covers_faults_package(self):
@@ -391,7 +410,7 @@ class TestLintGate:
         from repro.analysis import default_targets, lint_shard_file
 
         targets = [str(p) for p in default_targets()]
-        for module in ("inject", "campaign", "engine", "report", "session"):
+        for module in ("inject", "campaign", "engine", "report"):
             matches = [t for t in targets if t.endswith(f"faults/{module}.py")]
             assert matches, f"faults/{module}.py not in shardlint targets"
             report = lint_shard_file(matches[0])

@@ -113,6 +113,13 @@ class TestRoundTrip:
         with pytest.raises(FaultSpecError):
             FaultSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["kind", "magnitude", "onset_time"])
+    def test_from_dict_rejects_missing_fields(self, field):
+        payload = spec().to_dict()
+        del payload[field]
+        with pytest.raises(FaultSpecError, match=f"missing FaultSpec fields: \\['{field}'\\]"):
+            FaultSpec.from_dict(payload)
+
     def test_from_dict_revalidates(self):
         payload = spec().to_dict()
         payload["magnitude"] = 99.0

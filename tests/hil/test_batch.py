@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
-from repro.errors import ConfigurationError, HilError
+from repro.errors import ConfigurationError, FaultSpecError, HilError
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil import BatchHilConfig, BatchedCavityInTheLoop, CavityInTheLoop, HilConfig
 from repro.hil.batch import _VectorControlLoop
@@ -221,6 +221,26 @@ class TestBatchedHil:
         with pytest.raises(ConfigurationError,
                            match="precision must be 'single' or 'double'"):
             _batch_config(precision="half")
+
+    @pytest.mark.parametrize("kind, target", [
+        (FaultKind.CAVITY_FAILURE, 2),
+        (FaultKind.ADC_STUCK_BIT, 5),
+    ])
+    def test_fault_lane_checked_at_construction(self, kind, target):
+        """A two-lane config refuses a loop fault aimed past its lanes
+        with the bench's own message."""
+        spec = FaultSpec(kind=kind, magnitude=3.0 if kind is FaultKind.ADC_STUCK_BIT else 0.5,
+                         onset_time=0.001, target=target)
+        with pytest.raises(FaultSpecError,
+                           match=f"{kind.value} targets lane {target}, batch has 2 lanes"):
+            _batch_config(jump_deg=(8.0, 8.0), faults=(spec,))
+
+    def test_context_fault_needs_no_lane(self):
+        """Context corruption never touches the loop, so any target is
+        accepted, as FaultProgram accepts it."""
+        spec = FaultSpec(kind=FaultKind.CGRA_CONTEXT_CORRUPTION, magnitude=3.0,
+                         onset_time=0.0, target=7)
+        assert _batch_config(jump_deg=(8.0, 8.0), faults=(spec,)).faults == (spec,)
 
     def test_batch_property(self):
         assert _batch_config().batch == len(AMPS)

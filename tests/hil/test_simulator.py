@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, HilError
+from repro.errors import ConfigurationError, FaultSpecError, HilError
 from repro.faults.inject import LOOP_KINDS
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.hil.simulator import CavityInTheLoop, HilConfig
@@ -118,6 +118,18 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigurationError):
             CavityInTheLoop(config(control=ControlLoopConfig(sample_rate=1e6)))
+
+    @pytest.mark.parametrize("kind, target", [
+        (FaultKind.CAVITY_FAILURE, 1),
+        (FaultKind.DDS_PHASE_GLITCH, 3),
+    ])
+    def test_fault_lane_checked_at_construction(self, kind, target):
+        """The scalar bench has lane 0 only; the config refuses a loop
+        fault aimed elsewhere with the bench's own message."""
+        spec = FaultSpec(kind=kind, magnitude=0.5, onset_time=0.001, target=target)
+        with pytest.raises(FaultSpecError,
+                           match=f"{kind.value} targets lane {target} on a scalar bench"):
+            config(faults=(spec,))
 
 
 class TestCalibration:
