@@ -23,8 +23,10 @@ reporting loop stability margins (see ROADMAP.md and docs/FAULTS.md).
     bench; context corruption runs as a detection experiment against
     the static verifier.
 ``campaign``
-    Deterministic campaign grid, sharded dispatch with failure
-    containment and single-lane retries, and the all-numeric CSV.
+    Deterministic campaign grid; one lane plan, with the baseline as
+    lane 0 of the first shard, dispatched in one map with failure
+    containment and single-lane retries; detection experiments run in
+    place; the all-numeric CSV.
 ``report``
     Stability-margin classification: recovered / degraded / unstable /
     detected, settle time and max excursion from the phase traces.

@@ -1,15 +1,19 @@
 """Fault-campaign planning, sharded execution and classification.
 
 A campaign sweeps fault kind × magnitude × onset time over the Fig. 5a
-closed-loop scenario and classifies every run's stability margin.  The
-execution plan follows the sweep experiment's two-level fan-out:
+closed-loop scenario and classifies every run's stability margin
+against an unfaulted baseline run under the same stimulus.  The plan
+is one lane list: the baseline (lane ``-1``, spec ``None``), then every
+loop-fault scenario in grid order.
 
-* **batch** — loop-fault scenarios pack :data:`CAMPAIGN_CHUNK` per
-  shard, one scenario per lane of a batched bench (each spec's
-  ``target`` selects its lane, so co-resident scenarios stay bitwise
-  isolated — pinned by ``tests/faults/test_inject.py``);
-* **process** — shards dispatch over :mod:`repro.parallel`; the shard
-  plan, every per-scenario seed
+* **batch** — the lane list is cut into shards of :data:`CAMPAIGN_CHUNK`
+  lanes, one lane of a batched bench each, so the baseline is lane 0 of
+  the first shard.  Each spec's ``target`` selects its lane, so
+  co-resident lanes stay bitwise isolated (pinned by
+  ``tests/faults/test_inject.py``): a lane's bits do not depend on its
+  shard-mates;
+* **process** — shards dispatch over :mod:`repro.parallel` in one map;
+  the shard plan, every per-scenario seed
   (:func:`repro.parallel.seeding.shard_seeds` children of
   ``base_seed``) and the classification thresholds are pure functions
   of the :class:`CampaignConfig`, never of ``--jobs``, so the campaign
@@ -18,16 +22,18 @@ execution plan follows the sweep experiment's two-level fan-out:
 
 ``CGRA_CONTEXT_CORRUPTION`` scenarios do not run — the engines execute
 off the schedule, the context images being the serialization format the
-hardware would load — so they dispatch as *detection* tasks instead:
-corrupt one context slot, ask the PR-2 static verifier
-(:func:`repro.faults.engine.detect_context_corruption`).
+hardware would load — so they are *detection* experiments instead,
+run in place after the map: corrupt one context slot, ask the static
+verifier (:func:`repro.faults.engine.detect_context_corruption`).
 
-Failure containment: a faulted shard never kills the campaign.  Its
-lanes are retried one scenario per single-lane shard (deterministic:
-the retry plan depends only on *which* scenarios failed); scenarios
-failing the retry classify as :class:`~repro.faults.report.Outcome`
-``FAILED`` with NaN margins.  Only a baseline failure raises — without
-the unfaulted reference trace nothing can be classified.
+Failure containment: a faulted shard never kills the campaign.  Every
+lane of a failed shard, the baseline's included, is retried alone in a
+single-lane shard (deterministic: the retry plan depends only on
+*which* shards failed); a scenario failing its retry, or a detection
+that raises, classifies as :class:`~repro.faults.report.Outcome`
+``FAILED`` with NaN margins.  Only a baseline that fails its retry
+raises — without the unfaulted reference trace nothing can be
+classified.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import FaultSpecError
-from repro.faults.engine import CAMPAIGN_JUMP_DEG, CAMPAIGN_RECORD_EVERY
 from repro.faults.inject import LOOP_KINDS
 from repro.faults.report import Outcome, StabilityReport, classify_trace
 from repro.faults.spec import FaultKind, FaultSpec
@@ -51,14 +57,11 @@ __all__ = [
     "KIND_CODES",
     "CampaignConfig",
     "CampaignTask",
-    "VerifierTask",
     "CampaignShardResult",
-    "VerifierResult",
     "CampaignResult",
     "campaign_grid",
     "plan_campaign",
     "run_campaign_shard",
-    "run_verifier_shard",
     "run_campaign",
 ]
 
@@ -108,9 +111,6 @@ class CampaignConfig:
     fault_duration: float = 0.02
     #: Root of the per-scenario seed tree.
     base_seed: int = 2024
-    record_every: int = CAMPAIGN_RECORD_EVERY
-    jump_deg: float = CAMPAIGN_JUMP_DEG
-    chunk: int = CAMPAIGN_CHUNK
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration) and self.duration > 0.0):
@@ -123,17 +123,20 @@ class CampaignConfig:
                     f"onset {onset!r} outside the run [0, {self.duration})"
                 )
         ladder_depth = min(len(l) for l in MAGNITUDE_LADDER.values())
-        if not 1 <= self.magnitudes_per_kind <= ladder_depth:
+        if not (
+            isinstance(self.magnitudes_per_kind, int)
+            and 1 <= self.magnitudes_per_kind <= ladder_depth
+        ):
             raise FaultSpecError(
-                f"magnitudes_per_kind must be in [1, {ladder_depth}], "
-                f"got {self.magnitudes_per_kind}"
+                f"magnitudes_per_kind must be an int in [1, {ladder_depth}], "
+                f"got {self.magnitudes_per_kind!r}"
             )
         if not (math.isfinite(self.fault_duration) and self.fault_duration > 0.0):
             raise FaultSpecError(
                 f"fault_duration must be finite and > 0, got {self.fault_duration!r}"
             )
-        if self.chunk < 1:
-            raise FaultSpecError(f"chunk must be >= 1, got {self.chunk}")
+        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+            raise FaultSpecError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
 
     @classmethod
     def quick(cls) -> "CampaignConfig":
@@ -143,26 +146,16 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignTask:
-    """One shard of loop-fault scenarios (plain data, picklable).
+    """One shard of campaign lanes (plain data, picklable).
 
     ``specs[j]`` runs on lane ``j``; ``indices[j]`` is its scenario
-    index in the campaign grid.  ``specs`` of ``(None,)`` with indices
-    ``(-1,)`` is the unfaulted baseline lane.
+    index in the campaign grid, or ``-1`` for the unfaulted baseline,
+    whose spec is ``None``.
     """
 
     indices: tuple[int, ...]
     specs: tuple[FaultSpec | None, ...]
     duration: float
-    jump_deg: float = CAMPAIGN_JUMP_DEG
-    record_every: int = CAMPAIGN_RECORD_EVERY
-
-
-@dataclass(frozen=True)
-class VerifierTask:
-    """One substrate-fault detection experiment."""
-
-    index: int
-    spec: FaultSpec
 
 
 @dataclass
@@ -176,15 +169,6 @@ class CampaignShardResult:
     n_turns: int
     elapsed_s: float
     deadline_misses: int
-
-
-@dataclass
-class VerifierResult:
-    """Outcome of one detection experiment."""
-
-    index: int
-    detected: bool
-    n_errors: int
 
 
 def _subsample(ladder: tuple[float, ...], count: int) -> tuple[float, ...]:
@@ -226,46 +210,40 @@ def campaign_grid(config: CampaignConfig) -> list[FaultSpec]:
     return [replace(spec, seed=seeds[i]) for i, spec in enumerate(specs)]
 
 
+def _lane_tasks(
+    lanes: Sequence[int], scenarios: list[FaultSpec], duration: float, width: int
+) -> list[CampaignTask]:
+    """Cut ``lanes`` into tasks of ``width`` lanes each, in order.
+
+    A lane is a scenario index, or ``-1`` for the unfaulted baseline.
+    """
+    return [
+        CampaignTask(
+            indices=tuple(group),
+            specs=tuple(None if i == -1 else scenarios[i] for i in group),
+            duration=duration,
+        )
+        for group in (lanes[s : s + width] for s in range(0, len(lanes), width))
+    ]
+
+
 def plan_campaign(
     config: CampaignConfig,
-) -> tuple[list[FaultSpec], list[CampaignTask], list[VerifierTask]]:
+) -> tuple[list[FaultSpec], list[CampaignTask]]:
     """Build the scenario list and its shard plan.
 
-    Returns ``(scenarios, tasks, verifier_tasks)`` where ``tasks[0]``
-    is always the baseline shard.  Pure function of the config.
+    Returns ``(scenarios, tasks)``: the lane list — the baseline
+    (``-1``), then every loop scenario in grid order — cut into
+    :data:`CAMPAIGN_CHUNK`-lane shards, so lane 0 of ``tasks[0]`` is
+    the baseline.  Pure function of the config.
     """
     scenarios = campaign_grid(config)
-    loop_indices = [i for i, s in enumerate(scenarios) if s.kind in LOOP_KINDS]
-    tasks = [
-        CampaignTask(
-            indices=(-1,),
-            specs=(None,),
-            duration=config.duration,
-            jump_deg=config.jump_deg,
-            record_every=config.record_every,
-        )
-    ]
-    for start in range(0, len(loop_indices), config.chunk):
-        group = loop_indices[start : start + config.chunk]
-        tasks.append(
-            CampaignTask(
-                indices=tuple(group),
-                specs=tuple(scenarios[i] for i in group),
-                duration=config.duration,
-                jump_deg=config.jump_deg,
-                record_every=config.record_every,
-            )
-        )
-    verifier_tasks = [
-        VerifierTask(index=i, spec=s)
-        for i, s in enumerate(scenarios)
-        if s.kind not in LOOP_KINDS
-    ]
-    return scenarios, tasks, verifier_tasks
+    lanes = [-1] + [i for i, s in enumerate(scenarios) if s.kind in LOOP_KINDS]
+    return scenarios, _lane_tasks(lanes, scenarios, config.duration, CAMPAIGN_CHUNK)
 
 
 def run_campaign_shard(task: CampaignTask) -> CampaignShardResult:
-    """Run one shard's scenarios as lockstep lanes (worker-side).
+    """Run one shard's lanes in lockstep (worker-side).
 
     Module-level and lazily importing so it pickles by reference into
     pool workers, like the sweep shard.
@@ -273,12 +251,7 @@ def run_campaign_shard(task: CampaignTask) -> CampaignShardResult:
     from repro.faults.engine import run_fault_lanes
 
     t0 = time.perf_counter()
-    times, phase, n_turns, misses = run_fault_lanes(
-        task.specs,
-        task.duration,
-        jump_deg=task.jump_deg,
-        record_every=task.record_every,
-    )
+    times, phase, n_turns, misses = run_fault_lanes(task.specs, task.duration)
     return CampaignShardResult(
         indices=task.indices,
         time=times,
@@ -289,14 +262,6 @@ def run_campaign_shard(task: CampaignTask) -> CampaignShardResult:
     )
 
 
-def run_verifier_shard(task: VerifierTask) -> VerifierResult:
-    """Run one detection experiment (worker-side)."""
-    from repro.faults.engine import detect_context_corruption
-
-    detected, n_errors = detect_context_corruption(task.spec)
-    return VerifierResult(index=task.index, detected=detected, n_errors=n_errors)
-
-
 @dataclass
 class CampaignResult:
     """Classified campaign: one row per scenario, grid order."""
@@ -304,11 +269,13 @@ class CampaignResult:
     config: CampaignConfig
     scenarios: list[FaultSpec]
     reports: list[StabilityReport]
-    #: Baseline (unfaulted) phase trace and its record times.
+    #: Baseline (unfaulted) record times and ``(n_records,)`` phase
+    #: trace, degrees at h·f_R.
     baseline_time: np.ndarray
     baseline_phase_deg: np.ndarray
     n_turns: int
-    #: Scenario indices whose first shard failed and were retried.
+    #: Lanes retried alone after their shard failed, in plan order:
+    #: scenario indices, ``-1`` for the baseline.
     retried: tuple[int, ...] = ()
 
     #: CSV schema (all-numeric; NaN for not-applicable margins).
@@ -364,8 +331,8 @@ class CampaignResult:
         ]
         if self.retried:
             lines.append(
-                f"retried {len(self.retried)} scenario(s) single-lane "
-                f"after shard failure"
+                f"retried {len(self.retried)} lane(s) alone after a shard "
+                f"failure"
             )
         worst = max(
             (r.max_excursion_deg for r in self.reports if math.isfinite(r.max_excursion_deg)),
@@ -379,86 +346,66 @@ def run_campaign(config: CampaignConfig, pool=None) -> CampaignResult:
     """Plan, dispatch, retry and classify one full campaign.
 
     ``pool`` is an optional warm :class:`repro.parallel.WorkerPool`;
-    without it shards run inline (``--jobs 1`` semantics).  Shard
-    failures are contained per the module docstring; only a failed
-    baseline raises.
+    without it the shards run inline (``WorkerPool(jobs=1)``).
+    Failures are contained per the module docstring; only a baseline
+    that fails its retry raises.
     """
-    from repro.parallel import raise_on_failures, run_sharded
+    from repro.faults.engine import detect_context_corruption
+    from repro.parallel import WorkerPool, raise_on_failures
 
-    def dispatch(fn, items):
-        if pool is not None:
-            return pool.map_sharded(fn, items)
-        return run_sharded(fn, items, jobs=1)
-
-    scenarios, tasks, verifier_tasks = plan_campaign(config)
-    results = dispatch(run_campaign_shard, tasks)
-    (baseline,) = raise_on_failures(results[:1], "faults baseline")
-
-    # Collect lane traces; retry lanes of failed shards one-by-one so a
-    # single poisoned scenario cannot take down its shard-mates.
-    traces: dict[int, np.ndarray] = {}
-    failed_indices: list[int] = []
-    for task, result in zip(tasks[1:], results[1:]):
-        if result.failure is not None:
-            failed_indices.extend(task.indices)
-            continue
-        shard = result.value
-        for lane, index in enumerate(shard.indices):
-            traces[index] = shard.phase_deg[:, lane]
-    retried = tuple(failed_indices)
-    if failed_indices:
-        retry_tasks = [
-            CampaignTask(
-                indices=(i,),
-                specs=(scenarios[i],),
-                duration=config.duration,
-                jump_deg=config.jump_deg,
-                record_every=config.record_every,
-            )
-            for i in failed_indices
-        ]
-        for result in dispatch(run_campaign_shard, retry_tasks):
-            if result.failure is not None:
-                continue  # stays absent -> FAILED below
-            shard = result.value
-            traces[shard.indices[0]] = shard.phase_deg[:, 0]
-
-    verdicts: dict[int, VerifierResult] = {}
-    for result in dispatch(run_verifier_shard, verifier_tasks):
+    if pool is None:
+        pool = WorkerPool(jobs=1)
+    scenarios, tasks = plan_campaign(config)
+    results = pool.map_sharded(run_campaign_shard, tasks)
+    # Every lane of a failed shard is retried alone, so one poisoned
+    # scenario cannot take down its shard-mates.
+    retried = tuple(
+        i
+        for task, result in zip(tasks, results)
+        if result.failure is not None
+        for i in task.indices
+    )
+    retry_tasks = _lane_tasks(retried, scenarios, config.duration, width=1)
+    retry_results = pool.map_sharded(run_campaign_shard, retry_tasks)
+    # Lane -> (shard, column) of every lane that ran.
+    ran: dict[int, tuple[CampaignShardResult, int]] = {}
+    for result in results + retry_results:
         if result.failure is None:
-            shard = result.value
-            verdicts[shard.index] = shard
+            for column, index in enumerate(result.value.indices):
+                ran[index] = (result.value, column)
+    if -1 not in ran:
+        # Nothing classifies without the unfaulted reference trace.  The
+        # baseline leads the lane list, so its retry is the first.
+        raise_on_failures(retry_results[:1], "faults baseline")
+    base, base_column = ran[-1]
+    baseline_phase = base.phase_deg[:, base_column]
 
-    nan_report = StabilityReport(Outcome.FAILED, math.nan, math.nan, math.nan)
+    failed = StabilityReport(Outcome.FAILED, math.nan, math.nan, math.nan)
     reports: list[StabilityReport] = []
     for i, spec in enumerate(scenarios):
-        if spec.kind in LOOP_KINDS:
-            trace = traces.get(i)
-            if trace is None:
-                reports.append(nan_report)
+        if spec.kind not in LOOP_KINDS:
+            try:
+                detected, _ = detect_context_corruption(spec)
+            except Exception:  # contained as a shard is: the row reads FAILED
+                report = failed
             else:
-                reports.append(
-                    classify_trace(
-                        baseline.time, trace, baseline.phase_deg[:, 0], spec
-                    )
-                )
+                outcome = Outcome.DETECTED if detected else Outcome.UNDETECTED
+                report = StabilityReport(outcome, math.nan, math.nan, math.nan)
+        elif i in ran:
+            shard, column = ran[i]
+            report = classify_trace(
+                base.time, shard.phase_deg[:, column], baseline_phase, spec
+            )
         else:
-            verdict = verdicts.get(i)
-            if verdict is None:
-                reports.append(nan_report)
-            else:
-                outcome = Outcome.DETECTED if verdict.detected else Outcome.UNDETECTED
-                reports.append(
-                    StabilityReport(outcome, math.nan, math.nan, math.nan)
-                )
-    for report in reports:
+            report = failed
+        reports.append(report)
         _SCENARIOS.inc(outcome=report.outcome.name.lower())
     return CampaignResult(
         config=config,
         scenarios=scenarios,
         reports=reports,
-        baseline_time=baseline.time,
-        baseline_phase_deg=baseline.phase_deg,
-        n_turns=baseline.n_turns,
+        baseline_time=base.time,
+        baseline_phase_deg=baseline_phase,
+        n_turns=base.n_turns,
         retried=retried,
     )

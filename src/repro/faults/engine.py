@@ -59,8 +59,8 @@ def run_fault_lanes(
     """Run loop-fault scenarios as lockstep lanes of one batched bench.
 
     ``specs[i]`` is re-targeted onto lane ``i``; an entry may also be
-    ``None`` to reserve an unfaulted lane (the campaign's baseline lane
-    travels in its own single-lane task, but parity tests use this).
+    ``None`` to reserve an unfaulted lane (the campaign's baseline is
+    lane 0 of its first shard).
     Returns ``(time, phase_deg[:, lanes], n_turns, deadline_misses)``.
     """
     from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig

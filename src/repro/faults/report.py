@@ -64,7 +64,8 @@ class Outcome(enum.IntEnum):
     DETECTED = 3
     #: Substrate fault the verifier failed to flag.
     UNDETECTED = 4
-    #: The scenario's shard raised even after the single-lane retry.
+    #: The scenario's shard raised even after the single-lane retry,
+    #: or its detection experiment raised.
     FAILED = 5
 
 

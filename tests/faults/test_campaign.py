@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import FaultSpecError
 from repro.faults.campaign import (
-    CAMPAIGN_CHUNK,
     KIND_CODES,
     MAGNITUDE_LADDER,
     CampaignConfig,
@@ -85,35 +84,35 @@ class TestGrid:
                 CampaignConfig(fault_duration=duration)
         with pytest.raises(FaultSpecError, match="onset"):
             CampaignConfig(onset_times=(0.5,), duration=0.1)
-        with pytest.raises(FaultSpecError, match="magnitudes_per_kind"):
-            CampaignConfig(magnitudes_per_kind=99)
-        with pytest.raises(FaultSpecError, match="chunk"):
-            CampaignConfig(chunk=0)
+        for count in (0, 99, 1.5):
+            with pytest.raises(FaultSpecError, match="^magnitudes_per_kind"):
+                CampaignConfig(magnitudes_per_kind=count)
+        for seed in (-1, 1.5):
+            with pytest.raises(FaultSpecError, match="^base_seed"):
+                CampaignConfig(base_seed=seed)
 
 
 class TestPlan:
     def test_baseline_first_and_chunking(self):
         config = CampaignConfig()
-        scenarios, tasks, verifier_tasks = plan_campaign(config)
-        assert tasks[0].indices == (-1,) and tasks[0].specs == (None,)
-        loop_count = sum(1 for s in scenarios if s.kind in LOOP_KINDS)
-        for task in tasks[1:]:
-            assert 1 <= len(task.indices) <= CAMPAIGN_CHUNK
-            for lane, index in enumerate(task.indices):
-                # Spec j runs on lane j of its shard.
-                assert task.specs[lane] == scenarios[index]
-        covered = [i for t in tasks[1:] for i in t.indices]
-        assert covered == [
+        scenarios, tasks = plan_campaign(config)
+        assert tasks[0].indices[0] == -1 and tasks[0].specs[0] is None
+        # The baseline once, then every loop scenario once, grid order.
+        assert [i for t in tasks for i in t.indices] == [-1] + [
             i for i, s in enumerate(scenarios) if s.kind in LOOP_KINDS
         ]
-        assert len(covered) == loop_count
-        assert {t.index for t in verifier_tasks} == {
-            i for i, s in enumerate(scenarios) if s.kind not in LOOP_KINDS
-        }
+        for task in tasks:
+            for lane, index in enumerate(task.indices):
+                # Spec j runs on lane j of its shard.
+                expected = None if index == -1 else scenarios[index]
+                assert task.specs[lane] == expected
+        assert [len(t.indices) for t in tasks] == [8, 8, 8, 5]
+        _, quick_tasks = plan_campaign(CampaignConfig.quick())
+        assert [len(t.indices) for t in quick_tasks] == [8]
 
     def test_plan_is_independent_of_jobs(self):
         """The shard plan is a pure function of the config — the chunk
-        size comes from the config, never from a worker count."""
+        size is a module constant, never a worker count."""
         config = CampaignConfig()
         assert plan_campaign(config)[1] == plan_campaign(config)[1]
 
@@ -209,8 +208,11 @@ class TestContainment:
     )
 
     def test_shard_failure_is_retried_single_lane(self, monkeypatch):
+        """The poisoned shard also holds the baseline.  Every lane is
+        retried alone, and gives the bits it gave in its shard."""
         import repro.faults.campaign as campaign_mod
 
+        clean = run_campaign(self.CONFIG)
         scenarios = campaign_grid(self.CONFIG)
         poisoned = next(
             i for i, s in enumerate(scenarios)
@@ -227,10 +229,13 @@ class TestContainment:
         result = run_campaign(self.CONFIG)
         # Every lane of the failed shard was retried; all classified.
         assert poisoned in result.retried
+        assert -1 in result.retried
         assert len(result.reports) == len(scenarios)
         assert all(
             r.outcome is not Outcome.FAILED for r in result.reports
         )
+        for got, want in zip(result.csv_columns(), clean.csv_columns(), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_scenario_failing_retry_classifies_failed(self, monkeypatch):
         import repro.faults.campaign as campaign_mod
@@ -259,6 +264,23 @@ class TestContainment:
             if i != poisoned and result.scenarios[i].kind in LOOP_KINDS
         ]
         assert all(r.outcome is not Outcome.FAILED for r in others)
+
+    def test_detection_failure_classifies_failed(self, monkeypatch):
+        import repro.faults.engine as engine_mod
+
+        def broken_verifier(spec):
+            raise RuntimeError("verifier down")
+
+        monkeypatch.setattr(engine_mod, "detect_context_corruption", broken_verifier)
+        result = run_campaign(self.CONFIG)
+        for spec, report in zip(result.scenarios, result.reports):
+            if spec.kind in LOOP_KINDS:
+                assert report.outcome is not Outcome.FAILED, spec.label
+                continue
+            assert report.outcome is Outcome.FAILED
+            assert math.isnan(report.settle_s)
+            assert math.isnan(report.max_excursion_deg)
+            assert math.isnan(report.final_error_deg)
 
     def test_baseline_failure_raises(self, monkeypatch):
         import repro.faults.campaign as campaign_mod
