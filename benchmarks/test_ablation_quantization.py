@@ -20,11 +20,8 @@ def _phase_error(bits: int) -> float:
 
     cfg = bench_config(record_every=1, jump_start_time=0.002, quantize_adc=True)
     sim = CavityInTheLoop(cfg)
-    # Swap in a coarser converter on the fast path.
-    adc = ADC(bits=bits, vpp=2.0)
-    sim._adc_lsb = adc.lsb
-    sim._adc_code_min = adc.code_min
-    sim._adc_code_max = adc.code_max
+    # Swap the converter the bench's signal chain reads.
+    sim._signals.adc = ADC(bits=bits, vpp=2.0)
     res = sim.run(0.01)
     return float(np.abs(res.phase_deg - ref.phase_deg).max())
 

@@ -16,8 +16,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.mde import bench_config
-from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
-from repro.hil.simulator import CavityInTheLoop
+from repro.hil.simulator import CavityInTheLoop, HilConfig
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +57,7 @@ def test_disabled_instruments_are_noops(benchmark, report):
 
 def _batched_bench():
     base = bench_config()
-    return BatchedCavityInTheLoop(BatchHilConfig(
+    return CavityInTheLoop(HilConfig(
         ring=base.ring, ion=base.ion,
         jump_deg=tuple(2.0 + 1.25 * lane for lane in range(8)),
         record_every=8,

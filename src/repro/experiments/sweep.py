@@ -4,8 +4,8 @@ The sweep runs one closed-loop scenario per jump amplitude.  Two levels
 of fan-out compose:
 
 * **batch** — each shard runs its amplitudes as lockstep lanes of one
-  :class:`~repro.hil.batch.BatchedCavityInTheLoop` (one compiled program
-  advances the whole shard per revolution);
+  :class:`~repro.hil.simulator.CavityInTheLoop` (a tuple ``jump_deg``:
+  one compiled program advances the whole shard per revolution);
 * **process** — shards dispatch across a :mod:`repro.parallel` worker
   pool, one batched bench per worker at a time.
 
@@ -19,7 +19,6 @@ so the grouping itself must be pinned).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +57,6 @@ class SweepShardResult:
     first_pp: np.ndarray
     settled: np.ndarray
     n_turns: int
-    #: Worker-side wall-clock of the batched run, seconds.
-    elapsed_s: float
-    deadline_misses: int
     #: (n_records, lanes) phase traces when the task asked for them.
     phase_deg: np.ndarray | None = None
 
@@ -92,20 +88,17 @@ def run_sweep_shard(task: SweepTask) -> SweepShardResult:
     worker's own primed cache.
     """
     from repro.experiments.fig5 import fig5_metrics
-    from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
+    from repro.hil.simulator import CavityInTheLoop, HilConfig
     from repro.physics import KNOWN_IONS, SIS18
 
-    config = BatchHilConfig(
+    config = HilConfig(
         ring=SIS18,
         ion=KNOWN_IONS["14N7+"],
         jump_deg=task.amps,
         jump_start_time=task.jump_start_time,
         record_every=task.record_every,
     )
-    bench = BatchedCavityInTheLoop(config)
-    t0 = time.perf_counter()
-    res = bench.run(task.duration)
-    elapsed = time.perf_counter() - t0
+    res = CavityInTheLoop(config).run(task.duration)
     n_lanes = len(task.amps)
     f_s = np.full(n_lanes, np.nan)
     first_pp = np.full(n_lanes, np.nan)
@@ -128,7 +121,5 @@ def run_sweep_shard(task: SweepTask) -> SweepShardResult:
         first_pp=first_pp,
         settled=settled,
         n_turns=res.n_turns,
-        elapsed_s=elapsed,
-        deadline_misses=res.deadline.misses,
         phase_deg=res.phase_deg if task.keep_trace else None,
     )

@@ -31,15 +31,15 @@ lane of a failed shard, the baseline's included, is retried alone in a
 single-lane shard (deterministic: the retry plan depends only on
 *which* shards failed); a scenario failing its retry, or a detection
 that raises, classifies as :class:`~repro.faults.report.Outcome`
-``FAILED`` with NaN margins.  Only a baseline that fails its retry
-raises — without the unfaulted reference trace nothing can be
-classified.
+``FAILED`` with NaN margins, and the result keeps one line saying why
+for every failed shard, retry and detection.  Only a baseline that
+fails its retry raises — without the unfaulted reference trace nothing
+can be classified.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -167,8 +167,6 @@ class CampaignShardResult:
     #: (n_records, lanes) phase traces, degrees at h·f_R.
     phase_deg: np.ndarray
     n_turns: int
-    elapsed_s: float
-    deadline_misses: int
 
 
 def _subsample(ladder: tuple[float, ...], count: int) -> tuple[float, ...]:
@@ -250,15 +248,9 @@ def run_campaign_shard(task: CampaignTask) -> CampaignShardResult:
     """
     from repro.faults.engine import run_fault_lanes
 
-    t0 = time.perf_counter()
-    times, phase, n_turns, misses = run_fault_lanes(task.specs, task.duration)
+    times, phase, n_turns = run_fault_lanes(task.specs, task.duration)
     return CampaignShardResult(
-        indices=task.indices,
-        time=times,
-        phase_deg=phase,
-        n_turns=n_turns,
-        elapsed_s=time.perf_counter() - t0,
-        deadline_misses=misses,
+        indices=task.indices, time=times, phase_deg=phase, n_turns=n_turns
     )
 
 
@@ -277,6 +269,9 @@ class CampaignResult:
     #: Lanes retried alone after their shard failed, in plan order:
     #: scenario indices, ``-1`` for the baseline.
     retried: tuple[int, ...] = ()
+    #: Why each failed shard, retry and detection failed: one line each,
+    #: in the order they ran.
+    failures: tuple[str, ...] = ()
 
     #: CSV schema (all-numeric; NaN for not-applicable margins).
     CSV_HEADER = (
@@ -334,6 +329,7 @@ class CampaignResult:
                 f"retried {len(self.retried)} lane(s) alone after a shard "
                 f"failure"
             )
+        lines += [f"failed: {line}" for line in self.failures]
         worst = max(
             (r.max_excursion_deg for r in self.reports if math.isfinite(r.max_excursion_deg)),
             default=math.nan,
@@ -379,6 +375,9 @@ def run_campaign(config: CampaignConfig, pool=None) -> CampaignResult:
         raise_on_failures(retry_results[:1], "faults baseline")
     base, base_column = ran[-1]
     baseline_phase = base.phase_deg[:, base_column]
+    failures = [
+        r.failure.summary() for r in results + retry_results if r.failure is not None
+    ]
 
     failed = StabilityReport(Outcome.FAILED, math.nan, math.nan, math.nan)
     reports: list[StabilityReport] = []
@@ -386,7 +385,8 @@ def run_campaign(config: CampaignConfig, pool=None) -> CampaignResult:
         if spec.kind not in LOOP_KINDS:
             try:
                 detected, _ = detect_context_corruption(spec)
-            except Exception:  # contained as a shard is: the row reads FAILED
+            except Exception as exc:  # contained as a shard is: the row reads FAILED
+                failures.append(f"detection {spec.label}: {type(exc).__name__}: {exc}")
                 report = failed
             else:
                 outcome = Outcome.DETECTED if detected else Outcome.UNDETECTED
@@ -408,4 +408,5 @@ def run_campaign(config: CampaignConfig, pool=None) -> CampaignResult:
         baseline_phase_deg=baseline_phase,
         n_turns=base.n_turns,
         retried=retried,
+        failures=tuple(failures),
     )

@@ -8,9 +8,9 @@ Two execution paths correspond to the two fault families:
   :data:`repro.faults.inject.LOOP_KINDS` perturbs the closed-loop
   physics or signal chain, so its scenarios *run*:
   :func:`run_fault_lanes` packs one scenario per lane of a
-  :class:`~repro.hil.batch.BatchedCavityInTheLoop` (the specs'
-  ``target`` indices select their lanes) and returns the recorded phase
-  traces for classification;
+  :class:`~repro.hil.simulator.CavityInTheLoop` with a tuple
+  ``jump_deg`` (the specs' ``target`` indices select their lanes) and
+  returns the recorded phase traces for classification;
 * **substrate faults** — ``CGRA_CONTEXT_CORRUPTION`` attacks the
   configuration artefact itself, which the execution engines never
   consult (they run off the schedule; the images are the serialization
@@ -55,15 +55,15 @@ def run_fault_lanes(
     *,
     jump_deg: float = CAMPAIGN_JUMP_DEG,
     record_every: int = CAMPAIGN_RECORD_EVERY,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Run loop-fault scenarios as lockstep lanes of one batched bench.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run loop-fault scenarios as lockstep lanes of one bench.
 
     ``specs[i]`` is re-targeted onto lane ``i``; an entry may also be
     ``None`` to reserve an unfaulted lane (the campaign's baseline is
     lane 0 of its first shard).
-    Returns ``(time, phase_deg[:, lanes], n_turns, deadline_misses)``.
+    Returns ``(time, phase_deg[:, lanes], n_turns)``.
     """
-    from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
+    from repro.hil.simulator import CavityInTheLoop, HilConfig
     from repro.physics import KNOWN_IONS, SIS18
 
     lanes = len(specs)
@@ -79,20 +79,20 @@ def run_fault_lanes(
                 f"detect_context_corruption instead"
             )
         faults.append(replace(spec, target=lane))
-    config = BatchHilConfig(
+    config = HilConfig(
         ring=SIS18,
         ion=KNOWN_IONS["14N7+"],
         jump_deg=(float(jump_deg),) * lanes,
         record_every=record_every,
         faults=tuple(faults),
     )
-    bench = BatchedCavityInTheLoop(config)
-    res = bench.run(duration)
-    return res.time, res.phase_deg, res.n_turns, res.deadline.misses
+    res = CavityInTheLoop(config).run(duration)
+    return res.time, res.phase_deg, res.n_turns
 
 
 def detect_context_corruption(spec: FaultSpec) -> tuple[bool, int]:
-    """Corrupt one context slot of the beam model; ask the verifier.
+    """Corrupt one context slot of the beam model the campaign lanes
+    load; ask the verifier.
 
     Returns ``(detected, n_errors)`` — whether
     :func:`repro.cgra.verify.verify_context_images` rejected the
@@ -107,7 +107,8 @@ def detect_context_corruption(spec: FaultSpec) -> tuple[bool, int]:
         raise FaultSpecError(
             f"detect_context_corruption got a {spec.kind.value} spec"
         )
-    model = compile_beam_model()
+    # HilConfig's default: one bunch, pipelined, on the default fabric.
+    model = compile_beam_model(n_bunches=1)
     clean = verify_context_images(model.images, model.graph, model.schedule.fabric)
     if not clean.ok:
         raise FaultSpecError(

@@ -2,12 +2,15 @@
 
 ``framework`` is the sample-accurate FPGA top level of Fig. 3 (ADC →
 ring buffers → detectors → CGRA → Gauss pulse generator → DAC);
-``simulator`` is the full closed-loop bench of Fig. 4, including the
-revolution-level fast path used for second-scale runs; ``softcore`` is
-the SpartanMC-style parameter/monitoring interface; ``realtime`` and
-``jitter`` provide the deadline accounting and the timing models behind
-the paper's "software is too jittery, the CGRA is deterministic"
-argument.
+``simulator`` is the full closed-loop bench of Fig. 4 at revolution
+level, used for second-scale runs: one loop in host floats, or one
+lockstep lane per entry of a tuple ``jump_deg`` for sweeps and the fault
+campaign; ``closed_loop`` is the sample-accurate closed loop;
+``batch`` keeps two names the repository benchmark reaches by path;
+``softcore`` is the SpartanMC-style parameter/monitoring interface;
+``realtime`` and ``jitter`` provide the deadline accounting and the
+timing models behind the paper's "software is too jittery, the CGRA is
+deterministic" argument.
 """
 
 from repro.hil.jitter import CgraTimingModel, SoftwareTimingModel, TimingSample
@@ -15,7 +18,6 @@ from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.hil.softcore import ParameterInterface, DramRecorder
 from repro.hil.framework import FpgaFramework, FrameworkConfig
 from repro.hil.simulator import CavityInTheLoop, HilConfig, HilRunResult
-from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig, BatchHilRunResult
 from repro.hil.closed_loop import (
     SampleAccurateBench,
     SampleAccurateBenchConfig,
@@ -35,9 +37,6 @@ __all__ = [
     "CavityInTheLoop",
     "HilConfig",
     "HilRunResult",
-    "BatchedCavityInTheLoop",
-    "BatchHilConfig",
-    "BatchHilRunResult",
     "SampleAccurateBench",
     "SampleAccurateBenchConfig",
     "SampleAccurateRun",

@@ -1,7 +1,6 @@
 """Checks of the scenario fields the bench configurations share.
 
 :class:`~repro.hil.simulator.HilConfig`,
-:class:`~repro.hil.batch.BatchHilConfig`,
 :class:`~repro.hil.closed_loop.SampleAccurateBenchConfig` and
 :class:`~repro.baselines.offline_tracker.MachineExperimentConfig` describe
 one MDE scenario — revolution and synchrotron frequencies, harmonic, the
@@ -29,17 +28,16 @@ BENCH_ADC_BITS = 14
 #: Fields that must be finite; a tuple field is checked entry by entry.
 _FINITE = ("revolution_frequency", "synchrotron_frequency", "jump_deg",
            "jump_toggle_period", "jump_start_time", "initial_delta_t")
+#: What the entries of a tuple field stand for, in either bench mode.
+_ENTRY = {"jump_deg": "lane", "initial_delta_t": "bunch"}
 _POSITIVE = ("revolution_frequency", "synchrotron_frequency", "jump_toggle_period")
 
 
-def check_scenario(config, entry: str = "bunch") -> None:
+def check_scenario(config) -> None:
     """Raise :class:`ConfigurationError` for the first shared field of
     ``config`` out of its range; a field ``config`` does not have is
     skipped.  Faults the bench cannot arm raise
     :class:`~repro.errors.FaultSpecError`.
-
-    ``entry`` names what the entries of a tuple field stand for in the
-    message: bunches on the scalar benches, lanes on the batched one.
     """
     # NaN passes every sign check below, so finiteness comes first.
     for name in _FINITE:
@@ -48,7 +46,7 @@ def check_scenario(config, entry: str = "bunch") -> None:
             for i, v in enumerate(value):
                 if not math.isfinite(v):
                     raise ConfigurationError(
-                        f"{name} of {entry} {i} must be finite, got {v!r}"
+                        f"{name} of {_ENTRY[name]} {i} must be finite, got {v!r}"
                     )
         elif value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
@@ -80,7 +78,7 @@ def check_scenario(config, entry: str = "bunch") -> None:
             raise ConfigurationError(
                 f"faults must be FaultSpec instances, got {type(s).__name__}"
             )
-    # A batched config has one lane per jump amplitude, a scalar one lane.
+    # A lane config has one lane per jump amplitude, one loop lane 0 only.
     check_fault_bounds(
         faults, batch=getattr(config, "batch", None), adc_bits=BENCH_ADC_BITS
     )

@@ -155,7 +155,7 @@ class TestEndToEndOutcomes:
             FaultSpec(kind=FaultKind.DDS_PHASE_GLITCH, magnitude=math.pi / 2,
                       onset_time=0.02, duration=0.02),
         ]
-        times, phase, _, _ = run_fault_lanes((None, *severe), 0.08)
+        times, phase, _ = run_fault_lanes((None, *severe), 0.08)
         for lane, spec in enumerate(severe, start=1):
             report = classify_trace(times, phase[:, lane], phase[:, 0], spec)
             assert report.outcome is Outcome.UNSTABLE, spec.kind
@@ -176,7 +176,7 @@ class TestEndToEndOutcomes:
     def test_fault_lanes_report_the_revolutions_they_ran(self):
         from repro.faults.engine import run_fault_lanes
 
-        times, _, n_turns, _ = run_fault_lanes((None,), 0.001, record_every=8)
+        times, _, n_turns = run_fault_lanes((None,), 0.001, record_every=8)
         assert len(times) == 101
         assert n_turns == 800
 
@@ -236,6 +236,13 @@ class TestContainment:
         )
         for got, want in zip(result.csv_columns(), clean.csv_columns(), strict=True):
             np.testing.assert_array_equal(got, want)
+        # The reason the shard failed reaches the result and its summary.
+        assert result.failures == (
+            "shard 0 (flaky_shard): RuntimeError: poisoned shard",
+        )
+        lines = result.summary_lines()
+        retried_at = next(i for i, line in enumerate(lines) if line.startswith("retried"))
+        assert lines[retried_at + 1] == f"failed: {result.failures[0]}"
 
     def test_scenario_failing_retry_classifies_failed(self, monkeypatch):
         import repro.faults.campaign as campaign_mod
@@ -257,6 +264,9 @@ class TestContainment:
         report = result.reports[poisoned]
         assert report.outcome is Outcome.FAILED
         assert math.isnan(report.settle_s)
+        # The shard and the lane's own retry each say why they failed.
+        assert len(result.failures) == 2
+        assert all(line.endswith("RuntimeError: always fails") for line in result.failures)
         # Shard-mates of the poisoned scenario still classified.
         others = [
             r
@@ -281,6 +291,10 @@ class TestContainment:
             assert math.isnan(report.settle_s)
             assert math.isnan(report.max_excursion_deg)
             assert math.isnan(report.final_error_deg)
+        assert result.failures == tuple(
+            f"detection {spec.label}: RuntimeError: verifier down"
+            for spec in result.scenarios if spec.kind not in LOOP_KINDS
+        )
 
     def test_baseline_failure_raises(self, monkeypatch):
         import repro.faults.campaign as campaign_mod

@@ -28,8 +28,7 @@ from repro.faults.inject import (
     corrupt_context_images,
 )
 from repro.faults.spec import MAGNITUDE_WINDOWS, FaultKind, FaultSpec
-from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
-from repro.hil.simulator import CavityInTheLoop
+from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.signal.adc import ADC
 
 
@@ -52,7 +51,7 @@ def _batch_config(batch, faults=(), duration_unused=None, **overrides):
         faults=tuple(faults),
     )
     kwargs.update(overrides)
-    return BatchHilConfig(**kwargs)
+    return HilConfig(**kwargs)
 
 
 class TestFaultProgramChannels:
@@ -393,13 +392,13 @@ class TestBitIdentity:
         )
 
     def test_batched_fault_isolated_to_target_lane(self):
-        clean = BatchedCavityInTheLoop(_batch_config(4)).run(self.DURATION)
+        clean = CavityInTheLoop(_batch_config(4)).run(self.DURATION)
         specs = (
             _spec(magnitude=0.5, onset=0.001, target=2),
             _spec(kind=FaultKind.ADC_STUCK_BIT, magnitude=8.0, onset=0.001,
                   target=2),
         )
-        faulted = BatchedCavityInTheLoop(_batch_config(4, faults=specs)).run(
+        faulted = CavityInTheLoop(_batch_config(4, faults=specs)).run(
             self.DURATION
         )
         for lane in (0, 1, 3):
@@ -432,7 +431,7 @@ class TestEngineParityUnderFault:
             mde.bench_config(engine="cgra", precision="single", record_every=1,
                              faults=specs)
         ).run(0.003)
-        batched = BatchedCavityInTheLoop(
+        batched = CavityInTheLoop(
             _batch_config(1, faults=specs, record_every=1)
         ).run(0.003)
         assert len(scalar.time) == 2401

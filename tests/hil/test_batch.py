@@ -1,12 +1,12 @@
-"""Batched HIL bench vs per-lane scalar runs.
+"""The bench's lanes vs one-loop runs of the same class.
 
-The batched bench advances B full closed loops with one compiled
-program.  Its contract: each lane evolves exactly as a scalar
-``CavityInTheLoop(engine="cgra")`` run — the cycle-accurate interpreter
-— with that lane's jump amplitude (same quantisation).  The model math
-is bit-exact per lane; the analytic ``np.sin`` sensors match
-``math.sin`` on this platform, so the traces compare with exact
-equality here — fall back to allclose only if a platform's libm
+A tuple ``jump_deg`` advances B full closed loops with one compiled
+program.  Its contract: each lane evolves exactly as a one-loop
+``CavityInTheLoop`` run with that lane's jump amplitude (same
+quantisation), and the interpreter (``engine="cgra"``) stays the
+oracle.  The model math is bit-exact per lane; the analytic ``np.sin``
+sensors match ``math.sin`` on this platform, so the traces compare with
+exact equality here — fall back to allclose only if a platform's libm
 disagrees (see docs/PERFORMANCE.md).
 """
 
@@ -20,8 +20,8 @@ import pytest
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, FaultSpecError, HilError
 from repro.faults.spec import FaultKind, FaultSpec
-from repro.hil import BatchHilConfig, BatchedCavityInTheLoop, CavityInTheLoop, HilConfig
-from repro.hil.batch import _VectorControlLoop
+from repro.hil import CavityInTheLoop, HilConfig
+from repro.hil.simulator import _VectorControlLoop
 from repro.physics import KNOWN_IONS, SIS18
 
 ION = KNOWN_IONS["14N7+"]
@@ -102,7 +102,7 @@ def _batch_config(**overrides):
         record_every=4,
     )
     defaults.update(overrides)
-    return BatchHilConfig(**defaults)
+    return HilConfig(**defaults)
 
 
 def _scalar_config(jump_deg, **overrides):
@@ -118,21 +118,39 @@ def _scalar_config(jump_deg, **overrides):
     return HilConfig(**defaults)
 
 
+def _assert_lanes_match_loops(duration=0.02, **overrides):
+    """Run ``AMPS`` as lanes, then each amplitude as one loop with the
+    same ``overrides``; every lane must match its loop bit for bit."""
+    batched = CavityInTheLoop(_batch_config(**overrides)).run(duration)
+    assert (batched.engine, batched.batch) == ("batched", len(AMPS))
+    for lane, amp in enumerate(AMPS):
+        scalar = CavityInTheLoop(_scalar_config(amp, **overrides)).run(duration)
+        assert (scalar.batch, scalar.n_turns) == (1, batched.n_turns)
+        assert np.array_equal(batched.time, scalar.time)
+        for name in ("phase_deg", "correction_deg", "jump_deg",
+                     "delta_t", "gamma_ref"):
+            got = getattr(batched, name)[:, lane]
+            want = getattr(scalar, name)
+            assert np.array_equal(got, want), f"{name} lane {lane} diverged"
+        assert np.array_equal(batched.delta_t_all[:, lane, :],
+                              scalar.delta_t_all)
+
+
 class TestBatchedHil:
     def test_lanes_match_scalar_runs(self):
-        duration = 0.02
-        batched = BatchedCavityInTheLoop(_batch_config()).run(duration)
-        assert batched.batch == len(AMPS)
-        for lane, amp in enumerate(AMPS):
-            scalar = CavityInTheLoop(_scalar_config(amp)).run(duration)
-            assert np.array_equal(batched.time, scalar.time)
-            for name in ("phase_deg", "correction_deg", "jump_deg",
-                         "delta_t", "gamma_ref"):
-                got = getattr(batched, name)[:, lane]
-                want = getattr(scalar, name)
-                assert np.array_equal(got, want), f"{name} lane {lane} diverged"
-            assert np.array_equal(batched.delta_t_all[:, lane, :],
-                                  scalar.delta_t_all)
+        """Against the interpreter, the bit-exactness oracle."""
+        _assert_lanes_match_loops()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(dual_harmonic_ratio=0.25),
+        dict(n_bunches=2, initial_delta_t=(4e-9, -7e-9), control_source="mean"),
+    ], ids=["dual_harmonic", "two_bunches_mean"])
+    def test_lanes_match_python_engine_runs(self, overrides):
+        """The fields the lanes share with one loop mean the same in
+        both: the dual-harmonic gap, per-bunch offsets and the mean
+        detector.  ``engine="python"`` is pinned to the interpreter by
+        ``test_generated_step_matches_interpreter``."""
+        _assert_lanes_match_loops(engine="python", **overrides)
 
     @pytest.mark.parametrize("control_source", ["bunch0", "mean"])
     def test_driven_loop_digests(self, control_source):
@@ -141,7 +159,7 @@ class TestBatchedHil:
         a per-turn reference loop still existed and matched this run bit
         for bit; ``"mean"`` takes the other branch of the control update
         and of the phase record."""
-        bench = BatchedCavityInTheLoop(
+        bench = CavityInTheLoop(
             _batch_config(n_bunches=2, record_every=3, control_source=control_source)
         )
         result = bench.run(0.004)
@@ -155,7 +173,7 @@ class TestBatchedHil:
 
     def test_control_damps_every_lane(self):
         cfg = _batch_config(jump_deg=(6.0, 10.0), jump_start_time=0.001)
-        res = BatchedCavityInTheLoop(cfg).run(0.04)
+        res = CavityInTheLoop(cfg).run(0.04)
         # After the jump, the loop steers the measured phase toward the
         # commanded shift in every lane (settled |phase - jump| small
         # relative to the jump itself).
@@ -165,40 +183,46 @@ class TestBatchedHil:
             assert err.mean() < 0.4 * cfg.jump_deg[lane]
 
     def test_initial_delta_t_per_lane(self):
+        """``initial_delta_t`` holds one offset per bunch, and every lane
+        starts from the same offsets."""
         initial = (1e-8, -1e-8, 0.0)
         cfg = _batch_config(
-            jump_deg=(0.0, 0.0, 0.0),  # no drive: only the injection error acts
+            jump_deg=(0.0, 0.0),  # no drive: only the injection errors act
+            n_bunches=3,
             control=ControlLoopConfig(sample_rate=800e3, enabled=False),
             initial_delta_t=initial,
         )
-        bench = BatchedCavityInTheLoop(cfg)
-        assert np.allclose(
-            bench._executor.register_of("dt[0]"),
-            np.asarray(initial, dtype=np.float32).astype(float),
-        )
+        bench = CavityInTheLoop(cfg)
+        for i, offset in enumerate(initial):
+            assert np.array_equal(bench._executor.register_of(f"dt[{i}]"),
+                                  np.full(2, np.float32(offset)))
         res = bench.run(0.01)
-        # Undriven lane stays put; offset lanes oscillate.
-        assert np.ptp(res.delta_t[:, 0]) > np.ptp(res.delta_t[:, 2])
+        assert np.array_equal(res.delta_t_all[0], [initial, initial])
+        assert np.array_equal(res.delta_t_all[:, 0], res.delta_t_all[:, 1])
+        # Undriven bunch stays put; offset bunches oscillate.
+        assert np.ptp(res.delta_t_all[:, 0, 0]) > np.ptp(res.delta_t_all[:, 0, 2])
 
     def test_multibunch_lockstep(self):
         cfg = _batch_config(jump_deg=(5.0, 9.0), n_bunches=2)
-        res = BatchedCavityInTheLoop(cfg).run(0.005)
+        res = CavityInTheLoop(cfg).run(0.005)
         assert res.delta_t_all.shape == (len(res.time), 2, 2)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             _batch_config(jump_deg=())
-        with pytest.raises(ConfigurationError):
-            _batch_config(initial_delta_t=(1e-8,))  # lane count mismatch
+        with pytest.raises(ConfigurationError, match="initial_delta_t needs 1 entries"):
+            _batch_config(initial_delta_t=(1e-8, 1e-8))  # bunch count mismatch
+        with pytest.raises(ConfigurationError, match="engine='cgra' needs a float jump_deg"):
+            _batch_config(engine="cgra")
         with pytest.raises(ConfigurationError):
             _batch_config(control_source="median")
         with pytest.raises(ConfigurationError):
             _batch_config(record_every=0)
         with pytest.raises(ConfigurationError):
-            BatchedCavityInTheLoop(
+            CavityInTheLoop(
                 _batch_config(control=ControlLoopConfig(sample_rate=1e6))
             )
-        bench = BatchedCavityInTheLoop(_batch_config())
+        bench = CavityInTheLoop(_batch_config())
         for duration in (0.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(HilError, match="duration must be"):
                 bench.run(duration)
@@ -208,9 +232,12 @@ class TestBatchedHil:
                                        "jump_toggle_period", "jump_start_time",
                                        "jump_deg", "initial_delta_t"])
     def test_non_finite_values_rejected(self, field, value):
-        if field in ("jump_deg", "initial_delta_t"):
+        if field == "jump_deg":
             overrides = {field: (0.0, value, 0.0)}  # lane 1 of three
-            match = f"{field} of lane 1 must be finite"
+            match = "jump_deg of lane 1 must be finite"
+        elif field == "initial_delta_t":
+            overrides = dict(n_bunches=3, initial_delta_t=(0.0, value, 0.0))
+            match = "initial_delta_t of bunch 1 must be finite"
         else:
             overrides = {field: value}
             match = f"{field} must be finite"
@@ -265,7 +292,7 @@ class TestSensorHandlerContract:
     @pytest.mark.parametrize("faulted", [False, True])
     @pytest.mark.parametrize("quantize_adc", [True, False])
     def test_finite_addresses_give_finite_reads(self, quantize_adc, faulted):
-        bench = BatchedCavityInTheLoop(
+        bench = CavityInTheLoop(
             _batch_config(quantize_adc=quantize_adc, faults=self.FAULTS if faulted else ())
         )
         if faulted:
@@ -273,7 +300,7 @@ class TestSensorHandlerContract:
             assert bench._faults.active and bench._faults.stuck_any
         magnitudes = (0.0, 1.0, 12345.678, 1e9, 1e15, 1e100, 1e200, 1e300)
         addresses = [sign * m for m in magnitudes for sign in (1.0, -1.0)]
-        handlers = (bench._ref_adc_voltage, bench._gap_adc_voltage)
+        handlers = (bench._signals.ref_adc_voltage, bench._signals.gap_adc_voltage)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for addr in addresses:
                 lanes = np.array([addr, -addr, addr / 3.0])

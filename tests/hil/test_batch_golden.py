@@ -1,6 +1,6 @@
-"""Golden digests of the batched closed loop.
+"""Golden digests of the bench's lockstep lanes.
 
-Pins the sha256 of every array of :class:`BatchHilRunResult` for two
+Pins the sha256 of every array of a lane run's :class:`HilRunResult` for two
 fixed runs: an 8-lane jump-amplitude sweep and an 8-lane
 ``run_fault_lanes`` mix with every loop-fault kind at its most severe
 rung (plus one unfaulted lane).  The digests were recorded with the
@@ -22,7 +22,7 @@ from repro.faults.campaign import MAGNITUDE_LADDER
 from repro.faults.engine import run_fault_lanes
 from repro.faults.inject import LOOP_KINDS
 from repro.faults.spec import FaultKind, FaultSpec
-from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
+from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.physics import KNOWN_IONS, SIS18
 
 FIELDS = ("time", "phase_deg", "correction_deg", "jump_deg", "delta_t",
@@ -101,12 +101,12 @@ def _assert_digests(result, expected: dict) -> None:
 
 
 def test_sweep_digests():
-    config = BatchHilConfig(
+    config = HilConfig(
         ring=SIS18,
         ion=KNOWN_IONS["14N7+"],
         jump_deg=tuple(float(a) for a in np.linspace(2.0, 12.0, 8)),
     )
-    _assert_digests(BatchedCavityInTheLoop(config).run(0.02), SWEEP)
+    _assert_digests(CavityInTheLoop(config).run(0.02), SWEEP)
 
 
 def test_fault_mix_digests(monkeypatch):
@@ -119,13 +119,13 @@ def test_fault_mix_digests(monkeypatch):
     ]
     # run_fault_lanes returns only time and phase; capture the full result.
     results = []
-    run = BatchedCavityInTheLoop.run
+    run = CavityInTheLoop.run
 
     def capture(self, duration):
         results.append(run(self, duration))
         return results[-1]
 
-    monkeypatch.setattr(BatchedCavityInTheLoop, "run", capture)
+    monkeypatch.setattr(CavityInTheLoop, "run", capture)
     run_fault_lanes((*specs, None), 0.02)
     (result,) = results
     _assert_digests(result, FAULT_MIX)

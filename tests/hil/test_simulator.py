@@ -206,12 +206,14 @@ class TestRunBehaviour:
         res = CavityInTheLoop(config()).run(0.02)
         assert np.abs(res.correction_deg).max() < 60.0
 
-    @pytest.mark.parametrize("engine", ["python", "cgra"])
-    def test_finished_bench_needs_no_cycle_collector(self, engine):
+    @pytest.mark.parametrize("overrides", [
+        dict(engine="python"), dict(engine="cgra"), dict(jump_deg=(4.0, 8.0)),
+    ], ids=["python", "cgra", "lanes"])
+    def test_finished_bench_needs_no_cycle_collector(self, overrides):
         """The sensor bus holds no reference back to the bench: a cycle
         would keep every finished bench, and its per-revolution deadline
         record, alive until the cyclic collector ran."""
-        sim = CavityInTheLoop(config(engine=engine))
+        sim = CavityInTheLoop(config(**overrides))
         sim.run(0.0005)
         ref = weakref.ref(sim)
         was_enabled = gc.isenabled()

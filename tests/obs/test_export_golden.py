@@ -40,13 +40,13 @@ def _fig5a():
 
 
 def _sweep():
-    from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
+    from repro.hil.simulator import CavityInTheLoop, HilConfig
 
-    config = BatchHilConfig(
+    config = HilConfig(
         ring=SIS18, ion=KNOWN_IONS["14N7+"],
         jump_deg=tuple(float(a) for a in np.linspace(2.0, 12.0, 8)),
     )
-    BatchedCavityInTheLoop(config).run(0.005)
+    CavityInTheLoop(config).run(0.005)
 
 
 def _fault_shard():

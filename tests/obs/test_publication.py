@@ -24,10 +24,9 @@ from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import RealTimeViolation
 from repro.experiments.mde import bench_config
 from repro.faults.spec import FaultKind, FaultSpec
-from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
 from repro.hil.closed_loop import SampleAccurateBench, SampleAccurateBenchConfig
 from repro.hil.realtime import DeadlineMonitor
-from repro.hil.simulator import CavityInTheLoop
+from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.obs.registry import Counter, Gauge, Histogram
 from repro.physics import KNOWN_IONS, SIS18
 from repro.signal.adc import ADC
@@ -227,7 +226,7 @@ class TestRunOwner:
     def test_batched_bench_publishes_both_adc_legs(self, enabled):
         base = bench_config()
         lanes = 4
-        bench = BatchedCavityInTheLoop(BatchHilConfig(
+        bench = CavityInTheLoop(HilConfig(
             ring=base.ring, ion=base.ion, jump_deg=(8.0,) * lanes,
             record_every=8,
         ))
@@ -265,7 +264,7 @@ def registry_writes(monkeypatch):
 
 def _batched(faults=()):
     base = bench_config()
-    return BatchedCavityInTheLoop(BatchHilConfig(
+    return CavityInTheLoop(HilConfig(
         ring=base.ring, ion=base.ion, jump_deg=(4.0, 8.0, 8.0, 12.0),
         record_every=8, faults=faults,
     ))
