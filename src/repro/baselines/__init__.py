@@ -17,12 +17,11 @@ from repro.baselines.offline_tracker import (
     MachineExperimentEmulator,
     MachineRunResult,
 )
-from repro.baselines.fpga_direct import DirectFpgaFlow, turnaround_comparison
+from repro.baselines.fpga_direct import DirectFpgaFlow
 
 __all__ = [
     "MachineExperimentConfig",
     "MachineExperimentEmulator",
     "MachineRunResult",
     "DirectFpgaFlow",
-    "turnaround_comparison",
 ]

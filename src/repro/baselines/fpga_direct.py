@@ -9,18 +9,17 @@ FPGA synthesis that can easily take hours)."
 
 :class:`DirectFpgaFlow` is a coarse synthesis-time model (documented
 constants, calibrated to typical Vivado runs for mid-size Virtex-7
-designs); :func:`turnaround_comparison` pits it against the *measured*
-wall-clock of our CGRA tool flow — E8's table.
+designs); E8's table (:mod:`repro.experiments.reconfig`) pits it against
+the *measured* wall-clock of our CGRA tool flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cgra.models import CompiledModel
 from repro.errors import ConfigurationError
 
-__all__ = ["DirectFpgaFlow", "TurnaroundRow", "turnaround_comparison"]
+__all__ = ["DirectFpgaFlow"]
 
 
 @dataclass(frozen=True)
@@ -43,37 +42,3 @@ class DirectFpgaFlow:
         if design_kluts <= 0:
             raise ConfigurationError("design size must be positive")
         return 60.0 * (self.base_minutes + self.minutes_per_kluts * design_kluts)
-
-
-@dataclass(frozen=True)
-class TurnaroundRow:
-    """One row of the E8 comparison table."""
-
-    flow: str
-    turnaround_seconds: float
-    produces: str
-
-
-def turnaround_comparison(
-    model: CompiledModel,
-    fpga: DirectFpgaFlow | None = None,
-    design_kluts: float = 180.0,
-) -> list[TurnaroundRow]:
-    """Build the model-change turnaround table (E8).
-
-    ``design_kluts`` defaults to a plausible utilisation of the paper's
-    framework + CGRA on the VC707's 485k-LUT part.
-    """
-    fpga = fpga if fpga is not None else DirectFpgaFlow()
-    return [
-        TurnaroundRow(
-            flow="CGRA overlay (measured: parse + schedule + contexts)",
-            turnaround_seconds=model.compile_seconds,
-            produces="context memories (bitstream insert, no synthesis)",
-        ),
-        TurnaroundRow(
-            flow="direct FPGA implementation (modelled synthesis + P&R)",
-            turnaround_seconds=fpga.synthesis_seconds(design_kluts),
-            produces="full bitstream",
-        ),
-    ]

@@ -171,17 +171,6 @@ class CgraFabric:
         """The PE wired to the SensorAccess module."""
         return self.config.io_pe
 
-    def add_link(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        """Add an extra interconnect link (configurable interconnect)."""
-        try:
-            known = a in self._links and b in self._links
-        except TypeError:  # an unhashable endpoint is no PE either
-            known = False
-        if not known:
-            raise ConfigurationError(f"link endpoints {a}, {b} must be PEs")
-        self._link(a, b)
-        self._distance = _hop_distances(self._links)
-
     def supports(self, pe: tuple[int, int], op: Op) -> bool:
         """Whether a PE can execute an operation."""
         return op in self.capabilities[pe]

@@ -12,16 +12,17 @@ revolution frequencies of ≈ 1.12 MHz or ... ≈ 1.19 MHz respectively."
 
 That is simply ``f_rev_max = f_CGRA / schedule_length``; this module
 computes it and models the two clock domains of the design (250 MHz
-system / 111 MHz CGRA).
+system / 111 MHz CGRA).  The per-revolution check of the same budget
+during a run is :class:`repro.hil.realtime.DeadlineMonitor`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, RealTimeViolation
+from repro.errors import ConfigurationError
 
-__all__ = ["ClockDomain", "max_revolution_frequency", "ticks_available", "check_deadline"]
+__all__ = ["ClockDomain", "max_revolution_frequency"]
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,6 @@ class ClockDomain:
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0.0:
             raise ConfigurationError(f"clock {self.name!r} must have positive frequency")
-
-    @property
-    def period_s(self) -> float:
-        """Clock period in seconds."""
-        return 1.0 / self.frequency_hz
-
-    def ticks_in(self, duration_s: float) -> float:
-        """Number of (fractional) ticks in a time span."""
-        return duration_s * self.frequency_hz
 
 
 #: The framework's 250 MHz system/sample clock.
@@ -60,33 +52,3 @@ def max_revolution_frequency(schedule_length_ticks: int, cgra_clock: ClockDomain
     if schedule_length_ticks <= 0:
         raise ConfigurationError("schedule length must be positive")
     return cgra_clock.frequency_hz / schedule_length_ticks
-
-
-def ticks_available(f_rev: float, cgra_clock: ClockDomain = CGRA_CLOCK) -> float:
-    """CGRA ticks available per revolution at revolution frequency ``f_rev``."""
-    if f_rev <= 0.0:
-        raise ConfigurationError("revolution frequency must be positive")
-    return cgra_clock.frequency_hz / f_rev
-
-
-def check_deadline(
-    schedule_length_ticks: int,
-    f_rev: float,
-    cgra_clock: ClockDomain = CGRA_CLOCK,
-    raise_on_miss: bool = True,
-) -> float:
-    """Slack in ticks for one iteration at revolution frequency ``f_rev``.
-
-    Positive slack means the deadline is met.  With ``raise_on_miss``
-    (default) a negative slack raises
-    :class:`~repro.errors.RealTimeViolation` — the HIL bench refuses to
-    pretend it is real-time capable when it is not.
-    """
-    slack = ticks_available(f_rev, cgra_clock) - schedule_length_ticks
-    if slack < 0.0 and raise_on_miss:
-        raise RealTimeViolation(
-            f"schedule of {schedule_length_ticks} ticks misses the "
-            f"{ticks_available(f_rev, cgra_clock):.1f}-tick budget at "
-            f"f_rev={f_rev:.3e} Hz (slack {slack:.1f} ticks)"
-        )
-    return slack

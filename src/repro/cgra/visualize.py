@@ -9,10 +9,9 @@ bites, and how long the tail of the critical path is.  Used by the
 
 from __future__ import annotations
 
-from repro.cgra.modulo import ModuloSchedule
 from repro.cgra.scheduler import ListScheduler, Schedule
 
-__all__ = ["render_schedule", "render_modulo_kernel", "utilisation_bars"]
+__all__ = ["render_schedule", "utilisation_bars"]
 
 #: One letter per op family for the Gantt cells.
 _OP_LETTER = {
@@ -59,40 +58,6 @@ def render_schedule(schedule: Schedule, max_width: int = 160) -> str:
         "legend: +-*/ arithmetic, r sqrt, S/A sensor reads, W actuator "
         "write, ? select; io = SensorAccess PE, hv = div/sqrt-capable"
     )
-    return "\n".join(lines)
-
-
-def render_modulo_kernel(schedule: ModuloSchedule, max_width: int = 160) -> str:
-    """Steady-state kernel of a modulo schedule: one II window per PE."""
-    ii = schedule.ii
-    step = max(1, -(-ii // max_width))
-    columns = -(-ii // step)
-    lines = [
-        f"modulo kernel: II = {ii} ticks "
-        f"(ResMII {schedule.res_mii}, RecMII {schedule.rec_mii}, "
-        f"{schedule.stage_count} overlapped iterations)"
-    ]
-    latencies = schedule.fabric.config.latencies
-    by_pe: dict[tuple[int, int], list[tuple[int, str, int]]] = {}
-    for nid, (pe, start) in schedule.ops.items():
-        node = schedule.graph.node(nid)
-        occupancy = (
-            ListScheduler.IO_ISSUE_TICKS if node.is_io()
-            else max(1, latencies.of(node.op))
-        )
-        letter = _OP_LETTER.get(node.op.value, "x")
-        by_pe.setdefault(pe, []).append((start, letter, occupancy))
-    for pe in schedule.fabric.pes:
-        row = ["."] * columns
-        for start, letter, occupancy in by_pe.get(pe, []):
-            for k in range(occupancy):
-                col = ((start + k) % ii) // step
-                if col < columns:
-                    row[col] = letter
-        marker = " io" if pe == schedule.fabric.io_pe else (
-            " hv" if pe in schedule.fabric.heavy_pes else "   "
-        )
-        lines.append(f"PE{pe[0]},{pe[1]}{marker} |{''.join(row)}|")
     return "\n".join(lines)
 
 

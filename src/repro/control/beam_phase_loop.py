@@ -63,18 +63,16 @@ class ControlLoopConfig:
     #: reaches ≈ 2× the jump amplitude and the oscillation settles well
     #: within the 50 ms inter-jump window (see EXPERIMENTS.md, E5).
     gain_scale: float = 0.02
-    #: Control updates per second (once per revolution in the bench).
+    #: Control updates per second: the loop runs once per revolution,
+    #: so this is the revolution frequency, and the filter is clocked
+    #: at it.
     sample_rate: float = 800e3
-    #: Run the loop every N-th revolution (1 = every revolution).
-    update_divider: int = 1
     #: Correction saturation in degrees (|u| clip); None disables.
     saturation_deg: float | None = 60.0
     #: Master enable — disabled loops output 0 (open-loop studies).
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.update_divider < 1:
-            raise ConfigurationError("update_divider must be >= 1")
         if self.gain_scale <= 0.0:
             raise ConfigurationError("gain_scale must be positive")
         if self.saturation_deg is not None and self.saturation_deg <= 0.0:
@@ -103,9 +101,8 @@ class BeamPhaseControlLoop:
             f_pass=config.f_pass,
             gain=config.gain * config.gain_scale,
             recursion_factor=config.recursion_factor,
-            sample_rate=config.sample_rate / config.update_divider,
+            sample_rate=config.sample_rate,
         )
-        self._tick = 0
         self._last_output = 0.0
         self._last_input = 0.0
         #: Number of updates that hit the saturation limit.
@@ -119,29 +116,16 @@ class BeamPhaseControlLoop:
         """Most recent correction, in degrees."""
         return self._last_output
 
-    def reset(self) -> None:
-        """Clear the filter and output state."""
-        self._filter.reset()
-        self._tick = 0
-        self._last_output = 0.0
-        self.saturation_count = 0
-
     def update(self, measured_phase_deg: float) -> float:
         """Feed one phase measurement; returns the current correction.
 
-        Honors ``update_divider`` (measurements between updates are
-        skipped, holding the previous output, as a decimating DSP would)
-        and ``enabled``.  Registry telemetry waits for :meth:`publish`;
-        only a saturation emits its ``control.saturated`` trace event
-        here, while tracing is on.
+        A disabled loop (``enabled=False``) returns 0.  Registry
+        telemetry waits for :meth:`publish`; only a saturation emits its
+        ``control.saturated`` trace event here, while tracing is on.
         """
         if not self.config.enabled:
             self._last_output = 0.0
             return 0.0
-        run_now = (self._tick % self.config.update_divider) == 0
-        self._tick += 1
-        if not run_now:
-            return self._last_output
         u = self._filter.step(float(measured_phase_deg))
         self._updates += 1
         limit = self.config.saturation_deg

@@ -308,7 +308,7 @@ def _dual(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
 
 
 def _sweep(out: Path, quick: bool, pool: WorkerPool, batch: int, **_) -> list[str]:
-    from repro.experiments.sweep import SWEEP_CHUNK, plan_sweep, run_sweep_shard
+    from repro.experiments.sweep import plan_sweep, run_sweep_shard
 
     amps = np.linspace(2.0, 12.0, batch)
     duration = 0.06 if quick else 0.20
@@ -331,7 +331,8 @@ def _sweep(out: Path, quick: bool, pool: WorkerPool, batch: int, **_) -> list[st
     lines = [
         f"{batch} lanes x {n_turns} turns in {elapsed:.1f}s "
         f"({rate / 1e3:.0f}k lane-iterations/s, "
-        f"{len(shards)} shard(s) of {SWEEP_CHUNK} lanes, "
+        f"{len(tasks)} shard(s) of "
+        f"{'+'.join(str(len(task.amps)) for task in tasks)} lanes, "
         f"jobs={pool.jobs})",
     ]
     if np.isfinite(f_s).any():

@@ -64,19 +64,18 @@ class SweepShardResult:
 def plan_sweep(
     amps: np.ndarray,
     duration: float,
-    chunk: int = SWEEP_CHUNK,
     keep_trace: bool = False,
 ) -> list[SweepTask]:
-    """Chunk an amplitude scan into fixed-size shard tasks."""
+    """Chunk an amplitude scan into ``SWEEP_CHUNK``-lane shard tasks."""
     amps = np.asarray(amps, dtype=float)
     return [
         SweepTask(
             offset=start,
-            amps=tuple(float(a) for a in amps[start : start + chunk]),
+            amps=tuple(float(a) for a in amps[start : start + SWEEP_CHUNK]),
             duration=float(duration),
             keep_trace=keep_trace,
         )
-        for start in range(0, amps.size, chunk)
+        for start in range(0, amps.size, SWEEP_CHUNK)
     ]
 
 

@@ -375,9 +375,15 @@ def run_campaign(config: CampaignConfig, pool=None) -> CampaignResult:
         raise_on_failures(retry_results[:1], "faults baseline")
     base, base_column = ran[-1]
     baseline_phase = base.phase_deg[:, base_column]
-    failures = [
-        r.failure.summary() for r in results + retry_results if r.failure is not None
-    ]
+    # Each failed task's line names the lanes it carried, not its
+    # position in its map call.
+    failures = []
+    for task, r in zip(tasks + retry_tasks, results + retry_results):
+        if r.failure is not None:
+            lanes = ", ".join("baseline" if s is None else s.label for s in task.specs)
+            failures.append(
+                f"{lanes} ({r.failure.fn}): {r.failure.error_type}: {r.failure.message}"
+            )
 
     failed = StabilityReport(Outcome.FAILED, math.nan, math.nan, math.nan)
     reports: list[StabilityReport] = []

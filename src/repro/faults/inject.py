@@ -54,7 +54,7 @@ Fault transfer model (all on the ADC-volt signals of the Fig. 4 bench):
 ``DDS_PHASE_GLITCH``         gap DDS phase kicked by m radians — an
                              uncommanded jump on the RF the loop must
                              absorb; the accumulator resyncs when the
-                             fault clears (cf. ``DDS.glitch_phase``).
+                             fault clears.
 ``CGRA_CONTEXT_CORRUPTION``  context image entry ``m mod n_entries``
                              corrupted; detection-only (the executor
                              runs off the schedule, the verifier is the

@@ -85,30 +85,20 @@ class StabilityReport:
     #: applicable.
     final_error_deg: float
 
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (obs/report artefacts)."""
-        return {
-            "outcome": self.outcome.name.lower(),
-            "settle_s": self.settle_s,
-            "max_excursion_deg": self.max_excursion_deg,
-            "final_error_deg": self.final_error_deg,
-        }
-
 
 def classify_trace(
     time: np.ndarray,
     phase_deg: np.ndarray,
     baseline_deg: np.ndarray,
     spec: FaultSpec,
-    *,
-    tolerance_deg: float = DEFAULT_TOLERANCE_DEG,
-    unstable_deg: float = DEFAULT_UNSTABLE_DEG,
 ) -> StabilityReport:
     """Classify one faulted phase trace against its unfaulted baseline.
 
     The error signal is the *deviation from baseline* — not the raw
     phase error — so the commanded 8° jump pattern (present in both
-    traces) cancels and the verdict isolates the fault's effect.
+    traces) cancels and the verdict isolates the fault's effect.  The
+    band and the instability threshold are :data:`DEFAULT_TOLERANCE_DEG`
+    and :data:`DEFAULT_UNSTABLE_DEG`.
     """
     time = np.asarray(time, dtype=float)
     err = np.abs(np.asarray(phase_deg, dtype=float) - np.asarray(baseline_deg, dtype=float))
@@ -124,7 +114,7 @@ def classify_trace(
         return StabilityReport(Outcome.UNSTABLE, math.nan, peak, math.nan)
     peak = float(err.max())
     final = float(err[-1])
-    if peak >= unstable_deg:
+    if peak >= DEFAULT_UNSTABLE_DEG:
         return StabilityReport(Outcome.UNSTABLE, math.nan, peak, final)
     # Recovery clock starts when the disturbance stops being applied:
     # clearance for transients, onset for persistent faults (the loop
@@ -132,7 +122,7 @@ def classify_trace(
     ref_time = (
         spec.onset_time + spec.duration if spec.duration is not None else spec.onset_time
     )
-    out_of_band = err > tolerance_deg
+    out_of_band = err > DEFAULT_TOLERANCE_DEG
     if not out_of_band.any():
         return StabilityReport(Outcome.RECOVERED, 0.0, peak, final)
     last_oob = int(np.flatnonzero(out_of_band)[-1])

@@ -61,6 +61,10 @@ from repro.signal.zerocrossing import PeriodLengthDetector
 
 __all__ = ["FrameworkConfig", "FpgaFramework"]
 
+#: Beam pickup pulse: sigma in seconds and peak amplitude in volts.
+PULSE_SIGMA_S = 25e-9
+PULSE_AMPLITUDE = 0.8
+
 _REV_PERIOD = get_registry().gauge(
     "hil_revolution_period_seconds", "most recent measured revolution period"
 )
@@ -99,10 +103,6 @@ class FrameworkConfig:
     pipelined: bool = True
     precision: str = "single"
     cgra_config: CgraConfig = field(default_factory=CgraConfig)
-    #: Beam pickup pulse sigma in seconds.
-    pulse_sigma: float = 25e-9
-    pulse_amplitude: float = 0.8
-    deadline_policy: str = "raise"
 
     def __post_init__(self) -> None:
         if self.harmonic < 1:
@@ -128,9 +128,9 @@ class FpgaFramework:
         self.buffer_gap = RingBuffer(config.ring_buffer_capacity)
         self.period_detector = PeriodLengthDetector(config.sample_rate, average_over=4)
         self.pulse_generator = GaussPulseGenerator(
-            sigma=config.pulse_sigma,
+            sigma=PULSE_SIGMA_S,
             sample_rate=config.sample_rate,
-            amplitude=config.pulse_amplitude,
+            amplitude=PULSE_AMPLITUDE,
         )
         self.model: CompiledModel = compile_beam_model(
             n_bunches=config.n_bunches,
@@ -140,7 +140,6 @@ class FpgaFramework:
         self.deadline = DeadlineMonitor(
             self.model.schedule_length,
             cgra_clock_hz=config.cgra_config.clock_mhz * 1e6,
-            policy=config.deadline_policy,
         )
         # Parameter interface (SpartanMC): runtime-adjustable knobs.
         self.params = ParameterInterface()

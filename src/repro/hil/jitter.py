@@ -137,10 +137,3 @@ class SoftwareTimingModel:
         if n_slow:
             lat[slow] += self.tail_scale * rng.lognormal(0.0, self.tail_sigma, n_slow)
         return lat
-
-    def deadline_miss_rate(self, deadline: float, n: int = 1_000_000, rng: np.random.Generator | None = None) -> float:
-        """Monte-Carlo estimate of P(latency > deadline)."""
-        if deadline <= 0:
-            raise ConfigurationError("deadline must be positive")
-        lat = self.sample(n, rng)
-        return float(np.count_nonzero(lat > deadline)) / n

@@ -4,10 +4,9 @@ The bench's real-time criterion (paper Section IV-B): "the calculation
 must be completed within one period length of the reference sine wave,
 which can be faster than one microsecond".  :class:`DeadlineMonitor`
 checks that criterion for every revolution of a run and accumulates
-slack statistics; by default a miss raises
-:class:`~repro.errors.RealTimeViolation`, because a HIL bench that
-silently overruns its deadline produces wrong physics, not just late
-answers.
+slack statistics; a miss raises :class:`~repro.errors.RealTimeViolation`,
+because a HIL bench that silently overruns its deadline produces wrong
+physics, not just late answers.
 
 Telemetry: the monitor keeps its per-revolution slack record in a typed
 float buffer and writes nothing to the registry per revolution.  The
@@ -15,8 +14,8 @@ run owner calls :meth:`DeadlineMonitor.publish` once at the end of its
 run, which feeds the revolutions checked since the previous publication
 to the ``hil_slack_ticks`` histogram and their misses to
 ``hil_deadline_misses_total`` (no-ops while observability is disabled).
-A miss under the ``"raise"`` policy publishes before it raises, so the
-miss is counted even though the run never reaches its end.
+A miss publishes before it raises, so the miss is counted even though
+the run never reaches its end.
 :meth:`DeadlineMonitor.stats` reports exact p50/p99 slack percentiles
 from the full per-iteration record.
 """
@@ -87,27 +86,24 @@ class DeadlineMonitor:
         Ticks one iteration occupies (from the CGRA schedule).
     cgra_clock_hz:
         Overlay clock.
-    policy:
-        ``"raise"`` (default) raises on the first miss; ``"count"``
-        records misses and keeps going (used by capacity sweeps that
-        probe beyond the real-time limit on purpose).
+
+    The first miss raises :class:`~repro.errors.RealTimeViolation`.  The
+    highest revolution frequency a schedule serves is derived statically
+    (:func:`repro.cgra.timing.max_revolution_frequency`), so no run
+    probes beyond the limit on purpose.
     """
 
     def __init__(
         self,
         schedule_length_ticks: int,
         cgra_clock_hz: float = 111e6,
-        policy: str = "raise",
     ) -> None:
         if schedule_length_ticks <= 0:
             raise ConfigurationError("schedule_length_ticks must be positive")
         if cgra_clock_hz <= 0:
             raise ConfigurationError("cgra_clock_hz must be positive")
-        if policy not in ("raise", "count"):
-            raise ConfigurationError(f"policy must be 'raise' or 'count', got {policy!r}")
         self.schedule_length_ticks = int(schedule_length_ticks)
         self.cgra_clock_hz = float(cgra_clock_hz)
-        self.policy = policy
         self._slacks = array("d")
         self._misses = 0
         # What publish() has already handed to the registry.
@@ -123,13 +119,12 @@ class DeadlineMonitor:
         self._slacks.append(slack)
         if slack < 0:
             self._misses += 1
-            if self.policy == "raise":
-                self.publish()
-                raise RealTimeViolation(
-                    f"iteration needs {self.schedule_length_ticks} ticks but the "
-                    f"revolution budget is {budget:.1f} ticks "
-                    f"(f_rev={1.0 / revolution_period_s:.3e} Hz)"
-                )
+            self.publish()
+            raise RealTimeViolation(
+                f"iteration needs {self.schedule_length_ticks} ticks but the "
+                f"revolution budget is {budget:.1f} ticks "
+                f"(f_rev={1.0 / revolution_period_s:.3e} Hz)"
+            )
         return slack
 
     def publish(self) -> None:

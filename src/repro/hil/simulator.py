@@ -386,8 +386,8 @@ class _VectorControlLoop:
     """Array-valued mirror of :class:`repro.control.BeamPhaseControlLoop`.
 
     Runs B independent control filters in lockstep: identical recurrence,
-    decimation, enable and saturation semantics, with ``saturation_count``
-    totalled across lanes.
+    enable and saturation semantics, with ``saturation_count`` totalled
+    across lanes.
     """
 
     def __init__(self, config: ControlLoopConfig, batch: int) -> None:
@@ -398,7 +398,7 @@ class _VectorControlLoop:
             f_pass=config.f_pass,
             gain=config.gain * config.gain_scale,
             recursion_factor=config.recursion_factor,
-            sample_rate=config.sample_rate / config.update_divider,
+            sample_rate=config.sample_rate,
         )
         self._r = np.full(batch, template.recursion_factor)
         self._gc = np.full(batch, template.gain * template._c)
@@ -407,7 +407,6 @@ class _VectorControlLoop:
         self._neg_limit = None if limit is None else np.full(batch, -limit)
         self._x_prev = np.zeros(batch)
         self._y_prev = np.zeros(batch)
-        self._tick = 0
         self._last_output = np.zeros(batch)
         self.saturation_count = 0
 
@@ -420,10 +419,6 @@ class _VectorControlLoop:
         """Feed one phase measurement per lane; returns the corrections."""
         if not self.config.enabled:
             self._last_output = np.zeros_like(self._last_output)
-            return self._last_output
-        run_now = (self._tick % self.config.update_divider) == 0
-        self._tick += 1
-        if not run_now:
             return self._last_output
         # The scalar filter's r*y_prev + g·C*(x - x_prev), op for op.
         x = measured_phase_deg

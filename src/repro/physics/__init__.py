@@ -7,16 +7,8 @@ kinematics (Eq. 1), the synchrotron ring and phase-slip relations
 the paper's outlook (Section VI).
 """
 
-from repro.physics.relativity import (
-    beta_from_gamma,
-    gamma_from_beta,
-    beta_gamma_product,
-    gamma_from_kinetic_energy,
-    kinetic_energy_from_gamma,
-    momentum_ev_per_c,
-    velocity,
-)
-from repro.physics.ion import IonSpecies, ion_from_string, KNOWN_IONS
+from repro.physics.relativity import beta_from_gamma
+from repro.physics.ion import IonSpecies, KNOWN_IONS
 from repro.physics.ring import SynchrotronRing, SIS18
 from repro.physics.rf import RFSystem, synchrotron_frequency, bucket_is_stable
 from repro.physics.tracking import (
@@ -26,18 +18,9 @@ from repro.physics.tracking import (
     delta_gamma_update,
     delta_t_update,
 )
-from repro.physics.multiparticle import MultiParticleTracker, BunchMoments
-from repro.physics.distributions import (
-    gaussian_bunch,
-    parabolic_bunch,
-    matched_rms_delta_gamma,
-)
-from repro.physics.oscillation import (
-    estimate_oscillation_frequency,
-    fit_damping_envelope,
-    dipole_moment_trace,
-    quadrupole_moment_trace,
-)
+from repro.physics.multiparticle import MultiParticleTracker
+from repro.physics.distributions import gaussian_bunch, matched_rms_delta_gamma
+from repro.physics.oscillation import estimate_oscillation_frequency, fit_damping_envelope
 from repro.physics.dual_harmonic import (
     DualHarmonicRF,
     dual_harmonic_synchrotron_frequency,
@@ -46,14 +29,7 @@ from repro.physics.dual_harmonic import (
 
 __all__ = [
     "beta_from_gamma",
-    "gamma_from_beta",
-    "beta_gamma_product",
-    "gamma_from_kinetic_energy",
-    "kinetic_energy_from_gamma",
-    "momentum_ev_per_c",
-    "velocity",
     "IonSpecies",
-    "ion_from_string",
     "KNOWN_IONS",
     "SynchrotronRing",
     "SIS18",
@@ -66,14 +42,10 @@ __all__ = [
     "delta_gamma_update",
     "delta_t_update",
     "MultiParticleTracker",
-    "BunchMoments",
     "gaussian_bunch",
-    "parabolic_bunch",
     "matched_rms_delta_gamma",
     "estimate_oscillation_frequency",
     "fit_damping_envelope",
-    "dipole_moment_trace",
-    "quadrupole_moment_trace",
     "DualHarmonicRF",
     "dual_harmonic_synchrotron_frequency",
     "synchrotron_frequency_vs_amplitude",

@@ -2,9 +2,8 @@
 
 The paper observes Gaussian pickup pulses ("Observing such a bunch leads
 to a pickup signal pulse which is often Gaussian but can have different
-distributions as well", Section I), so the default ensemble is a
-bi-Gaussian matched to the small-amplitude bucket.  A parabolic
-(elliptic) distribution is provided as the common alternative.
+distributions as well", Section I), so the ensemble is a bi-Gaussian
+matched to the small-amplitude bucket.
 
 Matching: for small amplitudes the (Δt, Δγ) motion is a harmonic
 oscillator whose amplitude ratio is fixed by the per-turn map
@@ -27,11 +26,7 @@ from repro.physics.rf import RFSystem, bucket_is_stable
 from repro.physics.relativity import beta_from_gamma
 from repro.physics.ring import SynchrotronRing
 
-__all__ = [
-    "matched_rms_delta_gamma",
-    "gaussian_bunch",
-    "parabolic_bunch",
-]
+__all__ = ["matched_rms_delta_gamma", "gaussian_bunch"]
 
 
 def matched_rms_delta_gamma(
@@ -80,36 +75,4 @@ def gaussian_bunch(
     sigma_dg = matched_rms_delta_gamma(ring, ion, rf, gamma, sigma_delta_t)
     delta_t = rng.normal(centre_delta_t, sigma_delta_t, n_particles)
     delta_gamma = rng.normal(0.0, sigma_dg, n_particles)
-    return delta_t, delta_gamma
-
-
-def parabolic_bunch(
-    ring: SynchrotronRing,
-    ion: IonSpecies,
-    rf: RFSystem,
-    gamma: float,
-    half_length_delta_t: float,
-    n_particles: int,
-    rng: np.random.Generator | None = None,
-    centre_delta_t: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched parabolic (elliptic in 2-D) bunch.
-
-    Particles fill the matched ellipse of half-axis ``half_length_delta_t``
-    with density ∝ sqrt(1 − r²), whose line-density projection is the
-    parabolic profile common in longitudinal dynamics.
-    """
-    if n_particles <= 0:
-        raise PhysicsError("n_particles must be positive")
-    if half_length_delta_t <= 0.0:
-        raise PhysicsError("half_length_delta_t must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
-    ratio = matched_rms_delta_gamma(ring, ion, rf, gamma, 1.0)
-    # Sample radius with density f(r) ∝ r·sqrt(1-r²) on [0,1] (2-D measure):
-    # CDF u = 1-(1-r²)^{3/2}  =>  r = sqrt(1-(1-u)^{2/3}).
-    u = rng.random(n_particles)
-    r = np.sqrt(1.0 - np.power(1.0 - u, 2.0 / 3.0))
-    phi = rng.uniform(0.0, TWO_PI, n_particles)
-    delta_t = centre_delta_t + half_length_delta_t * r * np.cos(phi)
-    delta_gamma = ratio * half_length_delta_t * r * np.sin(phi)
     return delta_t, delta_gamma

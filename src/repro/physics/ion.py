@@ -8,13 +8,12 @@ uses the ratio Q/(m c²) to convert gap voltage into a change of γ).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from repro.constants import ATOMIC_MASS_EV, ATOMIC_MASS_KG, ELEMENTARY_CHARGE
+from repro.constants import ATOMIC_MASS_EV
 from repro.errors import ConfigurationError
 
-__all__ = ["IonSpecies", "ion_from_string", "KNOWN_IONS"]
+__all__ = ["IonSpecies", "KNOWN_IONS"]
 
 
 @dataclass(frozen=True)
@@ -58,39 +57,9 @@ class IonSpecies:
         """Rest energy m·c² in eV."""
         return self.mass_u * ATOMIC_MASS_EV
 
-    @property
-    def mass_kg(self) -> float:
-        """Rest mass in kilograms."""
-        return self.mass_u * ATOMIC_MASS_KG
-
-    @property
-    def charge_coulomb(self) -> float:
-        """Charge in coulombs."""
-        return self.charge_state * ELEMENTARY_CHARGE
-
     def gamma_gain_per_volt(self) -> float:
         """Δγ produced by one volt of effective gap voltage (Eq. 2 factor Q/mc²)."""
         return self.charge_state / self.rest_energy_ev
-
-
-_ION_RE = re.compile(r"^(?P<a>\d+)(?P<sym>[A-Za-z]{1,3})(?P<q>\d+)\+$")
-
-
-def ion_from_string(spec: str) -> IonSpecies:
-    """Parse specifications like ``"14N7+"`` or ``"238U28+"``.
-
-    The format is ``<mass number><element symbol><charge state>+``.
-    """
-    match = _ION_RE.match(spec.strip())
-    if match is None:
-        raise ConfigurationError(
-            f"cannot parse ion spec {spec!r}; expected e.g. '14N7+'"
-        )
-    return IonSpecies(
-        name=spec.strip(),
-        mass_number=int(match.group("a")),
-        charge_state=int(match.group("q")),
-    )
 
 
 #: Species used in the paper and commonly at SIS18.

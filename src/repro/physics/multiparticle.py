@@ -34,21 +34,7 @@ from repro.physics.rf import RFSystem
 from repro.physics.ring import SynchrotronRing
 from repro.physics.tracking import reference_gamma_update
 
-__all__ = ["MultiParticleTracker", "BunchMoments", "MultiTrackRecord"]
-
-
-@dataclass
-class BunchMoments:
-    """First and second moments of the bunch at one revolution."""
-
-    mean_delta_t: float
-    std_delta_t: float
-    mean_delta_gamma: float
-    std_delta_gamma: float
-
-    def dipole_phase_deg(self, harmonic: int, f_rev: float) -> float:
-        """Coherent dipole offset expressed as RF phase in degrees."""
-        return 360.0 * harmonic * f_rev * self.mean_delta_t
+__all__ = ["MultiParticleTracker", "MultiTrackRecord"]
 
 
 @dataclass
@@ -61,14 +47,6 @@ class MultiTrackRecord:
     std_delta_t: np.ndarray
     mean_delta_gamma: np.ndarray
     std_delta_gamma: np.ndarray
-
-    def dipole_phase_deg(self, harmonic: int, f_rev) -> np.ndarray:
-        """Coherent dipole trace as RF phase in degrees."""
-        return 360.0 * harmonic * np.asarray(f_rev, dtype=float) * self.mean_delta_t
-
-    def quadrupole_trace(self) -> np.ndarray:
-        """Bunch-length trace (σ_Δt) whose oscillation is the quadrupole mode."""
-        return self.std_delta_t
 
 
 class MultiParticleTracker:
@@ -134,44 +112,6 @@ class MultiParticleTracker:
     def n_particles(self) -> int:
         """Number of macro particles in the ensemble."""
         return self.delta_t.size
-
-    def moments(self) -> BunchMoments:
-        """Current bunch moments."""
-        return BunchMoments(
-            mean_delta_t=float(self.delta_t.mean()),
-            std_delta_t=float(self.delta_t.std()),
-            mean_delta_gamma=float(self.delta_gamma.mean()),
-            std_delta_gamma=float(self.delta_gamma.std()),
-        )
-
-    def rms_emittance(self) -> float:
-        """Statistical RMS emittance √(⟨Δt²⟩⟨Δγ²⟩ − ⟨ΔtΔγ⟩²) (s·Δγ units).
-
-        Conserved by the symplectic single-particle motion for a matched
-        bunch; *grows* when a mismatched or displaced distribution
-        filaments — the standard beam-quality figure of merit, and the
-        quantity the paper's "beam quality should be preserved" is
-        ultimately about.
-        """
-        dt = self.delta_t - self.delta_t.mean()
-        dg = self.delta_gamma - self.delta_gamma.mean()
-        var_t = float(np.mean(dt * dt))
-        var_g = float(np.mean(dg * dg))
-        cov = float(np.mean(dt * dg))
-        return math.sqrt(max(var_t * var_g - cov * cov, 0.0))
-
-    def profile(self, bins: int = 64, span: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Longitudinal bunch profile (histogram of Δt).
-
-        Returns ``(bin_centres, counts)``.  ``span`` is the half-width of
-        the histogram window in seconds; defaults to 4σ around the mean.
-        """
-        m = self.delta_t.mean()
-        if span is None:
-            span = 4.0 * max(self.delta_t.std(), 1e-12)
-        counts, edges = np.histogram(self.delta_t, bins=bins, range=(m - span, m + span))
-        centres = 0.5 * (edges[:-1] + edges[1:])
-        return centres, counts.astype(float)
 
     def step(self, f_rev: float | None = None) -> None:
         """Advance the whole ensemble by one revolution.

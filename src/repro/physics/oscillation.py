@@ -4,8 +4,7 @@ The paper's evaluation characterises the longitudinal dipole oscillation
 by (i) its frequency — the synchrotron frequency, 1.2 kHz in the MDE and
 1.28 kHz in the simulator run — and (ii) how quickly the closed-loop
 control damps it.  This module estimates both quantities from sampled
-traces, and extracts dipole / quadrupole mode traces from multi-particle
-records.
+traces.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ __all__ = [
     "estimate_oscillation_frequency",
     "fit_damping_envelope",
     "DampingFit",
-    "dipole_moment_trace",
-    "quadrupole_moment_trace",
-    "peak_to_peak",
 ]
 
 
@@ -120,25 +116,3 @@ def fit_damping_envelope(
     ss_res = float(residuals[0]) if residuals.size else 0.0
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DampingFit(amplitude0=float(np.exp(intercept)), rate=-slope, r_squared=r2)
-
-
-def peak_to_peak(trace: np.ndarray) -> float:
-    """Peak-to-peak amplitude of a trace.
-
-    Used for the paper's check that "the peak-to-peak phase amplitude of
-    this oscillation is twice the amplitude of the phase jump".
-    """
-    trace = np.asarray(trace, dtype=float)
-    if trace.size == 0:
-        raise PhysicsError("empty trace")
-    return float(trace.max() - trace.min())
-
-
-def dipole_moment_trace(record) -> np.ndarray:
-    """Coherent dipole trace ⟨Δt⟩(n) from a multi-particle record."""
-    return np.asarray(record.mean_delta_t, dtype=float)
-
-
-def quadrupole_moment_trace(record) -> np.ndarray:
-    """Quadrupole (bunch-length) trace σ_Δt(n) from a multi-particle record."""
-    return np.asarray(record.std_delta_t, dtype=float)

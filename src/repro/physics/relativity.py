@@ -1,4 +1,4 @@
-"""Relativistic kinematics helpers (paper Eq. 1).
+"""Relativistic kinematics (paper Eq. 1).
 
 The paper works exclusively with the two Lorentz factors
 
@@ -7,41 +7,18 @@ The paper works exclusively with the two Lorentz factors
     \\beta_v = v / c, \\qquad \\gamma_v = 1 / \\sqrt{1 - \\beta_v^2},
 
 noting that "these factors are interdependent, so knowing one of them is
-sufficient for all further calculations".  This module provides the
-conversions in both directions plus the energy/momentum relations the
-tracker needs.  All functions accept scalars or NumPy arrays and return
-the matching type (NumPy broadcasting rules apply).
+sufficient for all further calculations".  The tracker carries γ, and
+:func:`beta_from_gamma` recovers β from it.  It accepts scalars or NumPy
+arrays and returns the matching type.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import SPEED_OF_LIGHT
 from repro.errors import PhysicsError
 
-__all__ = [
-    "beta_from_gamma",
-    "gamma_from_beta",
-    "beta_gamma_product",
-    "gamma_from_kinetic_energy",
-    "kinetic_energy_from_gamma",
-    "momentum_ev_per_c",
-    "velocity",
-]
-
-
-def gamma_from_beta(beta):
-    """Lorentz factor γ for a velocity fraction β = v/c.
-
-    Raises :class:`~repro.errors.PhysicsError` if any ``|beta| >= 1``
-    (massive particles cannot reach the speed of light).
-    """
-    beta_arr = np.asarray(beta, dtype=float)
-    if np.any(np.abs(beta_arr) >= 1.0):
-        raise PhysicsError(f"|beta| must be < 1, got {beta!r}")
-    gamma = 1.0 / np.sqrt(1.0 - beta_arr * beta_arr)
-    return float(gamma) if np.isscalar(beta) else gamma
+__all__ = ["beta_from_gamma"]
 
 
 def beta_from_gamma(gamma):
@@ -55,47 +32,3 @@ def beta_from_gamma(gamma):
         raise PhysicsError(f"gamma must be >= 1, got {gamma!r}")
     beta = np.sqrt(1.0 - 1.0 / (gamma_arr * gamma_arr))
     return float(beta) if np.isscalar(gamma) else beta
-
-
-def beta_gamma_product(gamma):
-    """The product βγ = sqrt(γ² − 1), proportional to momentum."""
-    gamma_arr = np.asarray(gamma, dtype=float)
-    if np.any(gamma_arr < 1.0):
-        raise PhysicsError(f"gamma must be >= 1, got {gamma!r}")
-    bg = np.sqrt(gamma_arr * gamma_arr - 1.0)
-    return float(bg) if np.isscalar(gamma) else bg
-
-
-def gamma_from_kinetic_energy(kinetic_energy_ev: float, rest_energy_ev: float):
-    """γ = 1 + T / (m c²) for kinetic energy ``T`` in eV.
-
-    ``rest_energy_ev`` is the particle's rest energy m·c² in eV.
-    """
-    if rest_energy_ev <= 0.0:
-        raise PhysicsError("rest energy must be positive")
-    t_arr = np.asarray(kinetic_energy_ev, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise PhysicsError("kinetic energy must be non-negative")
-    gamma = 1.0 + t_arr / rest_energy_ev
-    return float(gamma) if np.isscalar(kinetic_energy_ev) else gamma
-
-
-def kinetic_energy_from_gamma(gamma, rest_energy_ev: float):
-    """Kinetic energy T = (γ − 1)·m c² in eV."""
-    if rest_energy_ev <= 0.0:
-        raise PhysicsError("rest energy must be positive")
-    g_arr = np.asarray(gamma, dtype=float)
-    if np.any(g_arr < 1.0):
-        raise PhysicsError(f"gamma must be >= 1, got {gamma!r}")
-    t = (g_arr - 1.0) * rest_energy_ev
-    return float(t) if np.isscalar(gamma) else t
-
-
-def momentum_ev_per_c(gamma, rest_energy_ev: float):
-    """Momentum p·c = βγ·m c² in eV (i.e. momentum in eV/c units)."""
-    return beta_gamma_product(gamma) * rest_energy_ev
-
-
-def velocity(gamma):
-    """Particle velocity in m/s for a Lorentz factor γ."""
-    return beta_from_gamma(gamma) * SPEED_OF_LIGHT

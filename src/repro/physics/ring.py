@@ -57,11 +57,6 @@ class SynchrotronRing:
                 f"a positive momentum compaction), got {self.alpha_c}"
             )
 
-    @property
-    def gamma_transition(self) -> float:
-        """Transition energy γ_t = 1/√α_c."""
-        return 1.0 / math.sqrt(self.alpha_c)
-
     def phase_slip(self, gamma):
         """Phase-slip factor η(γ) = α_c − 1/γ² (paper Eq. 5).
 
@@ -72,11 +67,6 @@ class SynchrotronRing:
             raise PhysicsError(f"gamma must be >= 1, got {gamma!r}")
         eta = self.alpha_c - 1.0 / (g * g)
         return float(eta) if np.isscalar(gamma) else eta
-
-    def revolution_time(self, gamma) -> float:
-        """Revolution time T_R = l_R / (β c) of a particle with factor γ."""
-        beta = beta_from_gamma(gamma)
-        return self.circumference / (beta * SPEED_OF_LIGHT)
 
     def revolution_frequency(self, gamma) -> float:
         """Revolution frequency f_R = β c / l_R."""
@@ -104,15 +94,6 @@ class SynchrotronRing:
         """γ of a particle circulating at revolution frequency ``f_rev``."""
         beta = self.beta_from_revolution_frequency(f_rev)
         return 1.0 / math.sqrt(1.0 - beta * beta)
-
-    def max_revolution_frequency(self) -> float:
-        """Ultrarelativistic limit c / l_R (β → 1).
-
-        For SIS18 this is ≈ 1.38 MHz, matching the paper's statement that
-        bunches circulate "with a maximum revolution frequency of
-        f_R ≈ 1.4 MHz".
-        """
-        return SPEED_OF_LIGHT / self.circumference
 
 
 #: The GSI heavy-ion synchrotron SIS18 (Darmstadt): 216.72 m circumference,

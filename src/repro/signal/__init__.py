@@ -4,7 +4,7 @@ Re-implements, sample-accurately, every signal-path component of the
 paper's test bench (Figs. 2–4): DDS signal generation, the AWG phase-jump
 drive, ADC/DAC conversion, the FPGA framework's ring buffers,
 zero-crossing and period-length detectors, Gaussian beam-pulse playback,
-the control loop's FIR filtering and the DSP phase measurement.
+the control loop's filter and the DSP phase measurement.
 """
 
 from repro.signal.waveform import Waveform
@@ -14,15 +14,9 @@ from repro.signal.adc import ADC
 from repro.signal.dac import DAC
 from repro.signal.ringbuffer import RingBuffer
 from repro.signal.zerocrossing import ZeroCrossingDetector, PeriodLengthDetector
-from repro.signal.interpolation import linear_fetch
-from repro.signal.gauss_pulse import GaussPulseGenerator, gaussian_pulse_table
-from repro.signal.fir import (
-    PhaseControlFilter,
-    design_lowpass_fir,
-    design_bandpass_fir,
-    fir_frequency_response,
-)
-from repro.signal.phase_detector import ArrivalTimePhaseDetector, IQPhaseDetector
+from repro.signal.gauss_pulse import GaussPulseGenerator
+from repro.signal.fir import PhaseControlFilter
+from repro.signal.phase_detector import IQPhaseDetector
 from repro.signal.filters import moving_average
 
 __all__ = [
@@ -36,14 +30,8 @@ __all__ = [
     "RingBuffer",
     "ZeroCrossingDetector",
     "PeriodLengthDetector",
-    "linear_fetch",
     "GaussPulseGenerator",
-    "gaussian_pulse_table",
     "PhaseControlFilter",
-    "design_lowpass_fir",
-    "design_bandpass_fir",
-    "fir_frequency_response",
-    "ArrivalTimePhaseDetector",
     "IQPhaseDetector",
     "moving_average",
 ]

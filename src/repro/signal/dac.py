@@ -2,9 +2,9 @@
 
 The FMC151's two-channel **16-bit** DAC runs at **250 MHz** with output
 amplitudes limited to **2 V peak-to-peak**.  The model converts code
-streams to voltages with clipping and zero-order-hold reconstruction; a
-runtime-programmable output scaling mirrors the SpartanMC parameter
-interface's ability to "adjust the scaling of output voltages".
+streams to voltages with clipping; an output scaling mirrors the
+SpartanMC parameter interface's ability to "adjust the scaling of output
+voltages".
 
 Telemetry: a conversion writes nothing to the registry.  Sample and clip
 counts accumulate on the DAC, as the ADC's do, and whoever drives it
@@ -42,8 +42,7 @@ class DAC:
     sample_rate:
         Sample clock in Hz (250 MHz in the bench).
     scale:
-        Runtime output scaling applied to requested voltages before
-        conversion (set via the parameter interface).
+        Output scaling applied to requested voltages before conversion.
     """
 
     def __init__(
@@ -87,10 +86,6 @@ class DAC:
         """Most positive accepted code."""
         return 2 ** (self.bits - 1) - 1
 
-    def set_scale(self, scale: float) -> None:
-        """Program the runtime output scaling (parameter interface)."""
-        self.scale = float(scale)
-
     def volts_to_codes(self, volts) -> np.ndarray:
         """Convert requested voltages (after scaling) to clipped codes."""
         v = np.asarray(volts, dtype=float) * self.scale
@@ -120,14 +115,3 @@ class DAC:
     def render_waveform(self, volts: np.ndarray, t0: float = 0.0) -> Waveform:
         """Produce the analogue output waveform for a code-rate sample block."""
         return Waveform(self.convert(volts), self.sample_rate, t0)
-
-    def reconstruct(self, volts: np.ndarray, oversample: int = 4) -> np.ndarray:
-        """Zero-order-hold reconstruction at ``oversample``× the DAC rate.
-
-        Models the staircase the analogue side of the bench sees; useful
-        for plotting and for jitter analyses of the output edge timing.
-        """
-        if oversample < 1:
-            raise SignalError("oversample must be >= 1")
-        out = self.convert(volts)
-        return np.repeat(out, oversample)

@@ -13,8 +13,8 @@ Two evaluation modes are provided:
   DDS sample clock with a persistent phase accumulator (used by the
   sample-accurate HIL framework);
 * **analytic** — :meth:`DDS.voltage_at` evaluates the ideal output at
-  arbitrary times (used by the revolution-level fast path; identical
-  phase bookkeeping, no sample grid).
+  arbitrary times (identical phase bookkeeping, no sample grid: the
+  reference the streamed mode is checked against).
 
 Frequency and phase-offset changes take effect phase-continuously, as in
 real DDS hardware: the accumulated phase is preserved across programming
@@ -98,34 +98,20 @@ class DDS:
         self._accum_phase = 0.0
         self.current_time = float(at_time)
 
-    def glitch_phase(self, radians: float) -> None:
-        """Kick the phase accumulator by ``radians`` (fault injection).
-
-        Models a synchronisation glitch: the accumulator jumps but stays
-        phase-continuous afterwards, so the error persists until the
-        next :meth:`reset_phase` — the :mod:`repro.faults`
-        DDS-phase-glitch mechanism on the streamed signal path.
-        """
-        self._accum_phase += float(radians)
-
-    def phase_at(self, t) -> np.ndarray | float:
-        """Total phase (radians) at time(s) ``t`` ≥ the last event time.
+    def voltage_at(self, t) -> np.ndarray | float:
+        """Ideal (analytic) output voltage at time(s) ``t`` ≥ the last
+        event time.
 
         Valid while the frequency stays constant from
         :attr:`current_time` to ``t`` — callers that ramp the frequency
         must advance the DDS stepwise (which is what the hardware does).
         """
-        t_arr = np.asarray(t, dtype=float)
         phase = (
             self._accum_phase
-            + TWO_PI * self._frequency * (t_arr - self.current_time)
+            + TWO_PI * self._frequency * (np.asarray(t, dtype=float) - self.current_time)
             + self.phase_offset
         )
-        return float(phase) if np.isscalar(t) else phase
-
-    def voltage_at(self, t) -> np.ndarray | float:
-        """Ideal (analytic) output voltage at time(s) ``t``."""
-        v = self.amplitude * np.sin(self.phase_at(t))
+        v = self.amplitude * np.sin(phase)
         return float(v) if np.isscalar(t) else v
 
     def advance_to(self, t: float) -> None:
@@ -153,9 +139,7 @@ class GroupDDS:
 
     Creates a *reference* DDS at the revolution frequency and a *gap* DDS
     at the RF frequency h·f_R.  An optional callable ``gap_phase_drive``
-    (e.g. the AWG phase-jump pattern) is added to the gap DDS phase
-    offset; the control-loop correction is applied through
-    :meth:`set_control_phase`.
+    (e.g. the AWG phase-jump pattern) sets the gap DDS phase offset.
 
     All members share the same sample clock and are reset together, so
     their phase relationship is deterministic — the property the BuTiS
@@ -176,39 +160,21 @@ class GroupDDS:
         self.reference = DDS(revolution_frequency, amplitude, sample_rate)
         self.gap = DDS(revolution_frequency * harmonic, amplitude, sample_rate)
         self._gap_phase_drive = gap_phase_drive
-        self._control_phase = 0.0
 
     @property
     def revolution_frequency(self) -> float:
         """Reference (revolution) frequency in Hz."""
         return self.reference.frequency
 
-    def set_revolution_frequency(self, f_rev: float) -> None:
-        """Retune both DDS phase-continuously (acceleration-ramp support)."""
-        self.reference.set_frequency(f_rev)
-        self.gap.set_frequency(f_rev * self.harmonic)
-
-    def set_control_phase(self, phase_rad: float) -> None:
-        """Apply the beam-phase control loop's correction to the gap DDS."""
-        self._control_phase = float(phase_rad)
-        self._apply_gap_phase(self.gap.current_time)
-
     def _apply_gap_phase(self, t: float) -> None:
         drive = self._gap_phase_drive(t) if self._gap_phase_drive is not None else 0.0
-        self.gap.set_phase_offset(drive + self._control_phase)
+        self.gap.set_phase_offset(drive)
 
     def reset_phase(self, at_time: float = 0.0) -> None:
         """Simultaneous phase reset of all members."""
         self.reference.reset_phase(at_time)
         self.gap.reset_phase(at_time)
         self._apply_gap_phase(at_time)
-
-    def advance_to(self, t: float) -> None:
-        """Advance both synthesisers to time ``t``, refreshing the gap
-        phase drive (the AWG pattern is sampled at the new time)."""
-        self.reference.advance_to(t)
-        self.gap.advance_to(t)
-        self._apply_gap_phase(t)
 
     def generate(self, n_samples: int) -> tuple[Waveform, Waveform]:
         """Produce the next block of (reference, gap) samples.

@@ -1,4 +1,4 @@
-"""FIR filter design and the beam-phase control filter.
+"""The beam-phase control filter (the paper's FIR controller).
 
 The closed-loop control system of the paper "uses a Finite Impulse
 Response (FIR) filter.  The parameters of the closed-loop control were
@@ -22,8 +22,7 @@ three parameters:
 * the loop gain (−5).
 
 The filter is normalised to unit band-centre magnitude at ``f_pass``, so
-``gain`` is the actual loop gain at the synchrotron frequency.  Generic
-windowed-sinc designs are provided for spectral analysis and tests.
+``gain`` is the actual loop gain at the synchrotron frequency.
 """
 
 from __future__ import annotations
@@ -35,45 +34,7 @@ import numpy as np
 from repro.constants import TWO_PI
 from repro.errors import SignalError
 
-__all__ = [
-    "design_lowpass_fir",
-    "design_bandpass_fir",
-    "fir_frequency_response",
-    "PhaseControlFilter",
-]
-
-
-def design_lowpass_fir(cutoff: float, sample_rate: float, n_taps: int) -> np.ndarray:
-    """Windowed-sinc (Hamming) low-pass FIR with DC gain 1."""
-    if not 0.0 < cutoff < 0.5 * sample_rate:
-        raise SignalError(f"cutoff {cutoff} outside (0, Nyquist)")
-    if n_taps < 3 or n_taps % 2 == 0:
-        raise SignalError("n_taps must be an odd integer >= 3")
-    m = n_taps - 1
-    n = np.arange(n_taps) - m / 2
-    fc = cutoff / sample_rate
-    h = np.sinc(2.0 * fc * n) * 2.0 * fc
-    h *= np.hamming(n_taps)
-    return h / h.sum()
-
-
-def design_bandpass_fir(
-    f_low: float, f_high: float, sample_rate: float, n_taps: int
-) -> np.ndarray:
-    """Windowed-sinc band-pass FIR (difference of two low-passes)."""
-    if not 0.0 < f_low < f_high < 0.5 * sample_rate:
-        raise SignalError("need 0 < f_low < f_high < Nyquist")
-    hp_hi = design_lowpass_fir(f_high, sample_rate, n_taps)
-    hp_lo = design_lowpass_fir(f_low, sample_rate, n_taps)
-    return hp_hi - hp_lo
-
-
-def fir_frequency_response(taps: np.ndarray, sample_rate: float, freqs) -> np.ndarray:
-    """Complex frequency response H(f) of an FIR filter at given freqs."""
-    taps = np.asarray(taps, dtype=float)
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    z = np.exp(-1j * TWO_PI * np.outer(f, np.arange(taps.size)) / sample_rate)
-    return z @ taps
+__all__ = ["PhaseControlFilter"]
 
 
 class PhaseControlFilter:
@@ -128,36 +89,12 @@ class PhaseControlFilter:
         self._x_prev = 0.0
         self._y_prev = 0.0
 
-    def reset(self) -> None:
-        """Clear the filter state."""
-        self._x_prev = 0.0
-        self._y_prev = 0.0
-
     def step(self, x: float) -> float:
         """Process one phase-difference sample; returns the correction."""
         y = self.recursion_factor * self._y_prev + self.gain * self._c * (x - self._x_prev)
         self._x_prev = x
         self._y_prev = y
         return y
-
-    def process(self, x: np.ndarray) -> np.ndarray:
-        """Filter a whole trace (stateful, continues from previous calls).
-
-        Runs the :meth:`step` recurrence sample by sample, so the output
-        is bit-identical to stepping the same samples one at a time.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size == 0:
-            return np.empty(0)
-        xp, yp = self._x_prev, self._y_prev
-        r, g, c = self.recursion_factor, self.gain, self._c
-        out = np.empty_like(x)
-        for i in range(x.size):
-            yp = r * yp + g * c * (x[i] - xp)
-            xp = x[i]
-            out[i] = yp
-        self._x_prev, self._y_prev = xp, yp
-        return out
 
     def frequency_response(self, freqs) -> np.ndarray:
         """Complex response H(f) including gain and normalisation."""

@@ -7,13 +7,12 @@ Gauss pulse generator module.  When the timer module triggers, a single,
 precalculated, Gaussian distributed pulse is played back from sample
 memory through the DAC output."
 
-:func:`gaussian_pulse_table` precomputes the sample-memory contents;
 :class:`GaussPulseGenerator` holds pending trigger times and renders the
 output sample stream block by block.  Trigger times are continuous
 (seconds); the renderer aligns the pulse to the *exact* trigger time by
 evaluating the Gaussian at the sample grid offsets, reproducing the
 hardware's timer resolution of one DAC clock with the precalculated
-table's shape.
+pulse's shape (truncated at ±``n_sigmas``, as the sample memory is).
 """
 
 from __future__ import annotations
@@ -26,37 +25,7 @@ import numpy as np
 from repro.errors import SignalError
 from repro.signal.waveform import Waveform
 
-__all__ = ["gaussian_pulse_table", "GaussPulseGenerator"]
-
-
-def gaussian_pulse_table(
-    sigma: float,
-    sample_rate: float,
-    amplitude: float = 1.0,
-    n_sigmas: float = 4.0,
-) -> np.ndarray:
-    """Precompute the sample-memory image of one Gaussian pulse.
-
-    Parameters
-    ----------
-    sigma:
-        Pulse standard deviation in seconds (the bunch length of the
-        emulated pickup pulse).
-    sample_rate:
-        Playback (DAC) sample rate in Hz.
-    amplitude:
-        Peak amplitude in volts.
-    n_sigmas:
-        Half-width of the table in units of sigma.
-    """
-    if sigma <= 0.0:
-        raise SignalError("sigma must be positive")
-    if sample_rate <= 0.0:
-        raise SignalError("sample_rate must be positive")
-    half = int(math.ceil(n_sigmas * sigma * sample_rate))
-    n = np.arange(-half, half + 1, dtype=float)
-    t = n / sample_rate
-    return amplitude * np.exp(-0.5 * (t / sigma) ** 2)
+__all__ = ["GaussPulseGenerator"]
 
 
 class GaussPulseGenerator:
@@ -69,8 +38,7 @@ class GaussPulseGenerator:
     sample_rate:
         DAC sample rate in Hz.
     amplitude:
-        Peak amplitude in volts; adjustable at runtime through the
-        parameter interface (:meth:`set_amplitude`).
+        Peak amplitude in volts.
     n_sigmas:
         Rendered half-width in sigmas.
     """
@@ -93,10 +61,6 @@ class GaussPulseGenerator:
         self._pending: list[float] = []
         self._rendered_until = 0.0
 
-    def set_amplitude(self, amplitude: float) -> None:
-        """Runtime amplitude scaling (SpartanMC parameter interface)."""
-        self.amplitude = float(amplitude)
-
     def schedule(self, trigger_time: float) -> None:
         """Store the time at which the next pulse centre must appear.
 
@@ -110,11 +74,6 @@ class GaussPulseGenerator:
                 f"cursor {self._rendered_until} s"
             )
         heapq.heappush(self._pending, float(trigger_time))
-
-    @property
-    def pending_triggers(self) -> list[float]:
-        """Scheduled pulse centres not yet fully rendered (sorted)."""
-        return sorted(self._pending)
 
     def render(self, t0: float, n_samples: int) -> Waveform:
         """Render the output block [t0, t0 + n/fs).
@@ -146,7 +105,7 @@ class GaussPulseGenerator:
                         -0.5 * ((t - trig) / self.sigma) ** 2
                     )
                     # Hard-truncate at ±n_sigmas like the precalculated
-                    # sample table, so block-boundary rounding cannot
+                    # sample memory, so block-boundary rounding cannot
                     # include samples a whole-window render would not.
                     pulse[np.abs(t - trig) > half] = 0.0
                     out[i0:i1] += pulse

@@ -1,21 +1,18 @@
-"""Two-sample linear interpolation helpers.
+"""Two-sample linear interpolation.
 
 The CGRA model program fetches two adjacent ring-buffer samples and
 interpolates linearly "to increase the accuracy" because the requested
 arrival time "is rarely ever an integer multiple of the period length of
-the sampling frequency" (paper Section IV-B).  These helpers implement
-exactly that arithmetic and are shared by the Python model, the ring
-buffer and the CGRA executor's SensorAccess module, so all paths compute
-identical values.
+the sampling frequency" (paper Section IV-B).  :func:`linear_fetch_pair`
+implements exactly that arithmetic for the ring buffer's interpolating
+fetch (:meth:`repro.signal.ringbuffer.RingBuffer.fetch_interpolated`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SignalError
 
-__all__ = ["linear_fetch_pair", "linear_fetch"]
+__all__ = ["linear_fetch_pair"]
 
 
 def linear_fetch_pair(a: float, b: float, frac: float) -> float:
@@ -27,20 +24,3 @@ def linear_fetch_pair(a: float, b: float, frac: float) -> float:
     if not 0.0 <= frac < 1.0 + 1e-12:
         raise SignalError(f"interpolation fraction {frac} outside [0, 1)")
     return float(a * (1.0 - frac) + b * frac)
-
-
-def linear_fetch(samples: np.ndarray, address) -> np.ndarray | float:
-    """Interpolated fetch from a plain array at fractional index/indices.
-
-    Vectorised counterpart used by analysis code; the hardware path goes
-    through :meth:`repro.signal.ringbuffer.RingBuffer.fetch_interpolated`.
-    """
-    arr = np.asarray(samples, dtype=float)
-    pos = np.asarray(address, dtype=float)
-    if np.any(pos < 0.0) or np.any(pos > arr.size - 1):
-        raise SignalError("address outside sample array")
-    base = np.floor(pos).astype(int)
-    base = np.minimum(base, arr.size - 2)
-    frac = pos - base
-    val = arr[base] * (1.0 - frac) + arr[base + 1] * frac
-    return float(val) if np.isscalar(address) else val

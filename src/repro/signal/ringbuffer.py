@@ -90,16 +90,6 @@ class RingBuffer:
         self._check_window(index, index)
         return float(self._data[index & self._mask])
 
-    def read_block(self, start: int, n: int) -> np.ndarray:
-        """Read ``n`` consecutive samples starting at global index ``start``."""
-        if n < 0:
-            raise SignalError("n must be non-negative")
-        if n == 0:
-            return np.empty(0)
-        self._check_window(start, start + n - 1)
-        idx = (np.arange(start, start + n)) & self._mask
-        return self._data[idx].copy()
-
     def fetch_interpolated(self, address: float) -> float:
         """Linearly interpolated fetch at a fractional global address.
 
@@ -112,10 +102,6 @@ class RingBuffer:
         a = self._data[base & self._mask]
         b = self._data[(base + 1) & self._mask]
         return linear_fetch_pair(a, b, address - base)
-
-    def oldest_valid_index(self) -> int:
-        """Smallest global index still present in the buffer."""
-        return max(0, self.write_count - self.capacity)
 
     @property
     def occupancy(self) -> int:

@@ -58,42 +58,3 @@ class Waveform:
     def time_axis(self) -> np.ndarray:
         """Time of each sample, in seconds."""
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
-    def slice_time(self, t_start: float, t_stop: float) -> "Waveform":
-        """Sub-waveform covering [t_start, t_stop) (inclusive of edges that
-        land on samples).  Raises if the window is outside the waveform."""
-        if t_stop <= t_start:
-            raise SignalError("t_stop must exceed t_start")
-        i0 = int(np.ceil((t_start - self.t0) * self.sample_rate - 1e-9))
-        i1 = int(np.ceil((t_stop - self.t0) * self.sample_rate - 1e-9))
-        if i0 < 0 or i1 > self.samples.size:
-            raise SignalError(
-                f"window [{t_start}, {t_stop}) outside waveform "
-                f"[{self.t0}, {self.t0 + self.duration})"
-            )
-        return Waveform(self.samples[i0:i1], self.sample_rate, self.t0 + i0 * self.dt)
-
-    def value_at(self, t) -> np.ndarray | float:
-        """Linearly interpolated value at time(s) ``t`` (inside the span)."""
-        t_arr = np.asarray(t, dtype=float)
-        pos = (t_arr - self.t0) * self.sample_rate
-        if np.any(pos < 0.0) or np.any(pos > self.samples.size - 1):
-            raise SignalError("requested time outside waveform span")
-        i = np.floor(pos).astype(int)
-        i = np.minimum(i, self.samples.size - 2)
-        frac = pos - i
-        val = self.samples[i] * (1.0 - frac) + self.samples[i + 1] * frac
-        return float(val) if np.isscalar(t) else val
-
-    def concatenate(self, other: "Waveform") -> "Waveform":
-        """Append a contiguous waveform produced by the same source."""
-        if other.sample_rate != self.sample_rate:
-            raise SignalError("sample rates differ")
-        expected_t0 = self.t0 + self.duration
-        if abs(other.t0 - expected_t0) > 0.5 * self.dt:
-            raise SignalError(
-                f"waveforms not contiguous: expected t0≈{expected_t0}, got {other.t0}"
-            )
-        return Waveform(
-            np.concatenate([self.samples, other.samples]), self.sample_rate, self.t0
-        )

@@ -34,12 +34,8 @@ class ZeroCrossingDetector:
     by the sample rate yields the crossing time.
     """
 
-    def __init__(self, hysteresis: float = 0.0) -> None:
-        if hysteresis < 0.0:
-            raise SignalError("hysteresis must be non-negative")
-        self.hysteresis = float(hysteresis)
+    def __init__(self) -> None:
         self._last_sample: float | None = None
-        self._armed = True
         self._consumed = 0
         #: Fractional global index of the most recent positive crossing.
         self.last_crossing: float | None = None
@@ -47,11 +43,8 @@ class ZeroCrossingDetector:
     def feed(self, samples) -> np.ndarray:
         """Consume a block; return fractional indices of new crossings.
 
-        With hysteresis, the detector is *armed* when the signal has been
-        below ``-hysteresis`` since the previous crossing; a rising pass
-        through zero then fires and disarms until the signal dips below
-        the threshold again — so noise riding on the zero line cannot
-        produce double triggers.
+        A crossing is a sample below zero followed by one at or above
+        zero, including across block boundaries.
         """
         s = np.asarray(samples, dtype=float).ravel()
         if s.size == 0:
@@ -62,33 +55,7 @@ class ZeroCrossingDetector:
         base = self._consumed - (0 if prev is None else 1)
         below = full[:-1]
         above = full[1:]
-        cand = np.nonzero((below < 0.0) & (above >= 0.0))[0]
-        if self.hysteresis == 0.0:
-            fired = cand
-        else:
-            # Arming events are where the signal dips below -hysteresis;
-            # a candidate fires if an arming event at index <= candidate
-            # has not been consumed by an earlier firing (an arm at the
-            # candidate's own index counts: the sequential detector arms
-            # before it checks for the crossing).  Only the candidates
-            # are walked in Python — arming is resolved with a single
-            # searchsorted over the whole block.
-            arm_idx = np.nonzero(below < -self.hysteresis)[0]
-            arms_upto = np.searchsorted(arm_idx, cand, side="right")
-            armed = self._armed
-            consumed = 0
-            last_fire = -1
-            fired_list: list[int] = []
-            for i, ac in zip(cand.tolist(), arms_upto.tolist()):
-                if armed or ac > consumed:
-                    fired_list.append(i)
-                    armed = False
-                    consumed = ac
-                    last_fire = i
-            if arm_idx.size and arm_idx[-1] > last_fire:
-                armed = True
-            self._armed = armed
-            fired = np.asarray(fired_list, dtype=np.intp)
+        fired = np.nonzero((below < 0.0) & (above >= 0.0))[0]
         if fired.size:
             a = full[fired]
             b = full[fired + 1]

@@ -72,19 +72,6 @@ class TestFabric:
         per_hop = fab.config.latencies.route_hop
         assert fab.routing_delay((0, 0), (2, 2)) == 4 * per_hop
 
-    def test_extra_link(self):
-        fab = CgraFabric(CgraConfig(rows=3, cols=3))
-        before = fab.hop_distance((0, 0), (2, 2))
-        fab.add_link((0, 0), (2, 2))
-        assert fab.hop_distance((0, 0), (2, 2)) == 1 < before
-
-    def test_bad_link(self):
-        fab = CgraFabric(CgraConfig(rows=2, cols=2))
-        # Off the grid, negative, or unhashable: none of these is a PE.
-        for a, b in [((0, 0), (9, 9)), ((0, -1), (0, 0)), ([0, 0], (0, 1)), ((0, 0), [0, 1])]:
-            with pytest.raises(ConfigurationError, match="must be PEs"):
-                fab.add_link(a, b)
-
 
 def _oracle_hops(config, a, b):
     """Closed-form hop count: Manhattan on a grid; on a torus each axis
@@ -109,28 +96,6 @@ class TestRoutingDistances:
             assert fab.pes == sorted(itertools.product(range(rows), range(cols)))
             for a, b in itertools.product(fab.pes, repeat=2):
                 assert fab.hop_distance(a, b) == _oracle_hops(config, a, b), (rows, cols, a, b)
-
-    @pytest.mark.parametrize("torus", [False, True])
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (4, 5)])
-    def test_one_shortcut_matches_closed_form(self, shape, torus):
-        """With one extra link x–y a shortest path uses it at most once,
-        in one direction or the other."""
-        config = CgraConfig(rows=shape[0], cols=shape[1], torus=torus)
-        pes = CgraFabric(config).pes
-        d = {(a, b): _oracle_hops(config, a, b) for a in pes for b in pes}
-        for x, y in itertools.combinations(pes, 2):
-            fab = CgraFabric(config)
-            fab.add_link(x, y)
-            for a, b in itertools.product(pes, repeat=2):
-                expected = min(d[a, b], d[a, x] + 1 + d[y, b], d[a, y] + 1 + d[x, b])
-                assert fab.hop_distance(a, b) == expected, (x, y, a, b)
-
-    def test_self_link_changes_nothing(self):
-        config = CgraConfig(rows=3, cols=4)
-        fab = CgraFabric(config)
-        fab.add_link((1, 2), (1, 2))
-        for a, b in itertools.product(fab.pes, repeat=2):
-            assert fab.hop_distance(a, b) == _oracle_hops(config, a, b)
 
     def test_unknown_pe_has_no_route(self):
         fab = CgraFabric(CgraConfig(rows=2, cols=2))

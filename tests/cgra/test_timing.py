@@ -2,27 +2,14 @@
 
 import pytest
 
-from repro.cgra.timing import (
-    CGRA_CLOCK,
-    SYSTEM_CLOCK,
-    ClockDomain,
-    check_deadline,
-    max_revolution_frequency,
-    ticks_available,
-)
-from repro.errors import ConfigurationError, RealTimeViolation
+from repro.cgra.timing import CGRA_CLOCK, SYSTEM_CLOCK, ClockDomain, max_revolution_frequency
+from repro.errors import ConfigurationError
 
 
 class TestClockDomain:
     def test_paper_clocks(self):
         assert SYSTEM_CLOCK.frequency_hz == 250e6
         assert CGRA_CLOCK.frequency_hz == 111e6
-
-    def test_period(self):
-        assert CGRA_CLOCK.period_s == pytest.approx(1 / 111e6)
-
-    def test_ticks_in(self):
-        assert CGRA_CLOCK.ticks_in(1e-6) == pytest.approx(111.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -46,23 +33,6 @@ class TestPaperNumbers:
 
 
 class TestDeadline:
-    def test_positive_slack(self):
-        slack = check_deadline(76, f_rev=800e3)
-        assert slack == pytest.approx(111e6 / 800e3 - 76)
-
-    def test_miss_raises(self):
-        with pytest.raises(RealTimeViolation):
-            check_deadline(128, f_rev=1.0e6)
-
-    def test_miss_counted_when_not_raising(self):
-        slack = check_deadline(128, f_rev=1.0e6, raise_on_miss=False)
-        assert slack < 0
-
-    def test_ticks_available(self):
-        assert ticks_available(1e6) == pytest.approx(111.0)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             max_revolution_frequency(0)
-        with pytest.raises(ConfigurationError):
-            ticks_available(-1.0)

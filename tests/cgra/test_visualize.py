@@ -4,10 +4,8 @@ import pytest
 
 from repro.cgra.fabric import CgraConfig, CgraFabric
 from repro.cgra.frontend import compile_c_to_dfg
-from repro.cgra.models import compile_beam_model
-from repro.cgra.modulo import ModuloScheduler
 from repro.cgra.scheduler import ListScheduler
-from repro.cgra.visualize import render_modulo_kernel, render_schedule, utilisation_bars
+from repro.cgra.visualize import render_schedule, utilisation_bars
 
 SOURCE = """
 void k() {
@@ -50,17 +48,6 @@ class TestRenderSchedule:
     def test_sqrt_letter_present(self, schedule):
         body = render_schedule(schedule)
         assert "r" in body.split("legend")[0].split("|", 1)[1]
-
-
-class TestModuloRender:
-    def test_kernel_render(self):
-        model = compile_beam_model(n_bunches=1, pipelined=True)
-        fabric = CgraFabric(CgraConfig())
-        modulo = ModuloScheduler(fabric).schedule(model.graph)
-        text = render_modulo_kernel(modulo)
-        assert f"II = {modulo.ii}" in text
-        rows = [l for l in text.splitlines() if l.startswith("PE")]
-        assert len(rows) == len(fabric.pes)
 
 
 class TestUtilisationBars:

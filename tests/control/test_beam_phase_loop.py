@@ -22,8 +22,6 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ControlLoopConfig(update_divider=0)
-        with pytest.raises(ConfigurationError):
             ControlLoopConfig(saturation_deg=-1.0)
         with pytest.raises(ConfigurationError):
             ControlLoopConfig(gain_scale=0.0)
@@ -58,21 +56,6 @@ class TestLoopBehaviour:
         out = ctl.update(100.0)
         assert abs(out) == 2.0
         assert ctl.saturation_count == 1
-
-    def test_update_divider_holds_output(self):
-        ctl = loop(update_divider=4)
-        first = ctl.update(10.0)
-        held = [ctl.update(10.0 + i) for i in range(3)]
-        assert all(h == first for h in held)
-        next_update = ctl.update(20.0)
-        assert next_update != first
-
-    def test_reset(self):
-        ctl = loop()
-        ctl.update(10.0)
-        ctl.reset()
-        assert ctl.last_output_deg == 0.0
-        assert ctl.update(0.0) == 0.0
 
     def test_oscillation_gets_lead_response(self):
         """At f_s the loop output leads the input (damping-capable)."""

@@ -92,6 +92,22 @@ class TestJitterStudy:
         # RMS false phase comparable to the 8-16 deg signals of Fig. 5.
         assert sw.false_phase_rms_deg > 4.0
 
+    def test_e7_record(self):
+        """EXPERIMENTS.md's E7 table and the benchmark's results file, at
+        their printed precision (the benchmark's 200 000 samples)."""
+        rows = [
+            (r.implementation, r.f_rev_hz, f"{r.latency.p50 * 1e9:.1f}",
+             f"{r.latency.p999 * 1e9:.1f}", f"{r.deadline_miss_rate:.2e}",
+             f"{r.false_phase_rms_deg:.2f}", f"{r.false_phase_worst_deg:.2f}")
+            for r in jitter_comparison(n_samples=200_000)
+        ]
+        assert rows == [
+            ("software (CPU)", 800e3, "399.9", "478.7", "2.15e-04", "318.93", "110267.39"),
+            ("CGRA (this work)", 800e3, "666.7", "666.7", "0.00e+00", "1.33", "2.30"),
+            ("software (CPU)", 1e6, "400.0", "478.1", "1.70e-04", "226.86", "50119.94"),
+            ("CGRA (this work)", 1e6, "666.7", "666.7", "0.00e+00", "1.66", "2.88"),
+        ]
+
 
 class TestReconfig:
     def test_speedups(self):

@@ -91,6 +91,12 @@ class TestSweepShardParity:
             assert np.array_equal(got.amps, want.amps)
             assert np.array_equal(got.phase_deg, want.phase_deg)
 
+    def test_summary_reports_the_plan_that_ran(self, tmp_path):
+        """The summary counts the lanes of each dispatched shard, not the
+        chunk constant: three lanes run as one 3-lane shard."""
+        summary = run_experiment("sweep", tmp_path, quick=True, batch=3)
+        assert "1 shard(s) of 3 lanes" in summary[0]
+
     def test_plan_is_independent_of_jobs(self):
         """The plan never takes a worker count — grouping is pinned by
         the workload alone (this is what the byte-parity rests on)."""

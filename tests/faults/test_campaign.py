@@ -196,6 +196,15 @@ class TestEndToEndOutcomes:
         assert np.isnan(by_name["settle_s"][context_rows]).all()
 
 
+#: The lanes of ``TestContainment.CONFIG``'s one shard: the baseline,
+#: then each loop kind's one scenario.
+SHARD_LANES = (
+    "baseline, cavity_failure/m0/t0, microphonic_detuning/m0/t0, "
+    "amplifier_saturation/m0/t0, detuning_transient/m0/t0, "
+    "adc_stuck_bit/m0/t0, dac_clipping/m0/t0, dds_phase_glitch/m0/t0"
+)
+
+
 class TestContainment:
     """A poisoned shard is retried lane-by-lane; a scenario that still
     fails classifies FAILED without killing the campaign."""
@@ -236,9 +245,10 @@ class TestContainment:
         )
         for got, want in zip(result.csv_columns(), clean.csv_columns(), strict=True):
             np.testing.assert_array_equal(got, want)
-        # The reason the shard failed reaches the result and its summary.
+        # The reason the shard failed reaches the result and its summary,
+        # with the lanes the shard carried.
         assert result.failures == (
-            "shard 0 (flaky_shard): RuntimeError: poisoned shard",
+            f"{SHARD_LANES} (flaky_shard): RuntimeError: poisoned shard",
         )
         lines = result.summary_lines()
         retried_at = next(i for i, line in enumerate(lines) if line.startswith("retried"))
@@ -264,9 +274,12 @@ class TestContainment:
         report = result.reports[poisoned]
         assert report.outcome is Outcome.FAILED
         assert math.isnan(report.settle_s)
-        # The shard and the lane's own retry each say why they failed.
-        assert len(result.failures) == 2
-        assert all(line.endswith("RuntimeError: always fails") for line in result.failures)
+        # The shard and the lane's own retry each say why they failed,
+        # the retry by the scenario it ran.
+        assert result.failures == (
+            f"{SHARD_LANES} (poisoned_shard): RuntimeError: always fails",
+            "adc_stuck_bit/m0/t0 (poisoned_shard): RuntimeError: always fails",
+        )
         # Shard-mates of the poisoned scenario still classified.
         others = [
             r

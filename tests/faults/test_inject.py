@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import FaultSpecError, SignalError
+from repro.errors import FaultSpecError
 from repro.experiments import mde
 from repro.faults.inject import (
     LOOP_KINDS,
@@ -356,7 +356,7 @@ class TestStuckBitMath:
 
     def test_stuck_msb_flips_positive_codes_negative(self):
         adc = ADC()
-        out = adc.apply_stuck_bit(np.array([1, 100], dtype=np.int64), 13)
+        out = adc.apply_stuck_mask(np.array([1, 100], dtype=np.int64), 1 << 13)
         assert np.all(out < 0)
 
     def test_scalar_matches_vector(self):
@@ -368,10 +368,6 @@ class TestStuckBitMath:
             adc.apply_stuck_mask_scalar(int(c), mask) == int(v)
             for c, v in zip(codes, vec)
         )
-
-    def test_bit_out_of_range_raises(self):
-        with pytest.raises(SignalError, match="stuck bit 14"):
-            ADC().apply_stuck_bit(np.zeros(1, dtype=np.int64), 14)
 
 
 class TestBitIdentity:

@@ -319,8 +319,8 @@ class TestVectorControlLoop:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"update_divider": 3}, {"enabled": False}],
-        ids=["every_turn", "divider3", "disabled"],
+        [{}, {"enabled": False}],
+        ids=["every_turn", "disabled"],
     )
     def test_bit_equal_to_scalar_loops(self, overrides):
         config = ControlLoopConfig(sample_rate=800e3, saturation_deg=0.5, **overrides)

@@ -99,7 +99,6 @@ class TestFrameworkFaults:
         fw = self._framework(
             n_bunches=4,
             cgra_config=CgraConfig(clock_mhz=30.0),
-            deadline_policy="raise",
         )
         from repro.signal.dds import GroupDDS
 
@@ -109,19 +108,3 @@ class TestFrameworkFaults:
             for _ in range(12):
                 ref, gap = group.generate(312)
                 fw.feed(ref.samples, gap.samples)
-
-    def test_count_policy_records_misses(self):
-        fw = self._framework(
-            n_bunches=4,
-            cgra_config=CgraConfig(clock_mhz=30.0),
-            deadline_policy="count",
-        )
-        from repro.signal.dds import GroupDDS
-
-        group = GroupDDS(800e3, 4, 0.9, 250e6)
-        group.reset_phase()
-        for _ in range(12):
-            ref, gap = group.generate(312)
-            fw.feed(ref.samples, gap.samples)
-        stats = fw.deadline.stats()
-        assert stats.misses > 0 and not stats.met

@@ -58,23 +58,15 @@ class TestSoftwareTiming:
         s = SoftwareTimingModel().sample(100_000, rng)
         assert s.min() > 0.0
 
-    def test_deadline_miss_rate_monotone(self, rng):
-        m = SoftwareTimingModel()
-        tight = m.deadline_miss_rate(0.9e-6, n=200_000, rng=np.random.default_rng(3))
-        loose = m.deadline_miss_rate(100e-6, n=200_000, rng=np.random.default_rng(3))
-        assert loose <= tight
-
     def test_misses_at_microsecond_deadline(self):
         """The paper's infeasibility claim: at ~1 us revolution periods a
         software loop with realistic OS jitter misses deadlines."""
         m = SoftwareTimingModel()
-        rate = m.deadline_miss_rate(1e-6, n=500_000, rng=np.random.default_rng(4))
-        assert rate > 1e-5
+        latencies = m.sample(500_000, np.random.default_rng(4))
+        assert np.count_nonzero(latencies > 1e-6) / latencies.size > 1e-5
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SoftwareTimingModel(base_latency=0.0)
         with pytest.raises(ConfigurationError):
             SoftwareTimingModel(tail_probability=2.0)
-        with pytest.raises(ConfigurationError):
-            SoftwareTimingModel().deadline_miss_rate(0.0)

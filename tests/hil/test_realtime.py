@@ -14,29 +14,12 @@ class TestDeadlineMonitor:
         assert slack == pytest.approx(111e6 / 800e3 - 76)
 
     def test_raise_policy(self):
-        mon = DeadlineMonitor(128, policy="raise")
+        mon = DeadlineMonitor(128)
         with pytest.raises(RealTimeViolation):
             mon.check_revolution(1 / 1.0e6)  # 111 ticks < 128
 
-    def test_count_policy(self):
-        mon = DeadlineMonitor(128, policy="count")
-        mon.check_revolution(1 / 1.0e6)
-        mon.check_revolution(1 / 800e3)
-        stats = mon.stats()
-        assert stats.misses == 1
-        assert stats.n_iterations == 2
-        assert not stats.met
-
-    def test_count_policy_never_raises(self):
-        mon = DeadlineMonitor(128, policy="count")
-        for _ in range(5):
-            mon.check_revolution(1 / 1.0e6)  # every one a miss
-        stats = mon.stats()
-        assert stats.misses == 5
-        assert stats.min_slack < 0
-
     def test_raise_policy_still_records_the_miss(self):
-        mon = DeadlineMonitor(128, policy="raise")
+        mon = DeadlineMonitor(128)
         with pytest.raises(RealTimeViolation):
             mon.check_revolution(1 / 1.0e6)
         stats = mon.stats()
@@ -67,7 +50,7 @@ class TestDeadlineMonitor:
         assert DeadlineMonitor(76).stats(allow_empty=True) == JitterStats.empty()
 
     def test_percentiles(self):
-        mon = DeadlineMonitor(10, cgra_clock_hz=1e6, policy="count")
+        mon = DeadlineMonitor(10, cgra_clock_hz=1e6)
         # Slack = 1e6/f - 10; choose periods for slacks 0..99 ticks.
         for s in range(100):
             mon.check_revolution((s + 10) / 1e6)
@@ -86,9 +69,10 @@ class TestDeadlineMonitor:
         obs.reset()
         obs.enable()
         try:
-            mon = DeadlineMonitor(128, policy="count")
+            mon = DeadlineMonitor(128)
             mon.check_revolution(1 / 800e3)
-            mon.check_revolution(1 / 1.0e6)  # miss
+            with pytest.raises(RealTimeViolation):
+                mon.check_revolution(1 / 1.0e6)  # miss
             mon.publish()
             hist = obs.metrics().get("hil_slack_ticks")
             misses = obs.metrics().get("hil_deadline_misses_total")
@@ -101,7 +85,5 @@ class TestDeadlineMonitor:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DeadlineMonitor(0)
-        with pytest.raises(ConfigurationError):
-            DeadlineMonitor(10, policy="ignore")
         with pytest.raises(ConfigurationError):
             DeadlineMonitor(10).check_revolution(0.0)

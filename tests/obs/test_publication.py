@@ -41,18 +41,18 @@ def _value(name: str, **labels):
 
 class TestDeadlineMonitor:
     def test_nothing_recorded_until_published(self, enabled):
-        mon = DeadlineMonitor(128, policy="count")
-        mon.check_revolution(1 / 1.0e6)  # miss
+        mon = DeadlineMonitor(128)
+        mon.check_revolution(1 / 800e3)
         assert _value("hil_slack_ticks") == 0
-        assert _value("hil_deadline_misses_total") == 0
         mon.publish()
         assert _value("hil_slack_ticks") == 1
-        assert _value("hil_deadline_misses_total") == 1
+        assert _value("hil_deadline_misses_total") == 0
 
     def test_publishing_twice_does_not_double_count(self, enabled):
-        mon = DeadlineMonitor(128, policy="count")
+        mon = DeadlineMonitor(128)
         mon.check_revolution(1 / 800e3)
-        mon.check_revolution(1 / 1.0e6)  # miss
+        with pytest.raises(RealTimeViolation):
+            mon.check_revolution(1 / 1.0e6)  # miss: publishes, then raises
         mon.publish()
         mon.publish()
         assert _value("hil_slack_ticks") == 2
@@ -82,8 +82,9 @@ class TestDeadlineMonitor:
         assert obs.run_reports() == []
 
     def test_disabled_publication_is_dropped(self):
-        mon = DeadlineMonitor(128, policy="count")
-        mon.check_revolution(1 / 1.0e6)
+        mon = DeadlineMonitor(128)
+        with pytest.raises(RealTimeViolation):
+            mon.check_revolution(1 / 1.0e6)  # publishes while telemetry is off
         mon.publish()  # telemetry off: dropped, not deferred
         obs.enable()
         mon.publish()

@@ -8,7 +8,6 @@ from repro.errors import PhysicsError
 from repro.physics.distributions import (
     gaussian_bunch,
     matched_rms_delta_gamma,
-    parabolic_bunch,
 )
 
 
@@ -30,7 +29,7 @@ class TestMatchedRatio:
 
     def test_unstable_bucket_rejected(self, ring, ion, rf):
         with pytest.raises(PhysicsError):
-            matched_rms_delta_gamma(ring, ion, rf, ring.gamma_transition * 2, 1e-9)
+            matched_rms_delta_gamma(ring, ion, rf, 2.0 / np.sqrt(ring.alpha_c), 1e-9)
 
 
 class TestGaussianBunch:
@@ -58,35 +57,6 @@ class TestGaussianBunch:
     def test_zero_particles_rejected(self, ring, ion, rf, gamma0, rng):
         with pytest.raises(PhysicsError):
             gaussian_bunch(ring, ion, rf, gamma0, 30e-9, 0, rng)
-
-
-class TestParabolicBunch:
-    def test_bounded_support(self, ring, ion, rf, gamma0, rng):
-        half = 100e-9
-        dt, dg = parabolic_bunch(ring, ion, rf, gamma0, half, 20000, rng)
-        assert np.abs(dt).max() <= half * (1 + 1e-12)
-        ratio = matched_rms_delta_gamma(ring, ion, rf, gamma0, 1.0)
-        assert np.abs(dg).max() <= ratio * half * (1 + 1e-12)
-
-    def test_fills_the_ellipse(self, ring, ion, rf, gamma0, rng):
-        half = 100e-9
-        dt, dg = parabolic_bunch(ring, ion, rf, gamma0, half, 20000, rng)
-        ratio = matched_rms_delta_gamma(ring, ion, rf, gamma0, 1.0)
-        r2 = (dt / half) ** 2 + (dg / (ratio * half)) ** 2
-        assert r2.max() <= 1.0 + 1e-9
-        assert np.percentile(r2, 50) > 0.3  # not all piled at the centre
-
-    def test_rms_below_uniform(self, ring, ion, rf, gamma0, rng):
-        # Parabolic line density: rms = half/sqrt(5).
-        half = 100e-9
-        dt, _ = parabolic_bunch(ring, ion, rf, gamma0, half, 50000, rng)
-        assert dt.std() == pytest.approx(half / np.sqrt(5.0), rel=0.03)
-
-    def test_invalid_inputs(self, ring, ion, rf, gamma0, rng):
-        with pytest.raises(PhysicsError):
-            parabolic_bunch(ring, ion, rf, gamma0, -1e-9, 10, rng)
-        with pytest.raises(PhysicsError):
-            parabolic_bunch(ring, ion, rf, gamma0, 1e-9, 0, rng)
 
 
 class TestMatchingProperty:

@@ -1,10 +1,10 @@
-"""Tests for ion species definitions and parsing."""
+"""Tests for ion species definitions."""
 
 import pytest
 
 from repro.constants import ATOMIC_MASS_EV
 from repro.errors import ConfigurationError
-from repro.physics.ion import IonSpecies, KNOWN_IONS, ion_from_string
+from repro.physics.ion import IonSpecies, KNOWN_IONS
 
 
 class TestIonSpecies:
@@ -25,9 +25,6 @@ class TestIonSpecies:
         # Eq. 2: dgamma = Q/(m c^2) * V; for 1 V it is Q / rest_energy
         assert ion.gamma_gain_per_volt() == pytest.approx(7.0 / ion.rest_energy_ev)
 
-    def test_charge_coulomb(self):
-        assert KNOWN_IONS["1H1+"].charge_coulomb == pytest.approx(1.602176634e-19)
-
     def test_invalid_charge_state(self):
         with pytest.raises(ConfigurationError):
             IonSpecies("bad", mass_number=4, charge_state=5)
@@ -44,27 +41,6 @@ class TestIonSpecies:
         ion = KNOWN_IONS["14N7+"]
         with pytest.raises(AttributeError):
             ion.charge_state = 8
-
-
-class TestIonParsing:
-    def test_parse_n14(self):
-        ion = ion_from_string("14N7+")
-        assert ion.mass_number == 14
-        assert ion.charge_state == 7
-        assert ion.name == "14N7+"
-
-    def test_parse_u238(self):
-        ion = ion_from_string("238U28+")
-        assert ion.mass_number == 238
-        assert ion.charge_state == 28
-
-    def test_parse_strips_whitespace(self):
-        assert ion_from_string("  14N7+ ").mass_number == 14
-
-    @pytest.mark.parametrize("bad", ["N7+", "14N", "14N7-", "14N7", "", "7+14N"])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ConfigurationError):
-            ion_from_string(bad)
 
     def test_known_ions_consistent(self):
         for name, ion in KNOWN_IONS.items():

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PhysicsError
-from repro.physics.oscillation import (
-    estimate_oscillation_frequency,
-    fit_damping_envelope,
-    peak_to_peak,
-)
+from repro.physics.oscillation import estimate_oscillation_frequency, fit_damping_envelope
 
 
 def _sine(f, fs, n, phase=0.0, amp=1.0, offset=0.0):
@@ -92,15 +88,3 @@ class TestDampingFit:
         fit = fit_damping_envelope(t, y)
         assert fit.rate < 0  # growing
         assert fit.time_constant == float("inf")
-
-
-class TestPeakToPeak:
-    def test_simple(self):
-        assert peak_to_peak(np.array([-3.0, 1.0, 7.0])) == 10.0
-
-    def test_constant(self):
-        assert peak_to_peak(np.full(5, 2.2)) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(PhysicsError):
-            peak_to_peak(np.array([]))

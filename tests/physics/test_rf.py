@@ -100,7 +100,7 @@ class TestSynchrotronFrequency:
         assert f_s < 1e-2 * ring.revolution_frequency(gamma0)
 
     def test_unstable_bucket_raises(self, ring, ion, rf):
-        gamma_above = ring.gamma_transition * 1.5
+        gamma_above = 1.5 / np.sqrt(ring.alpha_c)  # 1.5 γ_t
         with pytest.raises(PhysicsError):
             synchrotron_frequency(ring, ion, rf, gamma_above)
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SignalError
 from repro.signal.filters import moving_average
-from repro.signal.interpolation import linear_fetch, linear_fetch_pair
+from repro.signal.interpolation import linear_fetch_pair
 
 
 class TestMovingAverage:
@@ -59,14 +59,3 @@ class TestLinearFetch:
             linear_fetch_pair(0.0, 1.0, -0.1)
         with pytest.raises(SignalError):
             linear_fetch_pair(0.0, 1.0, 1.5)
-
-    def test_array_fetch(self):
-        arr = np.array([0.0, 10.0, 20.0])
-        assert linear_fetch(arr, 1.5) == pytest.approx(15.0)
-        np.testing.assert_allclose(linear_fetch(arr, np.array([0.5, 2.0])), [5.0, 20.0])
-
-    def test_array_bounds(self):
-        with pytest.raises(SignalError):
-            linear_fetch(np.zeros(3), 2.5)
-        with pytest.raises(SignalError):
-            linear_fetch(np.zeros(3), -0.1)

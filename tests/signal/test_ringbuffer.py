@@ -30,7 +30,6 @@ class TestWriteRead:
         rb = RingBuffer(8)
         rb.write(np.arange(20.0))
         # Only the last 8 samples (12..19) remain.
-        assert rb.oldest_valid_index() == 12
         for i in range(12, 20):
             assert rb.read(i) == float(i)
 
@@ -71,16 +70,6 @@ class TestWriteRead:
         rb.write(np.array([]))
         assert rb.write_count == 0
 
-    def test_read_block(self):
-        rb = RingBuffer(16)
-        rb.write(np.arange(30.0))
-        np.testing.assert_array_equal(rb.read_block(20, 5), np.arange(20.0, 25.0))
-
-    def test_read_block_crossing_wrap(self):
-        rb = RingBuffer(8)
-        rb.write(np.arange(12.0))
-        np.testing.assert_array_equal(rb.read_block(6, 4), [6.0, 7.0, 8.0, 9.0])
-
 
 class TestInterpolatedFetch:
     def test_midpoint(self):
@@ -116,7 +105,7 @@ class TestSineRoundtrip:
         t = np.arange(n_extra + 1024)
         signal = np.sin(0.01 * t)
         rb.write(signal)
-        lo = rb.oldest_valid_index()
+        lo = rb.write_count - rb.capacity  # oldest sample still held
         addr = lo + 100.25
         expected = np.interp(addr, t, signal)
         assert rb.fetch_interpolated(addr) == pytest.approx(expected, abs=1e-12)

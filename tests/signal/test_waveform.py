@@ -25,62 +25,3 @@ class TestBasics:
     def test_requires_positive_rate(self):
         with pytest.raises(SignalError):
             Waveform(np.zeros(4), sample_rate=0.0)
-
-
-class TestSliceTime:
-    def test_inner_window(self):
-        wf = Waveform(np.arange(10.0), sample_rate=1.0)
-        sub = wf.slice_time(2.0, 5.0)
-        np.testing.assert_array_equal(sub.samples, [2.0, 3.0, 4.0])
-        assert sub.t0 == pytest.approx(2.0)
-
-    def test_out_of_range(self):
-        wf = Waveform(np.arange(10.0), sample_rate=1.0)
-        with pytest.raises(SignalError):
-            wf.slice_time(-1.0, 5.0)
-        with pytest.raises(SignalError):
-            wf.slice_time(5.0, 20.0)
-
-    def test_empty_window_rejected(self):
-        wf = Waveform(np.arange(10.0), sample_rate=1.0)
-        with pytest.raises(SignalError):
-            wf.slice_time(5.0, 5.0)
-
-
-class TestValueAt:
-    def test_exact_samples(self):
-        wf = Waveform(np.array([0.0, 10.0, 20.0]), sample_rate=1.0)
-        assert wf.value_at(1.0) == pytest.approx(10.0)
-
-    def test_interpolated(self):
-        wf = Waveform(np.array([0.0, 10.0]), sample_rate=1.0)
-        assert wf.value_at(0.25) == pytest.approx(2.5)
-
-    def test_vectorised(self):
-        wf = Waveform(np.array([0.0, 10.0, 20.0]), sample_rate=1.0)
-        np.testing.assert_allclose(wf.value_at(np.array([0.5, 1.5])), [5.0, 15.0])
-
-    def test_out_of_span(self):
-        wf = Waveform(np.zeros(3), sample_rate=1.0)
-        with pytest.raises(SignalError):
-            wf.value_at(5.0)
-
-
-class TestConcatenate:
-    def test_contiguous(self):
-        a = Waveform(np.array([1.0, 2.0]), sample_rate=1.0, t0=0.0)
-        b = Waveform(np.array([3.0]), sample_rate=1.0, t0=2.0)
-        c = a.concatenate(b)
-        np.testing.assert_array_equal(c.samples, [1.0, 2.0, 3.0])
-
-    def test_gap_rejected(self):
-        a = Waveform(np.array([1.0, 2.0]), sample_rate=1.0, t0=0.0)
-        b = Waveform(np.array([3.0]), sample_rate=1.0, t0=5.0)
-        with pytest.raises(SignalError):
-            a.concatenate(b)
-
-    def test_rate_mismatch_rejected(self):
-        a = Waveform(np.zeros(2), sample_rate=1.0)
-        b = Waveform(np.zeros(2), sample_rate=2.0, t0=2.0)
-        with pytest.raises(SignalError):
-            a.concatenate(b)

@@ -51,19 +51,6 @@ class TestZeroCrossingDetector:
         zcd = ZeroCrossingDetector()
         assert zcd.feed(np.full(100, 0.5)).size == 0
 
-    def test_hysteresis_suppresses_noise(self):
-        rng = np.random.default_rng(5)
-        fs, f = 250e6, 1e6
-        noisy = sine(f, fs, 2000) + rng.normal(0, 0.02, 2000)
-        plain = ZeroCrossingDetector().feed(noisy)
-        filtered = ZeroCrossingDetector(hysteresis=0.1).feed(noisy)
-        assert len(filtered) <= len(plain)
-        # Every filtered crossing sits on a true period boundary (multiples
-        # of 250 samples); no double-triggers from noise on the zero line.
-        residuals = np.abs(filtered - np.round(filtered / 250.0) * 250.0)
-        assert residuals.max() < 5.0
-        assert len(filtered) in (7, 8)  # 8 period boundaries, first optional
-
 
 class TestPeriodLengthDetector:
     def test_not_ready_before_four_periods(self):
@@ -124,10 +111,8 @@ class TestPeriodLengthDetector:
 class _NaiveZeroCrossingDetector:
     """Sample-by-sample reference for the vectorized detector."""
 
-    def __init__(self, hysteresis=0.0):
-        self.hysteresis = hysteresis
+    def __init__(self):
         self._prev = None
-        self._armed = True
         self._consumed = 0
         self.last_crossing = None
 
@@ -135,14 +120,10 @@ class _NaiveZeroCrossingDetector:
         out = []
         for s in np.asarray(samples, dtype=float).ravel():
             prev = self._prev
-            if prev is not None:
-                if self.hysteresis and prev < -self.hysteresis:
-                    self._armed = True
-                if prev < 0.0 <= s and (self.hysteresis == 0.0 or self._armed):
-                    d = s - prev
-                    frac = -prev / d if d != 0.0 else 0.0
-                    out.append(self._consumed - 1 + frac)
-                    self._armed = False
+            if prev is not None and prev < 0.0 <= s:
+                d = s - prev
+                frac = -prev / d if d != 0.0 else 0.0
+                out.append(self._consumed - 1 + frac)
             self._prev = s
             self._consumed += 1
         if out:
@@ -152,16 +133,15 @@ class _NaiveZeroCrossingDetector:
 
 class TestVectorizedAgainstNaive:
     """The block-vectorized detector must match the per-sample reference
-    exactly — crossings, interpolated fractions, and arming state across
-    arbitrary block boundaries."""
+    exactly — crossings and interpolated fractions across arbitrary
+    block boundaries."""
 
-    @pytest.mark.parametrize("hysteresis", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_blocks(self, hysteresis, seed):
+    def test_random_blocks(self, seed):
         rng = np.random.default_rng(seed)
         signal = np.sin(np.arange(3000) * 0.021) + rng.normal(0, 0.15, 3000)
-        fast = ZeroCrossingDetector(hysteresis=hysteresis)
-        naive = _NaiveZeroCrossingDetector(hysteresis=hysteresis)
+        fast = ZeroCrossingDetector()
+        naive = _NaiveZeroCrossingDetector()
         i = 0
         while i < signal.size:
             n = int(rng.integers(1, 200))
@@ -173,22 +153,9 @@ class TestVectorizedAgainstNaive:
         assert fast.last_crossing == naive.last_crossing
         assert fast.samples_consumed == naive._consumed
 
-    def test_arm_at_candidate_index_counts(self):
-        # A dip below -hyst at the very sample that then crosses zero:
-        # the sequential detector arms before it checks, so this fires.
-        d = ZeroCrossingDetector(hysteresis=0.1)
-        d.feed([0.5])                 # starts disarmed after no crossing? armed=True initially
-        d.feed([0.3, 0.2, 0.1])       # never dips: still armed from init
-        first = d.feed([-0.2, 0.4])   # fires (initial arm), disarms
-        assert first.size == 1
-        second = d.feed([-0.05, 0.4])  # shallow dip: stays disarmed
-        assert second.size == 0
-        third = d.feed([-0.2, 0.4])   # deep dip re-arms at crossing index
-        assert third.size == 1
-
     def test_single_sample_blocks_equal_one_block(self):
         signal = np.sin(np.arange(500) * 0.07)
-        one = ZeroCrossingDetector(hysteresis=0.1).feed(signal)
-        stream = ZeroCrossingDetector(hysteresis=0.1)
+        one = ZeroCrossingDetector().feed(signal)
+        stream = ZeroCrossingDetector()
         per_sample = np.concatenate([stream.feed([v]) for v in signal])
         assert np.array_equal(one, per_sample)
