@@ -7,8 +7,6 @@ jump response, showing the paper's operating point sits in the
 well-damped basin and that wrong-signed gain destabilises the loop.
 """
 
-import numpy as np
-
 from repro.control import ControlLoopConfig
 from repro.experiments.mde import bench_config
 from repro.hil.simulator import CavityInTheLoop

@@ -8,7 +8,7 @@ start to degrade), measured on the Fig. 5 phase observable.
 import numpy as np
 
 from repro.experiments.mde import bench_config
-from repro.hil.simulator import CavityInTheLoop, HilConfig
+from repro.hil.simulator import CavityInTheLoop
 from repro.signal.adc import ADC
 
 

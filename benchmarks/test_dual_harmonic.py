@@ -6,19 +6,15 @@ signal requires no CGRA model change because the model reads the gap
 ring buffer.
 """
 
-import numpy as np
-
 from repro.experiments.dual_harmonic_study import dual_harmonic_landau_study
 from repro.experiments.mde import bench_config
 from repro.hil.simulator import CavityInTheLoop
-from repro.physics import SIS18, KNOWN_IONS
 from repro.physics.oscillation import estimate_oscillation_frequency
 
 
 def test_dual_harmonic_landau_table(benchmark, report):
     rows_data = benchmark.pedantic(
         dual_harmonic_landau_study,
-        args=(SIS18, KNOWN_IONS["14N7+"]),
         kwargs={"n_particles": 1500, "n_turns": 36000},
         rounds=1,
         iterations=1,

@@ -5,14 +5,10 @@ the paper's stationary-bucket illustration, and times the generator.
 """
 
 from repro.experiments.fig1 import fig1_forces_data
-from repro.physics import SIS18, KNOWN_IONS, RFSystem
 
 
 def test_fig1_forces(benchmark, report):
-    ring, ion = SIS18, KNOWN_IONS["14N7+"]
-    rf = RFSystem(harmonic=4, voltage=5e3)
-
-    data = benchmark(fig1_forces_data, ring, ion, rf, 800e3)
+    data = benchmark(fig1_forces_data)
 
     rows = [
         f"gap voltage over one RF period: {len(data.time)} points, "

@@ -8,8 +8,6 @@ from the 1.25 µs real-time revolution period — the real-time claim lives
 in the cycle domain (see E6), not in Python wall clock.
 """
 
-import numpy as np
-
 from repro.hil.framework import FpgaFramework, FrameworkConfig
 from repro.physics import SIS18, KNOWN_IONS
 from repro.signal.dds import GroupDDS

@@ -6,8 +6,6 @@ loop — verifies the drive cadence, and measures the cost of one closed-
 loop revolution on the fast path.
 """
 
-import numpy as np
-
 from repro.experiments.mde import bench_config
 from repro.hil.simulator import CavityInTheLoop
 

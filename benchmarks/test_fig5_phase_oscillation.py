@@ -9,8 +9,6 @@ and prints the paper's comparison quantities next to the paper's values:
 * settled phase shift = jump amplitude.
 """
 
-import numpy as np
-
 from repro.experiments.fig5 import fig5_metrics, fig5_run_bench, fig5_run_machine
 from repro.experiments.mde import MDE_JUMP_DEG_BENCH, MDE_JUMP_DEG_MACHINE
 

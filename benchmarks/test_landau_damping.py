@@ -11,7 +11,7 @@ from repro.experiments.landau import landau_damping_comparison
 def test_landau_vs_loop_damping(benchmark, report):
     rows_data = benchmark.pedantic(
         landau_damping_comparison,
-        kwargs={"n_particles": 3000, "duration": 0.045},
+        kwargs={"n_particles": 3000},
         rounds=1,
         iterations=1,
     )

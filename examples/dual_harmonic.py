@@ -44,9 +44,7 @@ def bucket_physics() -> None:
 
 def landau_reservoir() -> None:
     print("Landau study (amplitude-dependent f_s and dipole decoherence):")
-    rows = dual_harmonic_landau_study(
-        SIS18, KNOWN_IONS["14N7+"], n_particles=1200, n_turns=28000
-    )
+    rows = dual_harmonic_landau_study(n_particles=1200, n_turns=28000)
     for r in rows:
         print(f"  r={r.ratio:4.2f}: f_s(5ns)={r.f_s_small:7.1f} Hz  "
               f"f_s(50ns)={r.f_s_large:7.1f} Hz  "

@@ -20,10 +20,7 @@ import numpy as np
 
 from repro import SIS18, KNOWN_IONS, MultiParticleTracker, RFSystem
 from repro.physics.distributions import gaussian_bunch
-from repro.physics.oscillation import (
-    estimate_oscillation_frequency,
-    fit_damping_envelope,
-)
+from repro.physics.oscillation import estimate_oscillation_frequency
 from repro.physics.rf import synchrotron_frequency, voltage_for_synchrotron_frequency
 from repro.experiments import landau_damping_comparison
 
@@ -53,7 +50,7 @@ def quadrupole_demo() -> None:
 
 def main() -> None:
     print("Landau damping / filamentation vs. control-loop damping")
-    rows = landau_damping_comparison(n_particles=3000, duration=0.045)
+    rows = landau_damping_comparison(n_particles=3000)
     for row in rows:
         label = "loop ON " if row.control_enabled else "loop OFF"
         print(f"  {label}: damping rate {row.damping_rate:8.1f} /s "

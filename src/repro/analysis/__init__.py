@@ -4,12 +4,15 @@
 lint of the experiment/fault task modules (pass id ``"shardlint"``,
 rules ``SHARD001``–``SHARD004``), the static counterpart of the runtime
 ``_guard_value`` check in :mod:`repro.parallel.pool`.  It reports
-through the :mod:`repro.cgra.verify` diagnostics machinery.
+through the :mod:`repro.cgra.verify` diagnostics machinery, as the
+mini-C kernel passes do.
 
-``python -m repro.analysis`` lints every task module (``--all``) or
-explicit paths, with ``--json`` per-target output and
-``--fail-on-error``/``--fail-on-warning`` gates.  Exit status: 0 clean,
-1 diagnostics tripped a gate, 2 internal analyzer error.
+``python -m repro.analysis`` (:mod:`repro.analysis.cli`) is the one
+static-analysis command line: ``*.c`` kernels run the
+:mod:`repro.cgra.verify` passes, Python modules run shardlint, and
+``--all`` covers the built-in kernels and every task module.  Exit
+status: 0 clean, 1 diagnostics tripped a gate, 2 internal analyzer
+error.
 """
 
 from repro.analysis.shardlint import (
@@ -26,12 +29,4 @@ __all__ = [
     "lint_shard_source",
     "lint_shard_file",
     "default_targets",
-    "main",
 ]
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (see :mod:`repro.analysis.cli`)."""
-    from repro.analysis.cli import main as cli_main
-
-    return cli_main(argv)

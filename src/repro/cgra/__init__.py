@@ -18,7 +18,7 @@ Reproduces the paper's Section III-C tool flow end to end:
    (:mod:`repro.cgra.engine`, the compiled engine);
 6. every stage can be checked statically — schedule/context legality,
    mini-C semantics, value ranges — without executing anything
-   (:mod:`repro.cgra.verify`, ``python -m repro.cgra.lint``).
+   (:mod:`repro.cgra.verify`, ``python -m repro.analysis``).
 
 The schedule length in clock ticks, divided into the CGRA clock rate,
 gives the maximum revolution frequency the simulator can sustain — the

@@ -13,9 +13,9 @@ raising on the first problem:
 * :func:`analyze_ranges` — interval range analysis flagging overflow,
   division by zero and ±1 V DAC-window saturation (pass id ``"range"``).
 
-``python -m repro.cgra.lint`` runs the source-level passes over source
-files or the built-in kernels; ``python -m repro.analysis`` runs the
-shard-safety lint on the same diagnostics machinery.
+``python -m repro.analysis`` runs the source-level passes over mini-C
+files or the built-in kernels, and the shard-safety lint on the same
+diagnostics machinery.
 """
 
 from repro.cgra.verify.diagnostics import (

@@ -191,7 +191,7 @@ class DiagnosticReport:
         chosen = [d for d in self.diagnostics if d.severity >= min_severity]
         chosen.sort(key=lambda d: -int(d.severity))
         if not chosen:
-            return "no diagnostics"
+            return f"no diagnostics at {min_severity} or above" if self else "no diagnostics"
         return "\n".join(d.render() for d in chosen)
 
     def to_dicts(self) -> list[dict]:

@@ -20,24 +20,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.experiments.mde import (
+    MDE_ION,
+    MDE_REVOLUTION_FREQUENCY,
+    MDE_RING,
+    MDE_SYNCHROTRON_FREQUENCY_BENCH,
+)
+from repro.parallel import WorkerPool, dispatch
 from repro.physics.distributions import gaussian_bunch
 from repro.physics.dual_harmonic import (
     DualHarmonicRF,
     dual_harmonic_synchrotron_frequency,
     synchrotron_frequency_vs_amplitude,
 )
-from repro.physics.ion import IonSpecies
 from repro.physics.multiparticle import MultiParticleTracker
 from repro.physics.rf import RFSystem, voltage_for_synchrotron_frequency
-from repro.physics.ring import SynchrotronRing
 
 __all__ = [
     "DualHarmonicRow",
     "DualHarmonicTask",
-    "dual_harmonic_tasks",
     "dual_harmonic_row",
     "dual_harmonic_landau_study",
 ]
+
+#: Second-harmonic ratios compared: single harmonic, intermediate and
+#: the flat bucket.
+RATIOS = (0.0, 0.35, 0.5)
+#: Bunch length and coherent displacement of the ensemble, seconds.
+SIGMA_DELTA_T = 10e-9
+DISPLACEMENT = 15e-9
+#: Shared across ratios on purpose: the same ensemble probes each bucket
+#: shape, so retention differences isolate the ratio.
+SEED = 9
 
 
 @dataclass(frozen=True)
@@ -64,45 +78,39 @@ class DualHarmonicRow:
 
 @dataclass(frozen=True)
 class DualHarmonicTask:
-    """One cavity ratio of the study (plain dataclass — ring/ion are
-    frozen parameter records, so the task pickles into workers)."""
+    """One cavity ratio of the study (plain data, so it pickles into
+    workers)."""
 
-    ring: SynchrotronRing
-    ion: IonSpecies
     ratio: float
-    f_rev: float = 800e3
-    f_s_target: float = 1.28e3
-    n_particles: int = 2500
-    sigma_delta_t: float = 10e-9
-    displacement: float = 15e-9
-    n_turns: int = 48000
-    #: Shared across ratios on purpose: the same ensemble probes each
-    #: bucket shape, so retention differences isolate the ratio.
-    seed: int = 9
+    n_particles: int
+    n_turns: int
 
 
 def dual_harmonic_row(task: DualHarmonicTask) -> DualHarmonicRow:
     """Track one ratio's ensemble and extract its Landau behaviour."""
-    ring, ion, ratio = task.ring, task.ion, task.ratio
-    gamma0 = ring.gamma_from_revolution_frequency(task.f_rev)
+    ring, ion, ratio = MDE_RING, MDE_ION, task.ratio
+    f_rev = MDE_REVOLUTION_FREQUENCY
+    gamma0 = ring.gamma_from_revolution_frequency(f_rev)
     probe = RFSystem(harmonic=4, voltage=1.0)
-    v1 = voltage_for_synchrotron_frequency(ring, ion, probe, gamma0, task.f_s_target)
+    v1 = voltage_for_synchrotron_frequency(
+        ring, ion, probe, gamma0, MDE_SYNCHROTRON_FREQUENCY_BENCH
+    )
     rf = DualHarmonicRF(harmonic=4, voltage=v1, ratio=ratio)
     f_lin = dual_harmonic_synchrotron_frequency(ring, ion, rf, gamma0)
     f_amp = synchrotron_frequency_vs_amplitude(
-        ring, ion, rf, gamma0, [5e-9, 50e-9], f_rev=task.f_rev
+        ring, ion, rf, gamma0, [5e-9, 50e-9], f_rev=f_rev
     )
     # Matched-ish ensemble: use the single-harmonic matching for the
     # momentum spread (conservative for the flattened bucket) and
     # displace it to excite a coherent dipole.
-    rng = np.random.default_rng(task.seed)
+    rng = np.random.default_rng(SEED)
     single = RFSystem(harmonic=4, voltage=v1)
     dt, dgamma = gaussian_bunch(
-        ring, ion, single, gamma0, task.sigma_delta_t, task.n_particles, rng,
-        centre_delta_t=task.displacement,
+        ring, ion, single, gamma0, SIGMA_DELTA_T, task.n_particles, rng,
+        centre_delta_t=DISPLACEMENT,
     )
     tracker = MultiParticleTracker(ring, ion, rf, dt, dgamma, gamma0)
-    rec = tracker.track(task.n_turns, f_rev=task.f_rev, record_every=16)
+    rec = tracker.track(task.n_turns, f_rev=f_rev, record_every=16)
     centred = np.abs(rec.mean_delta_t - rec.mean_delta_t.mean())
     quarter = max(1, len(centred) // 4)
     early = float(centred[:quarter].max())
@@ -116,51 +124,21 @@ def dual_harmonic_row(task: DualHarmonicTask) -> DualHarmonicRow:
     )
 
 
-def dual_harmonic_tasks(
-    ring: SynchrotronRing,
-    ion: IonSpecies,
-    ratios: tuple[float, ...] = (0.0, 0.35, 0.5),
-    **overrides,
-) -> list[DualHarmonicTask]:
-    """The study's shard plan: one task per second-harmonic ratio."""
-    n_particles = overrides.get("n_particles", 2500)
-    if n_particles < 10:
-        raise ConfigurationError("need a meaningful ensemble")
-    return [
-        DualHarmonicTask(ring=ring, ion=ion, ratio=ratio, **overrides)
-        for ratio in ratios
-    ]
-
-
 def dual_harmonic_landau_study(
-    ring: SynchrotronRing,
-    ion: IonSpecies,
-    ratios: tuple[float, ...] = (0.0, 0.35, 0.5),
-    f_rev: float = 800e3,
-    f_s_target: float = 1.28e3,
-    n_particles: int = 2500,
-    sigma_delta_t: float = 10e-9,
-    displacement: float = 15e-9,
-    n_turns: int = 48000,
-    seed: int = 9,
+    n_particles: int = 2500, n_turns: int = 48000, pool: WorkerPool | None = None
 ) -> list[DualHarmonicRow]:
-    """Compare Landau behaviour across second-harmonic ratios.
+    """Compare Landau behaviour across second-harmonic ratios: one task
+    per ratio on ``pool`` (inline without one).
 
     The fundamental amplitude is fixed to the single-harmonic value that
-    gives ``f_s_target`` (as in the MDE calibration), so rising ``ratio``
-    flattens the bucket at constant V̂₁ — the operational knob of a real
-    dual-harmonic system.
+    gives the bench's 1.28 kHz (as in the MDE calibration), so rising
+    ratio flattens the bucket at constant V̂₁ — the operational knob of
+    a real dual-harmonic system.
     """
-    tasks = dual_harmonic_tasks(
-        ring,
-        ion,
-        ratios,
-        f_rev=f_rev,
-        f_s_target=f_s_target,
-        n_particles=n_particles,
-        sigma_delta_t=sigma_delta_t,
-        displacement=displacement,
-        n_turns=n_turns,
-        seed=seed,
-    )
-    return [dual_harmonic_row(task) for task in tasks]
+    if n_particles < 10:
+        raise ConfigurationError("need a meaningful ensemble")
+    tasks = [
+        DualHarmonicTask(ratio=ratio, n_particles=n_particles, n_turns=n_turns)
+        for ratio in RATIOS
+    ]
+    return dispatch(pool, dual_harmonic_row, tasks, "dual")

@@ -16,13 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.physics.ion import IonSpecies
+from repro.experiments.mde import MDE_HARMONIC, MDE_ION, MDE_REVOLUTION_FREQUENCY
 from repro.physics.rf import RFSystem
-from repro.physics.ring import SynchrotronRing
 from repro.physics.tracking import delta_gamma_update
 
 __all__ = ["Fig1Data", "fig1_forces_data"]
+
+#: The illustrated gap: the MDE harmonic at a 5 kV amplitude.
+RF = RFSystem(harmonic=MDE_HARMONIC, voltage=5e3)
+#: The early/late sample particles sit this fraction of an RF period
+#: either side of the reference crossing.
+OFFSET_FRACTION = 0.08
+#: Points of the gap-voltage curve across one RF period.
+N_POINTS = 512
 
 
 @dataclass
@@ -41,28 +47,15 @@ class Fig1Data:
     particle_delta_gamma_kick: np.ndarray
 
 
-def fig1_forces_data(
-    ring: SynchrotronRing,
-    ion: IonSpecies,
-    rf: RFSystem,
-    f_rev: float,
-    offset_fraction: float = 0.08,
-    n_points: int = 512,
-) -> Fig1Data:
-    """Regenerate Fig. 1's content for the given machine setup.
-
-    ``offset_fraction`` places the early/late sample particles at
-    ±(fraction of an RF period) around the reference crossing.
-    """
-    if not 0.0 < offset_fraction < 0.25:
-        raise ConfigurationError("offset_fraction must be in (0, 0.25)")
-    if n_points < 16:
-        raise ConfigurationError("n_points too small for a meaningful curve")
+def fig1_forces_data() -> Fig1Data:
+    """Regenerate Fig. 1's content: ¹⁴N⁷⁺ at the MDE's 800 kHz
+    revolution frequency in the gap :data:`RF`."""
+    ion, rf, f_rev = MDE_ION, RF, MDE_REVOLUTION_FREQUENCY
     t_rf = 1.0 / (rf.harmonic * f_rev)
-    time = np.linspace(-0.5 * t_rf, 0.5 * t_rf, n_points)
+    time = np.linspace(-0.5 * t_rf, 0.5 * t_rf, N_POINTS)
     voltage = rf.gap_voltage_at(time, f_rev)
 
-    offsets = np.array([-offset_fraction * t_rf, 0.0, offset_fraction * t_rf])
+    offsets = np.array([-OFFSET_FRACTION * t_rf, 0.0, OFFSET_FRACTION * t_rf])
     p_voltage = rf.gap_voltage_at(offsets, f_rev)
     v_ref = rf.gap_voltage_at(0.0, f_rev)
     kicks = np.array(

@@ -16,12 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.signal.dds import GroupDDS
 from repro.signal.gauss_pulse import GaussPulseGenerator
 from repro.signal.dac import DAC
 
 __all__ = ["Fig2Data", "fig2_signal_snapshot"]
+
+F_REV = 800e3
+#: The figure shows h = 2: two bunches per revolution.
+HARMONIC = 2
+N_REVOLUTIONS = 2
+AMPLITUDE = 0.9
+#: Every bunch's displacement from its gap zero crossing, seconds.
+BUNCH_DELTA_T = 60e-9
+PULSE_SIGMA = 25e-9
+SAMPLE_RATE = 250e6
+#: Offset of the gap signal, radians.
+GAP_PHASE_RAD = 0.35
 
 
 @dataclass
@@ -36,48 +47,33 @@ class Fig2Data:
     bunch_offsets: np.ndarray
 
 
-def fig2_signal_snapshot(
-    f_rev: float = 800e3,
-    harmonic: int = 2,
-    n_revolutions: int = 2,
-    amplitude: float = 0.9,
-    bunch_delta_t: float = 60e-9,
-    pulse_sigma: float = 25e-9,
-    sample_rate: float = 250e6,
-    gap_phase_rad: float = 0.35,
-) -> Fig2Data:
-    """Produce the Fig. 2 snapshot (defaults: h = 2, visibly displaced).
+def fig2_signal_snapshot() -> Fig2Data:
+    """Produce the Fig. 2 snapshot: h = 2, visibly displaced.
 
-    ``bunch_delta_t`` displaces every bunch from its gap zero crossing
-    and ``gap_phase_rad`` offsets the gap signal, so the snapshot is
-    "non-equilibrium" like the paper's.
+    :data:`BUNCH_DELTA_T` displaces every bunch from its gap zero
+    crossing and :data:`GAP_PHASE_RAD` offsets the gap signal, so the
+    snapshot is "non-equilibrium" like the paper's.
     """
-    if n_revolutions < 1:
-        raise ConfigurationError("need at least one revolution")
-    if harmonic < 1:
-        raise ConfigurationError("harmonic must be >= 1")
     group = GroupDDS(
-        revolution_frequency=f_rev,
-        harmonic=harmonic,
-        amplitude=amplitude,
-        sample_rate=sample_rate,
-        gap_phase_drive=lambda t: gap_phase_rad,
+        revolution_frequency=F_REV,
+        harmonic=HARMONIC,
+        amplitude=AMPLITUDE,
+        sample_rate=SAMPLE_RATE,
+        gap_phase_drive=lambda t: GAP_PHASE_RAD,
     )
     group.reset_phase()
-    n_samples = int(round(n_revolutions / f_rev * sample_rate))
+    n_samples = int(round(N_REVOLUTIONS / F_REV * SAMPLE_RATE))
     ref_wf, gap_wf = group.generate(n_samples)
 
-    pulses = GaussPulseGenerator(sigma=pulse_sigma, sample_rate=sample_rate, amplitude=amplitude)
-    t_rev = 1.0 / f_rev
-    offsets = []
-    for rev in range(n_revolutions + 1):
-        for b in range(harmonic):
-            centre = rev * t_rev + b * t_rev / harmonic + bunch_delta_t
-            offsets.append(bunch_delta_t)
-            if centre < (n_samples + 8 * pulse_sigma * sample_rate) / sample_rate:
+    pulses = GaussPulseGenerator(sigma=PULSE_SIGMA, sample_rate=SAMPLE_RATE, amplitude=AMPLITUDE)
+    t_rev = 1.0 / F_REV
+    for rev in range(N_REVOLUTIONS + 1):
+        for b in range(HARMONIC):
+            centre = rev * t_rev + b * t_rev / HARMONIC + BUNCH_DELTA_T
+            if centre < (n_samples + 8 * PULSE_SIGMA * SAMPLE_RATE) / SAMPLE_RATE:
                 pulses.schedule(centre)
     beam_wf = pulses.render(0.0, n_samples)
-    dac = DAC(bits=16, vpp=2.0, sample_rate=sample_rate)
+    dac = DAC(bits=16, vpp=2.0, sample_rate=SAMPLE_RATE)
     beam = dac.convert(beam_wf.samples)
     dac.publish()
     return Fig2Data(
@@ -85,5 +81,5 @@ def fig2_signal_snapshot(
         reference=ref_wf.samples,
         gap=gap_wf.samples,
         beam=beam,
-        bunch_offsets=np.asarray(offsets[: harmonic]),
+        bunch_offsets=np.full(HARMONIC, BUNCH_DELTA_T),
     )

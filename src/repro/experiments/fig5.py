@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.baselines.offline_tracker import MachineExperimentEmulator, MachineRunResult
 from repro.errors import ConfigurationError
-from repro.experiments.mde import bench_config, machine_config
+from repro.experiments.mde import MDE_TOGGLE_PERIOD, bench_config, machine_config
 from repro.hil.simulator import CavityInTheLoop, HilRunResult
 from repro.physics.oscillation import estimate_oscillation_frequency
 
@@ -62,11 +62,10 @@ def fig5_metrics(
     phase_deg: np.ndarray,
     jump_deg: float,
     jump_time: float,
-    toggle_period: float = 0.05,
 ) -> Fig5Metrics:
     """Extract the Fig. 5 match metrics around one jump at ``jump_time``.
 
-    The analysis windows:
+    The analysis windows, in the MDE's 50 ms inter-jump period:
 
     * *pre*: 5 ms before the jump (baseline level),
     * *transient*: the first 1.5 synchrotron periods after the jump
@@ -78,7 +77,7 @@ def fig5_metrics(
     phase_deg = np.asarray(phase_deg, dtype=float)
     if time.shape != phase_deg.shape:
         raise ConfigurationError("time/phase shape mismatch")
-    if not time[0] <= jump_time <= time[-1] - 0.5 * toggle_period:
+    if not time[0] <= jump_time <= time[-1] - 0.5 * MDE_TOGGLE_PERIOD:
         raise ConfigurationError("jump_time not inside the trace (with settling room)")
 
     pre = phase_deg[(time > jump_time - 0.005) & (time < jump_time)]
@@ -86,15 +85,15 @@ def fig5_metrics(
         raise ConfigurationError("no pre-jump samples in trace")
     base = float(np.median(pre))
 
-    spectral_sel = (time > jump_time) & (time < jump_time + 0.4 * toggle_period)
+    spectral_sel = (time > jump_time) & (time < jump_time + 0.4 * MDE_TOGGLE_PERIOD)
     f_s = estimate_oscillation_frequency(time[spectral_sel], phase_deg[spectral_sel])
 
     transient_sel = (time > jump_time) & (time < jump_time + 1.5 / f_s)
     transient = phase_deg[transient_sel]
     first_pp = float(transient.max() - transient.min())
 
-    settled_sel = (time > jump_time + 0.8 * toggle_period) & (
-        time < jump_time + toggle_period
+    settled_sel = (time > jump_time + 0.8 * MDE_TOGGLE_PERIOD) & (
+        time < jump_time + MDE_TOGGLE_PERIOD
     )
     settled = phase_deg[settled_sel]
     residual_pp = float(settled.max() - settled.min())

@@ -26,9 +26,16 @@ from repro.cgra.models import compile_beam_model
 from repro.cgra.sensor import ACTUATOR_DELTA_T
 from repro.errors import ConfigurationError
 from repro.hil.jitter import CgraTimingModel, SoftwareTimingModel, TimingSample
-from repro.parallel.seeding import shard_seeds
+from repro.parallel import WorkerPool, dispatch, shard_seeds
 
-__all__ = ["JitterRow", "JitterTask", "jitter_tasks", "jitter_rows_for", "jitter_comparison"]
+__all__ = ["JitterRow", "JitterTask", "jitter_rows_for", "jitter_comparison"]
+
+#: Revolution rates compared: the MDE rate and the paper's 1 MHz limit.
+F_REV_VALUES = (800e3, 1.0e6)
+#: Harmonic number converting output jitter into RF phase.
+HARMONIC = 4
+#: Root seed; each revolution rate samples from its own child seed.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,9 @@ class JitterTask:
     shards across :mod:`repro.parallel` workers)."""
 
     f_rev_hz: float
-    harmonic: int = 4
-    n_samples: int = 200_000
+    n_samples: int
     #: Per-item child seed (see :func:`repro.parallel.shard_seeds`).
-    seed: int = 7
-    software_timing: SoftwareTimingModel | None = None
+    seed: int
 
 
 def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
@@ -65,11 +70,6 @@ def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
     from the per-process cache in workers.
     """
     rng = np.random.default_rng(task.seed)
-    software = (
-        task.software_timing
-        if task.software_timing is not None
-        else SoftwareTimingModel()
-    )
     model = compile_beam_model(n_bunches=1, pipelined=True)
     write_tick = None
     for placed in model.schedule.ops.values():
@@ -81,14 +81,14 @@ def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
         raise ConfigurationError("beam model has no Δt actuator write")
     cgra = CgraTimingModel(write_tick, cgra_clock_hz=model.config.clock_mhz * 1e6)
 
-    f_rev, harmonic, n_samples = task.f_rev_hz, task.harmonic, task.n_samples
+    f_rev, n_samples = task.f_rev_hz, task.n_samples
     t_rev = 1.0 / f_rev
     rows: list[JitterRow] = []
     # Software implementation.
-    lat = software.sample(n_samples, rng)
+    lat = SoftwareTimingModel().sample(n_samples, rng)
     misses = float(np.count_nonzero(lat > t_rev)) / n_samples
     dev = lat - np.median(lat)
-    phase_err = 360.0 * harmonic * f_rev * dev
+    phase_err = 360.0 * HARMONIC * f_rev * dev
     rows.append(
         JitterRow(
             implementation="software (CPU)",
@@ -110,50 +110,24 @@ def jitter_rows_for(task: JitterTask) -> list[JitterRow]:
             f_rev_hz=f_rev,
             latency=TimingSample.from_latencies(clat),
             deadline_miss_rate=miss,
-            false_phase_rms_deg=360.0 * harmonic * f_rev * dac_quant / np.sqrt(3.0),
-            false_phase_worst_deg=360.0 * harmonic * f_rev * dac_quant,
+            false_phase_rms_deg=360.0 * HARMONIC * f_rev * dac_quant / np.sqrt(3.0),
+            false_phase_worst_deg=360.0 * HARMONIC * f_rev * dac_quant,
         )
     )
     return rows
 
 
-def jitter_tasks(
-    f_rev_values: tuple[float, ...] = (800e3, 1.0e6),
-    harmonic: int = 4,
-    n_samples: int = 200_000,
-    software_timing: SoftwareTimingModel | None = None,
-    seed: int = 7,
-) -> list[JitterTask]:
-    """Shard plan of the comparison: one task per revolution rate, each
-    with its own spawned child seed — independent of the worker count."""
-    if not f_rev_values:
-        raise ConfigurationError("need at least one revolution frequency")
-    seeds = shard_seeds(seed, len(f_rev_values))
-    return [
-        JitterTask(
-            f_rev_hz=f_rev,
-            harmonic=harmonic,
-            n_samples=n_samples,
-            seed=item_seed,
-            software_timing=software_timing,
-        )
-        for f_rev, item_seed in zip(f_rev_values, seeds)
-    ]
-
-
 def jitter_comparison(
-    f_rev_values: tuple[float, ...] = (800e3, 1.0e6),
-    harmonic: int = 4,
-    n_samples: int = 200_000,
-    software_timing: SoftwareTimingModel | None = None,
-    seed: int = 7,
+    n_samples: int = 200_000, pool: WorkerPool | None = None
 ) -> list[JitterRow]:
-    """Build the E7 comparison table (serial reference path).
+    """Build the E7 comparison table: one task per revolution rate on
+    ``pool`` (inline without one).
 
     Each revolution rate samples from its own child seed, so the table
     is identical whether the tasks run here or across a worker pool.
     """
-    rows: list[JitterRow] = []
-    for task in jitter_tasks(f_rev_values, harmonic, n_samples, software_timing, seed):
-        rows.extend(jitter_rows_for(task))
-    return rows
+    tasks = [
+        JitterTask(f_rev_hz=f_rev, n_samples=n_samples, seed=seed)
+        for f_rev, seed in zip(F_REV_VALUES, shard_seeds(SEED, len(F_REV_VALUES)))
+    ]
+    return [row for pair in dispatch(pool, jitter_rows_for, tasks, "jitter") for row in pair]

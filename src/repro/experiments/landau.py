@@ -23,17 +23,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.offline_tracker import MachineExperimentEmulator
-from repro.errors import ConfigurationError
 from repro.experiments.mde import machine_config
+from repro.parallel import WorkerPool, dispatch
 from repro.physics.oscillation import fit_damping_envelope
 
 __all__ = [
     "LandauRow",
     "LandauTask",
-    "landau_tasks",
     "landau_row",
     "landau_damping_comparison",
 ]
+
+#: Window, seconds: one jump (at 5 ms) and its aftermath, inside the
+#: 50 ms toggle period so only one jump acts.
+DURATION = 0.045
+#: Bunch length, seconds.  It sets the Landau-damping strength (the
+#: decoherence rate grows with the amplitude-dependent frequency spread,
+#: i.e. with the bunch length squared): 8 ns puts the uncontrolled decay
+#: clearly below the loop's — the paper's "much stronger" regime — while
+#: still being measurable within one window.
+SIGMA_DELTA_T = 8e-9
+#: Shared across both configurations on purpose: the ensembles must be
+#: identical so the on/off contrast isolates the loop.
+SEED = 20231124
 
 
 @dataclass(frozen=True)
@@ -58,12 +70,7 @@ class LandauTask:
     data, so the two runs shard across :mod:`repro.parallel` workers."""
 
     control_enabled: bool
-    n_particles: int = 4000
-    duration: float = 0.045
-    sigma_delta_t: float = 8e-9
-    #: Shared across both configurations on purpose: the ensembles must
-    #: be identical so the on/off contrast isolates the loop.
-    seed: int = 20231124
+    n_particles: int
 
 
 def landau_row(task: LandauTask) -> LandauRow:
@@ -71,18 +78,18 @@ def landau_row(task: LandauTask) -> LandauRow:
     emu = MachineExperimentEmulator(
         machine_config(
             n_particles=task.n_particles,
-            sigma_delta_t=task.sigma_delta_t,
+            sigma_delta_t=SIGMA_DELTA_T,
             control_enabled=task.control_enabled,
-            seed=task.seed,
+            seed=SEED,
             record_every=4,
         )
     )
-    res = emu.run(task.duration)
+    res = emu.run(DURATION)
     sel = res.time > emu.jump.start_time
     fit = fit_damping_envelope(res.time[sel], res.phase_deg[sel])
     sigma0 = float(res.sigma_delta_t[0])
     sigma1 = float(res.sigma_delta_t[-1])
-    tail = res.phase_deg[res.time > 0.8 * task.duration]
+    tail = res.phase_deg[res.time > 0.8 * DURATION]
     centred = tail - tail.mean()
     return LandauRow(
         control_enabled=task.control_enabled,
@@ -94,45 +101,13 @@ def landau_row(task: LandauTask) -> LandauRow:
     )
 
 
-def landau_tasks(
-    n_particles: int = 4000,
-    duration: float = 0.045,
-    sigma_delta_t: float = 8e-9,
-    seed: int = 20231124,
-) -> list[LandauTask]:
-    """The comparison's shard plan: loop off, then loop on."""
-    if duration > 0.05:
-        raise ConfigurationError("duration must fit inside one inter-jump window")
-    return [
-        LandauTask(
-            control_enabled=enabled,
-            n_particles=n_particles,
-            duration=duration,
-            sigma_delta_t=sigma_delta_t,
-            seed=seed,
-        )
+def landau_damping_comparison(
+    n_particles: int = 4000, pool: WorkerPool | None = None
+) -> list[LandauRow]:
+    """Run the jump response with the loop off, then on, on ``pool``
+    (inline without one); fit decay rates."""
+    tasks = [
+        LandauTask(control_enabled=enabled, n_particles=n_particles)
         for enabled in (False, True)
     ]
-
-
-def landau_damping_comparison(
-    n_particles: int = 4000,
-    duration: float = 0.045,
-    sigma_delta_t: float = 8e-9,
-    seed: int = 20231124,
-) -> list[LandauRow]:
-    """Run the jump response with the loop off and on; fit decay rates.
-
-    The window covers one jump (at 5 ms) and its aftermath; ``duration``
-    must stay below the 50 ms toggle period so only one jump acts.
-
-    ``sigma_delta_t`` controls the Landau-damping strength (decoherence
-    rate grows with the amplitude-dependent frequency spread, i.e. with
-    the bunch length squared): 8 ns puts the uncontrolled decay clearly
-    below the loop's — the paper's "much stronger" regime — while still
-    being measurable within one window.
-    """
-    return [
-        landau_row(task)
-        for task in landau_tasks(n_particles, duration, sigma_delta_t, seed)
-    ]
+    return dispatch(pool, landau_row, tasks, "landau")

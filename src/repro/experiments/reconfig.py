@@ -15,10 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.fpga_direct import DirectFpgaFlow
-from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import compile_beam_model
+from repro.parallel import WorkerPool, dispatch
 
-__all__ = ["ReconfigRow", "ReconfigTask", "reconfig_tasks", "reconfig_row", "reconfiguration_table"]
+__all__ = ["ReconfigRow", "ReconfigTask", "reconfig_row", "reconfiguration_table"]
+
+#: Model variants timed, as ``(n_bunches, pipelined)``: the Section IV-B
+#: table's four configurations.
+CONFIGURATIONS = ((8, False), (8, True), (4, True), (1, True))
+#: Size of the beam-model design the direct-FPGA flow synthesises, kLUT.
+DESIGN_KLUTS = 180.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,6 @@ class ReconfigTask:
 
     n_bunches: int
     pipelined: bool
-    config: CgraConfig
-    design_kluts: float = 180.0
 
 
 def reconfig_row(task: ReconfigTask) -> ReconfigRow:
@@ -53,14 +57,11 @@ def reconfig_row(task: ReconfigTask) -> ReconfigRow:
     runner output that is inherently not byte-reproducible across runs
     (any job count included).
     """
-    fpga_seconds = DirectFpgaFlow().synthesis_seconds(task.design_kluts)
+    fpga_seconds = DirectFpgaFlow().synthesis_seconds(DESIGN_KLUTS)
     # use_cache=False: this experiment *measures* the tool-flow
     # turnaround, so a cache hit would report a stale duration.
     model = compile_beam_model(
-        n_bunches=task.n_bunches,
-        pipelined=task.pipelined,
-        config=task.config,
-        use_cache=False,
+        n_bunches=task.n_bunches, pipelined=task.pipelined, use_cache=False
     )
     return ReconfigRow(
         n_bunches=task.n_bunches,
@@ -70,42 +71,8 @@ def reconfig_row(task: ReconfigTask) -> ReconfigRow:
     )
 
 
-def reconfig_tasks(
-    configurations: list[tuple[int, bool]] | None = None,
-    config: CgraConfig | None = None,
-    design_kluts: float = 180.0,
-) -> list[ReconfigTask]:
-    """The table's shard plan: one task per model variant."""
-    configurations = configurations or [(8, False), (8, True), (4, True), (1, True)]
-    config = config if config is not None else CgraConfig()
-    return [
-        ReconfigTask(
-            n_bunches=n_bunches,
-            pipelined=pipelined,
-            config=config,
-            design_kluts=design_kluts,
-        )
-        for n_bunches, pipelined in configurations
-    ]
-
-
-def reconfiguration_table(
-    configurations: list[tuple[int, bool]] | None = None,
-    config: CgraConfig | None = None,
-    design_kluts: float = 180.0,
-    fpga: DirectFpgaFlow | None = None,
-) -> list[ReconfigRow]:
-    """Measure CGRA turnaround and compare with modelled FPGA synthesis."""
-    tasks = reconfig_tasks(configurations, config, design_kluts)
-    if fpga is not None:
-        fpga_seconds = fpga.synthesis_seconds(design_kluts)
-        return [
-            ReconfigRow(
-                n_bunches=t.n_bunches,
-                pipelined=t.pipelined,
-                cgra_seconds=reconfig_row(t).cgra_seconds,
-                fpga_seconds=fpga_seconds,
-            )
-            for t in tasks
-        ]
-    return [reconfig_row(task) for task in tasks]
+def reconfiguration_table(pool: WorkerPool | None = None) -> list[ReconfigRow]:
+    """Measure CGRA turnaround and compare with modelled FPGA synthesis:
+    one task per model variant on ``pool`` (inline without one)."""
+    tasks = [ReconfigTask(n_bunches=n, pipelined=p) for n, p in CONFIGURATIONS]
+    return dispatch(pool, reconfig_row, tasks, "reconfig")

@@ -69,19 +69,6 @@ __all__ = ["main", "EXPERIMENTS", "run_experiment"]
 logger = logging.getLogger(__name__)
 
 
-def _dispatch(pool: WorkerPool, fn, items, what: str) -> list:
-    """Run one experiment's shard items on ``pool`` (inline at one job).
-
-    Returns the per-item values in item order; a failed shard raises
-    :class:`repro.errors.ParallelExecutionError` with the worker-side
-    context (failure containment keeps the pool and sibling shards
-    alive, so all outcomes are known before the raise).
-    """
-    from repro.parallel import raise_on_failures
-
-    return raise_on_failures(pool.map_sharded(fn, items), what)
-
-
 def _configure_logging(verbose: bool) -> None:
     """Route runner output to stderr; idempotent across main() calls."""
     handler = logging.StreamHandler(sys.stderr)
@@ -98,9 +85,8 @@ def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
 
 def _fig1(out: Path, quick: bool, **_) -> list[str]:
     from repro.experiments.fig1 import fig1_forces_data
-    from repro.physics import SIS18, KNOWN_IONS, RFSystem
 
-    data = fig1_forces_data(SIS18, KNOWN_IONS["14N7+"], RFSystem(harmonic=4, voltage=5e3), 800e3)
+    data = fig1_forces_data()
     _write_csv(out / "fig1_voltage.csv", "time_s,voltage_v", [data.time, data.voltage])
     _write_csv(
         out / "fig1_particles.csv",
@@ -143,9 +129,10 @@ def _fig5a(
     out: Path, quick: bool, pool: WorkerPool, faults: tuple[FaultSpec, ...], **_
 ) -> list[str]:
     from repro.experiments.fig5 import fig5_metrics
+    from repro.parallel import dispatch
 
     duration = 0.12 if quick else 0.30
-    (res,) = _dispatch(pool, _fig5a_run, [(duration, faults)], "fig5a")
+    (res,) = dispatch(pool, _fig5a_run, [(duration, faults)], "fig5a")
     smoothed = res.phase_deg_smoothed(5)
     _write_csv(
         out / "fig5a_phase.csv",
@@ -162,10 +149,11 @@ def _fig5a(
 
 def _fig5b(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
     from repro.experiments.fig5 import fig5_metrics
+    from repro.parallel import dispatch
 
     duration = 0.12 if quick else 0.30
     n_particles = 1200 if quick else 5000
-    (res,) = _dispatch(pool, _fig5b_run, [(duration, n_particles)], "fig5b")
+    (res,) = dispatch(pool, _fig5b_run, [(duration, n_particles)], "fig5b")
     _write_csv(
         out / "fig5b_phase.csv",
         "time_s,phase_deg,sigma_delta_t_s,jump_deg,correction_deg",
@@ -202,10 +190,9 @@ def _schedule(out: Path, quick: bool, **_) -> list[str]:
 
 
 def _jitter(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
-    from repro.experiments.jitter_study import jitter_rows_for, jitter_tasks
+    from repro.experiments.jitter_study import jitter_comparison
 
-    tasks = jitter_tasks(n_samples=50_000 if quick else 200_000)
-    rows = [row for pair in _dispatch(pool, jitter_rows_for, tasks, "jitter") for row in pair]
+    rows = jitter_comparison(n_samples=50_000 if quick else 200_000, pool=pool)
     _write_csv(
         out / "jitter.csv",
         "is_cgra,f_rev_hz,p50_s,p999_s,miss_rate,false_phase_rms_deg",
@@ -223,9 +210,9 @@ def _jitter(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
 
 
 def _reconfig(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
-    from repro.experiments.reconfig import reconfig_row, reconfig_tasks
+    from repro.experiments.reconfig import reconfiguration_table
 
-    rows = _dispatch(pool, reconfig_row, reconfig_tasks(), "reconfig")
+    rows = reconfiguration_table(pool=pool)
     _write_csv(
         out / "reconfig.csv",
         "n_bunches,pipelined,cgra_seconds,fpga_seconds",
@@ -261,10 +248,9 @@ def _rampup(out: Path, quick: bool, **_) -> list[str]:
 
 
 def _landau(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
-    from repro.experiments.landau import landau_row, landau_tasks
+    from repro.experiments.landau import landau_damping_comparison
 
-    tasks = landau_tasks(n_particles=1200 if quick else 4000)
-    rows = _dispatch(pool, landau_row, tasks, "landau")
+    rows = landau_damping_comparison(n_particles=1200 if quick else 4000, pool=pool)
     _write_csv(
         out / "landau.csv",
         "control_enabled,damping_rate_per_s,time_constant_s,bunch_length_growth",
@@ -280,18 +266,13 @@ def _landau(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
 
 
 def _dual(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
-    from repro.experiments.dual_harmonic_study import (
-        dual_harmonic_row,
-        dual_harmonic_tasks,
-    )
-    from repro.physics import SIS18, KNOWN_IONS
+    from repro.experiments.dual_harmonic_study import dual_harmonic_landau_study
 
-    tasks = dual_harmonic_tasks(
-        SIS18, KNOWN_IONS["14N7+"],
+    rows = dual_harmonic_landau_study(
         n_particles=1000 if quick else 2500,
         n_turns=24000 if quick else 48000,
+        pool=pool,
     )
-    rows = _dispatch(pool, dual_harmonic_row, tasks, "dual")
     _write_csv(
         out / "dual_harmonic.csv",
         "ratio,f_s_linear_hz,f_s_small_hz,f_s_large_hz,amplitude_retention",
@@ -309,12 +290,13 @@ def _dual(out: Path, quick: bool, pool: WorkerPool, **_) -> list[str]:
 
 def _sweep(out: Path, quick: bool, pool: WorkerPool, batch: int, **_) -> list[str]:
     from repro.experiments.sweep import plan_sweep, run_sweep_shard
+    from repro.parallel import dispatch
 
     amps = np.linspace(2.0, 12.0, batch)
     duration = 0.06 if quick else 0.20
     tasks = plan_sweep(amps, duration)
     t0 = time.perf_counter()
-    shards = _dispatch(pool, run_sweep_shard, tasks, "sweep")
+    shards = dispatch(pool, run_sweep_shard, tasks, "sweep")
     elapsed = time.perf_counter() - t0
     # Shards come back in offset order (the merge is order-stable), so
     # concatenation reassembles the full scan.

@@ -44,8 +44,8 @@ class ScheduleRow:
     pipelined: bool
     schedule_ticks: int
     max_f_rev_hz: float
-    paper_ticks: int | None
-    paper_max_f_rev_hz: float | None
+    paper_ticks: int
+    paper_max_f_rev_hz: float
     dfg_nodes: int
     critical_path_ticks: int
     io_ops: int
@@ -56,17 +56,13 @@ class ScheduleRow:
         return self.max_f_rev_hz >= 1e6
 
 
-def schedule_length_table(
-    config: CgraConfig | None = None,
-    configurations: list[tuple[int, bool]] | None = None,
-) -> list[ScheduleRow]:
-    """Compile and schedule every configuration of the paper's table."""
-    config = config if config is not None else CgraConfig()
-    configurations = configurations or list(PAPER_SCHEDULE_LENGTHS)
+def schedule_length_table() -> list[ScheduleRow]:
+    """Compile and schedule every configuration of the paper's table on
+    the default fabric."""
+    config = CgraConfig()
     rows: list[ScheduleRow] = []
-    for n_bunches, pipelined in configurations:
+    for (n_bunches, pipelined), paper_ticks in PAPER_SCHEDULE_LENGTHS.items():
         model = compile_beam_model(n_bunches=n_bunches, pipelined=pipelined, config=config)
-        paper_ticks = PAPER_SCHEDULE_LENGTHS.get((n_bunches, pipelined))
         rows.append(
             ScheduleRow(
                 n_bunches=n_bunches,
@@ -74,9 +70,7 @@ def schedule_length_table(
                 schedule_ticks=model.schedule_length,
                 max_f_rev_hz=model.max_f_rev,
                 paper_ticks=paper_ticks,
-                paper_max_f_rev_hz=(
-                    config.clock_mhz * 1e6 / paper_ticks if paper_ticks else None
-                ),
+                paper_max_f_rev_hz=config.clock_mhz * 1e6 / paper_ticks,
                 dfg_nodes=len(model.graph),
                 critical_path_ticks=model.graph.critical_path_length(config.latencies),
                 io_ops=model.schedule.io_op_count(),

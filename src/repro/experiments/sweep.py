@@ -40,8 +40,6 @@ class SweepTask:
     amps: tuple[float, ...]
     #: Machine-time duration of the run, seconds.
     duration: float
-    jump_start_time: float = 0.005
-    record_every: int = 1
     #: Also return the per-lane phase traces (parity gates compare them
     #: bit-for-bit; costs pickle size, so off for plain sweeps).
     keep_trace: bool = False
@@ -90,13 +88,9 @@ def run_sweep_shard(task: SweepTask) -> SweepShardResult:
     from repro.hil.simulator import CavityInTheLoop, HilConfig
     from repro.physics import KNOWN_IONS, SIS18
 
-    config = HilConfig(
-        ring=SIS18,
-        ion=KNOWN_IONS["14N7+"],
-        jump_deg=task.amps,
-        jump_start_time=task.jump_start_time,
-        record_every=task.record_every,
-    )
+    # The bench's defaults: first jump at 5 ms, every revolution recorded.
+    config = HilConfig(ring=SIS18, ion=KNOWN_IONS["14N7+"], jump_deg=task.amps)
+    jump_time = config.jump_start_time
     res = CavityInTheLoop(config).run(task.duration)
     n_lanes = len(task.amps)
     f_s = np.full(n_lanes, np.nan)
@@ -105,11 +99,9 @@ def run_sweep_shard(task: SweepTask) -> SweepShardResult:
     # fig5_metrics needs the full settled window (one 50 ms inter-jump
     # period after the jump); shorter smoke/bench runs keep NaN metrics
     # and are compared on the raw traces instead.
-    if task.duration >= task.jump_start_time + 0.055:
+    if task.duration >= jump_time + 0.055:
         for lane in range(n_lanes):
-            m = fig5_metrics(
-                res.time, res.phase_deg[:, lane], task.amps[lane], task.jump_start_time
-            )
+            m = fig5_metrics(res.time, res.phase_deg[:, lane], task.amps[lane], jump_time)
             f_s[lane] = m.synchrotron_frequency
             first_pp[lane] = m.first_peak_to_peak
             settled[lane] = m.settled_shift

@@ -52,9 +52,6 @@ CAMPAIGN_RECORD_EVERY = 8
 def run_fault_lanes(
     specs: tuple[FaultSpec, ...],
     duration: float,
-    *,
-    jump_deg: float = CAMPAIGN_JUMP_DEG,
-    record_every: int = CAMPAIGN_RECORD_EVERY,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Run loop-fault scenarios as lockstep lanes of one bench.
 
@@ -82,8 +79,8 @@ def run_fault_lanes(
     config = HilConfig(
         ring=SIS18,
         ion=KNOWN_IONS["14N7+"],
-        jump_deg=(float(jump_deg),) * lanes,
-        record_every=record_every,
+        jump_deg=(CAMPAIGN_JUMP_DEG,) * lanes,
+        record_every=CAMPAIGN_RECORD_EVERY,
         faults=tuple(faults),
     )
     res = CavityInTheLoop(config).run(duration)

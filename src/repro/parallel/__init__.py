@@ -11,7 +11,8 @@ Public surface:
 * :class:`WorkerPool` / :func:`run_sharded` — warm worker pools with
   compile-cache priming at fork, chunked order-stable dispatch, and
   failure containment (:class:`ShardFailure` records instead of a dead
-  pool);
+  pool); :func:`dispatch` runs an experiment's tasks on a pool (inline
+  without one) and raises if a shard failed;
 * :func:`shard_seeds` — deterministic per-shard seed derivation that is
   independent of the worker count, so ``--jobs 1`` and ``--jobs N``
   produce identical numbers;
@@ -26,6 +27,7 @@ from repro.parallel.pool import (
     ShardFailure,
     ShardResult,
     WorkerPool,
+    dispatch,
     prime_compile_caches,
     raise_on_failures,
     run_sharded,
@@ -35,6 +37,7 @@ from repro.parallel.seeding import shard_seeds
 __all__ = [
     "WorkerPool",
     "run_sharded",
+    "dispatch",
     "ShardResult",
     "ShardFailure",
     "raise_on_failures",

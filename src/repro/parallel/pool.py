@@ -69,6 +69,7 @@ __all__ = [
     "ShardResult",
     "WorkerPool",
     "run_sharded",
+    "dispatch",
     "raise_on_failures",
     "prime_compile_caches",
     "DEFAULT_PRIMERS",
@@ -529,6 +530,20 @@ def run_sharded(
         jobs, primers=primers, start_method=start_method, transport=transport
     ) as pool:
         return pool.map_sharded(fn, items)
+
+
+def dispatch(
+    pool: WorkerPool | None, fn: Callable[[Any], Any], items: Iterable[Any], what: str
+) -> list[Any]:
+    """Run ``fn`` over ``items`` on ``pool`` (inline in this process when
+    None) and return the values in item order.
+
+    A failed shard raises through :func:`raise_on_failures`, after every
+    shard has run.
+    """
+    if pool is None:
+        pool = WorkerPool(jobs=1)
+    return raise_on_failures(pool.map_sharded(fn, items), what)
 
 
 def raise_on_failures(

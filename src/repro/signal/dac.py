@@ -41,8 +41,6 @@ class DAC:
         Full-scale peak-to-peak output range in volts (2.0 in the bench).
     sample_rate:
         Sample clock in Hz (250 MHz in the bench).
-    scale:
-        Output scaling applied to requested voltages before conversion.
     """
 
     def __init__(
@@ -50,7 +48,6 @@ class DAC:
         bits: int = 16,
         vpp: float = 2.0,
         sample_rate: float = 250e6,
-        scale: float = 1.0,
     ) -> None:
         if bits < 1 or bits > 32:
             raise SignalError(f"bits must be in [1, 32], got {bits}")
@@ -61,7 +58,6 @@ class DAC:
         self.bits = int(bits)
         self.vpp = float(vpp)
         self.sample_rate = float(sample_rate)
-        self.scale = float(scale)
         # Samples and clips not yet published (see publish()).
         self._pending_samples = 0
         self._pending_clips = 0
@@ -87,8 +83,8 @@ class DAC:
         return 2 ** (self.bits - 1) - 1
 
     def volts_to_codes(self, volts) -> np.ndarray:
-        """Convert requested voltages (after scaling) to clipped codes."""
-        v = np.asarray(volts, dtype=float) * self.scale
+        """Convert requested voltages to clipped codes."""
+        v = np.asarray(volts, dtype=float)
         codes = np.round(v / self.lsb).astype(np.int64)
         if _OBS.enabled:
             self._pending_samples += codes.size

@@ -1,10 +1,12 @@
-"""The ``python -m repro.analysis`` CLI: output shape and exit codes."""
+"""Python modules through the ``python -m repro.analysis`` CLI (shardlint):
+output shape and exit codes; ``tests/cgra/test_lint_cli.py`` covers kernels."""
 
 import json
 
 import pytest
 
-from repro.analysis import default_targets, main
+from repro.analysis import default_targets
+from repro.analysis.cli import main
 
 BAD_MODULE = """\
 import random
@@ -22,6 +24,10 @@ def shard(task):
     rng = np.random.default_rng(task.seed)
     return {"value": float(rng.normal())}
 """
+
+BUILTIN_KERNELS = [
+    f"beam_model[n={n},{kind}]" for n in (1, 4, 8) for kind in ("pipelined", "plain")
+]
 
 
 class TestExitCodes:
@@ -61,8 +67,8 @@ class TestJsonOutput:
         f.write_text(BAD_MODULE)
         main([str(f), "--json"])
         payload = json.loads(capsys.readouterr().out.strip())
+        assert set(payload) == {"target", "errors", "warnings", "diagnostics"}
         assert payload["target"] == str(f)
-        assert payload["analyzer"] == "shardlint"
         assert payload["errors"] == 1 and payload["warnings"] == 1
         for d in payload["diagnostics"]:
             assert d["analyzer"] == "shardlint"
@@ -80,13 +86,17 @@ class TestJsonOutput:
 
 class TestAllSweep:
     def test_all_is_clean(self, capsys):
-        """The CI gate: shardlint over the real task modules, exit 0."""
+        """The CI gate: the built-in kernels, then every task module —
+        no error and no warning, exit 0."""
         assert main(["--all", "--fail-on-warning", "--json"]) == 0
         payloads = [
             json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
         ]
-        assert [p["target"] for p in payloads] == [str(t) for t in default_targets()]
-        assert {p["analyzer"] for p in payloads} == {"shardlint"}
+        assert [p["target"] for p in payloads] == BUILTIN_KERNELS + [
+            str(t) for t in default_targets()
+        ]
+        analyzers = {d["analyzer"] for p in payloads for d in p["diagnostics"]}
+        assert analyzers <= {"lint", "schedule", "range", "shardlint"}
 
     def test_module_entrypoint(self):
         import subprocess

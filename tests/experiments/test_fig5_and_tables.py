@@ -111,7 +111,7 @@ class TestJitterStudy:
 
 class TestReconfig:
     def test_speedups(self):
-        rows = reconfiguration_table(configurations=[(1, True), (8, True)])
+        rows = reconfiguration_table()
         for r in rows:
             assert r.speedup > 100.0
             assert r.cgra_seconds < 30.0
@@ -146,13 +146,9 @@ class TestRampUp:
 
 class TestLandau:
     def test_loop_much_stronger_than_landau(self):
-        rows = landau_damping_comparison(n_particles=1200, duration=0.04)
+        rows = landau_damping_comparison(n_particles=1200)
         off = next(r for r in rows if not r.control_enabled)
         on = next(r for r in rows if r.control_enabled)
         assert off.damping_rate > 0.0         # Landau damping exists
         assert on.damping_rate > 3 * off.damping_rate  # loop dominates
         assert off.bunch_length_growth > 0.0  # filamentation grows sigma
-
-    def test_duration_bounded_by_window(self):
-        with pytest.raises(ConfigurationError):
-            landau_damping_comparison(duration=0.06)

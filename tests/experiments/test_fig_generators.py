@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.fig1 import fig1_forces_data
 from repro.experiments.fig2 import fig2_signal_snapshot
 from repro.experiments.mde import (
@@ -14,15 +13,12 @@ from repro.experiments.mde import (
     bench_config,
     machine_config,
 )
-from repro.physics import SIS18, KNOWN_IONS, RFSystem
 
 
 class TestFig1:
     @pytest.fixture()
     def data(self):
-        return fig1_forces_data(
-            SIS18, KNOWN_IONS["14N7+"], RFSystem(harmonic=4, voltage=5e3), 800e3
-        )
+        return fig1_forces_data()
 
     def test_voltage_spans_one_rf_period(self, data):
         t_rf = 1 / (4 * 800e3)
@@ -37,13 +33,6 @@ class TestFig1:
         assert ref == 0.0
         assert late == pytest.approx(-early, rel=1e-9)
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            fig1_forces_data(
-                SIS18, KNOWN_IONS["14N7+"], RFSystem(harmonic=4, voltage=5e3),
-                800e3, offset_fraction=0.5,
-            )
-
 
 class TestFig2:
     def test_harmonic_two_structure(self):
@@ -54,7 +43,7 @@ class TestFig2:
         assert np.argmax(gap_spectrum) == 2 * np.argmax(ref_spectrum)
 
     def test_beam_pulses_displaced(self):
-        d = fig2_signal_snapshot(bunch_delta_t=60e-9)
+        d = fig2_signal_snapshot()
         # Pulse peaks sit bunch_delta_t after the gap's nominal crossings.
         peaks = np.nonzero(
             (d.beam[1:-1] > d.beam[:-2]) & (d.beam[1:-1] >= d.beam[2:])
@@ -68,12 +57,8 @@ class TestFig2:
         assert np.abs(offsets).max() < 3e-9
 
     def test_traces_same_length(self):
-        d = fig2_signal_snapshot(n_revolutions=3)
+        d = fig2_signal_snapshot()
         assert len(d.time) == len(d.reference) == len(d.gap) == len(d.beam)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            fig2_signal_snapshot(n_revolutions=0)
 
 
 class TestMdeConfigs:

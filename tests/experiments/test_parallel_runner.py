@@ -11,7 +11,6 @@ import json
 import multiprocessing
 
 import numpy as np
-import pytest
 
 from repro.experiments.runner import main, run_experiment
 from repro.experiments.sweep import SWEEP_CHUNK, plan_sweep, run_sweep_shard
@@ -19,6 +18,36 @@ from repro.parallel import raise_on_failures, run_sharded
 
 #: sha256 of ``runner sweep --quick``'s sweep_jump_amplitude.csv.
 SWEEP_QUICK_SHA256 = "9d16be8fa73043a031905f712c45c3dc199dc6f4c94e1621c622d9697491de66"
+
+#: sha256 of every CSV the deterministic one-call experiments write at
+#: ``--quick`` (``fig1`` writes two).  ``sweep`` and ``faults`` have
+#: their own digests; ``fig5a``/``fig5b`` are pinned array by array in
+#: the simulator and multiparticle goldens; ``reconfig`` measures
+#: wall-clock time.
+QUICK_CSV_SHA256 = {
+    "fig1": {
+        "fig1_voltage.csv": "abb6e1c72ef561eb042e102a7b2e94b4d77ea58ce3f6053031a831527df1c0b6",
+        "fig1_particles.csv": "d7607251eff724124d79283d3573a378e0323dc5d9b05126cf9bbfd54b6e0bf9",
+    },
+    "fig2": {
+        "fig2_signals.csv": "462065fc44beec0b0ce53160ec2500891be9b983628bce673a1ad49c5d6dad84",
+    },
+    "schedule": {
+        "schedule_lengths.csv": "082a6ab4fe2b549cbf6ae57ac131d1567a6e6a487df4e47a48ee04357405cc75",
+    },
+    "jitter": {
+        "jitter.csv": "ea3660f6f4c6df3419ca34860943bb409d80060a24cda04e1fddf97dad1f19a4",
+    },
+    "rampup": {
+        "rampup.csv": "905ac9701dcd64f2c9a6978c472c3b0754c09fa8cb2d6d66d3c14bc771164306",
+    },
+    "landau": {
+        "landau.csv": "8c82eb615d2c943d3870a64744b95585ec64aa5ccc7a404cfa92a01874725514",
+    },
+    "dual": {
+        "dual_harmonic.csv": "27fa3b9c6b6b6ced4a61e23001f84536662c4e220b05fc5dbc3551fa4c0d85fc",
+    },
+}
 
 
 class TestJobsFlag:
@@ -72,6 +101,17 @@ class TestCsvBytePinning:
             ).hexdigest()
             assert got == SWEEP_QUICK_SHA256, f"--jobs {jobs}"
 
+    def test_quick_csvs_pinned(self, tmp_path):
+        """Every deterministic quick CSV, byte for byte.  Recorded on
+        x86-64 with NumPy 2.4; a platform whose libm or NumPy rounds
+        differently will disagree here.  A deliberate model change needs
+        a new digest and a line in CHANGES.md saying why."""
+        for name, files in QUICK_CSV_SHA256.items():
+            run_experiment(name, tmp_path, quick=True)
+            for fname, want in files.items():
+                got = hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+                assert got == want, fname
+
     def test_reconfig_is_the_documented_exception(self):
         from repro.experiments import reconfig
 
@@ -108,14 +148,12 @@ class TestSweepShardParity:
 
 
 class TestShardTurnCounts:
-    @pytest.mark.parametrize("record_every", [1, 3])
-    def test_shard_reports_the_revolutions_it_ran(self, record_every):
-        """0.001 s at 800 kHz is 800 revolutions, whatever the decimation
-        (the records include the initial one, so they cannot count)."""
+    def test_shard_reports_the_revolutions_it_ran(self):
+        """0.001 s at 800 kHz is 800 revolutions (the records include the
+        initial one, so they cannot count)."""
         from repro.experiments.sweep import SweepTask
 
-        task = SweepTask(offset=0, amps=(2.0, 6.0), duration=0.001,
-                         record_every=record_every)
+        task = SweepTask(offset=0, amps=(2.0, 6.0), duration=0.001)
         assert run_sweep_shard(task).n_turns == 800
 
 

@@ -176,7 +176,7 @@ class TestEndToEndOutcomes:
     def test_fault_lanes_report_the_revolutions_they_ran(self):
         from repro.faults.engine import run_fault_lanes
 
-        times, _, n_turns = run_fault_lanes((None,), 0.001, record_every=8)
+        times, _, n_turns = run_fault_lanes((None,), 0.001)
         assert len(times) == 101
         assert n_turns == 800
 

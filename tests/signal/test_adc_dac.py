@@ -78,11 +78,6 @@ class TestDAC:
         assert out[0] == pytest.approx(dac.code_max * dac.lsb)
         assert out[1] == pytest.approx(dac.code_min * dac.lsb)
 
-    def test_output_scale(self):
-        dac = DAC(scale=0.5)
-        out = dac.convert(np.array([0.8]))
-        assert out[0] == pytest.approx(0.4, abs=dac.lsb)
-
     def test_render_waveform(self):
         dac = DAC()
         wf = dac.render_waveform(np.array([0.1, 0.2]), t0=1.0)
